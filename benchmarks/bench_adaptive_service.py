@@ -3,9 +3,11 @@
 The acceptance bar for the vectorized collective engine is quantitative: a
 48-rank reduction of 4096-element chunks must beat the seed's object path
 (one Python accumulator per rank, one Python ``op.combine`` per tree node)
-by >= 10x for both Kahan and composite precision, and the batched serving
+by >= 10x for both Kahan and composite precision, the batched serving
 path (:meth:`AdaptiveReducer.reduce_many`) must amortise its per-reduction
-profile+select overhead below the per-call pipeline's.  This bench times
+profile+select overhead below the per-call pipeline's, and a PR group's
+exact batched ``reduce_batch`` must beat the per-item accumulator walk by
+>= 5x.  This bench times
 both generations at a fixed paper-shaped workload and writes the numbers to
 ``BENCH_adaptive.json`` at the repo root so future PRs extend the perf
 trajectory instead of re-arguing it.
@@ -59,6 +61,9 @@ CHUNK_LEN = 4096
 #: serving-path workload: a stream of same-shape reductions
 BATCH_ITEMS = 64
 BATCH_CHUNK_LEN = 256
+
+#: PR group workload: the per-rank width of a 6144-value served item
+PR_CHUNK_LEN = 128
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -229,12 +234,65 @@ def bench_bound_tier(repeats: int = 3) -> dict:
     }
 
 
+def _seed_pr_reduce(comm: SimComm, chunks, op, tree) -> float:
+    """The per-item PR walk: the max-allreduce pre-pass binds the context,
+    then the frozen seed body folds and merges one accumulator per rank."""
+    local_max = [float(np.max(np.abs(c))) if c.size else 0.0 for c in chunks]
+    op = op.with_context_for(comm.max_allreduce(local_max))
+    return _seed_reduce(comm, chunks, op, tree)
+
+
+def bench_pr_stream(repeats: int = 3) -> dict:
+    """A PR serving group: one exact batched ``reduce_batch`` pass against
+    the per-item accumulator walk the serving path used to run.  Values
+    are asserted bitwise-equal before timing; the batched path is pure
+    NumPy, so its speedup does not depend on the C kernels."""
+    rng = np.random.default_rng(7)
+    batches = [
+        [
+            rng.uniform(-1.0, 1.0, PR_CHUNK_LEN)
+            * 10.0 ** rng.integers(-12, 13, size=PR_CHUNK_LEN)
+            for _ in range(N_RANKS)
+        ]
+        for _ in range(BATCH_ITEMS)
+    ]
+    comm = SimComm(N_RANKS)
+    op = make_reduction_op(get_algorithm("PR"))
+    tree = balanced(N_RANKS)
+
+    batched = comm.reduce_batch(batches, op, tree)
+    for chunks, rr in zip(batches, batched):
+        ref = _seed_pr_reduce(comm, chunks, op, tree)
+        assert np.float64(ref).tobytes() == np.float64(rr.value).tobytes(), (
+            f"exact batched PR diverged from the per-item walk: {ref!r} vs {rr.value!r}"
+        )
+
+    t_walk = _best_of(
+        lambda: [_seed_pr_reduce(comm, chunks, op, tree) for chunks in batches],
+        repeats,
+    )
+    t_batch = _best_of(lambda: comm.reduce_batch(batches, op, tree), repeats)
+    return {
+        "case": "pr_stream",
+        "algorithm": "PR",
+        "items": BATCH_ITEMS,
+        "n_ranks": N_RANKS,
+        "chunk_len": PR_CHUNK_LEN,
+        "walk_s": t_walk,
+        "reduce_batch_s": t_batch,
+        "walk_us_per_item": 1e6 * t_walk / BATCH_ITEMS,
+        "reduce_batch_us_per_item": 1e6 * t_batch / BATCH_ITEMS,
+        "speedup": t_walk / t_batch,
+    }
+
+
 def run_all(repeats: int = 5) -> dict:
     cases = [
         bench_collective("K", repeats),
         bench_collective("CP", repeats),
         bench_serving(max(2, repeats - 2)),
         bench_bound_tier(max(2, repeats - 2)),
+        bench_pr_stream(max(2, repeats - 2)),
     ]
     return {
         "bench": "adaptive_service",
@@ -289,6 +347,13 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"reduce_many={c['reduce_many_s'] * 1e3:.1f}ms  "
                 f"speedup={c['speedup']:.1f}x  "
                 f"cache={c['decision_cache']}"
+            )
+        elif c["case"] == "pr_stream":
+            print(
+                f"{c['case']:>18} {c['algorithm']:>3}  B={c['items']}  "
+                f"walk={c['walk_us_per_item']:.0f}us/item  "
+                f"reduce_batch={c['reduce_batch_us_per_item']:.0f}us/item  "
+                f"speedup={c['speedup']:.1f}x"
             )
         else:
             print(
@@ -347,6 +412,16 @@ def test_bound_tier_kills_profiling_tax():
         row = bench_bound_tier(repeats=3)
     assert row["fast_path_hit_rate"] == 1.0, row
     assert row["select_speedup"] >= 5.0, row
+
+
+def test_pr_stream_batched_speedup_floor():
+    """Acceptance: the exact batched PR path is >= 5x faster per item than
+    the per-item accumulator walk (one re-measure allowed, same policy as
+    the collective floors)."""
+    row = bench_pr_stream(repeats=3)
+    if row["speedup"] < 5.0:
+        row = bench_pr_stream(repeats=3)
+    assert row["speedup"] >= 5.0, row
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,15 +28,26 @@ Every collective accepts ``engine``:
   schedule (:mod:`repro.trees.schedule`, structural-key cached) with one
   batched ``merge_at`` per dependency level.  Requires the op's algorithm
   to expose VectorOps; raises otherwise.
-* ``"auto"`` (default) — ``"vector"`` when the op supports it, else
+* ``"auto"`` (default) — ``"vector"`` when the op supports it; else the
+  exact batched path when the algorithm offers one (PR, see below); else
   ``"object"``.
 
-The two engines are bitwise-equal by contract (fold rows match
-``op.local`` states; grouping merges into levels cannot change results
-because each slot is written once), and the collective-engine property
-tests pin that across algorithms, ragged chunk sizes and tree shapes.
-``reduce_batch`` amortises packing, compilation and level sweeps across a
-whole stream of same-shape reductions — the heavy-traffic serving path.
+The engines are bitwise-equal by contract (fold rows match ``op.local``
+states; grouping merges into levels cannot change results because each
+slot is written once), and the collective-engine property tests pin that
+across algorithms, ragged chunk sizes and tree shapes.  ``reduce_batch``
+amortises packing, compilation and level sweeps across a whole stream of
+same-shape reductions — the heavy-traffic serving path.
+
+PR needs a per-reduction pre-pass (the global max) and so has no vector
+engine, but it needs no tree walk either: its fold deposits are exact
+integers, so every reduction tree yields the same sums.  On ``"auto"`` it
+runs :meth:`PreroundedSum.sum_items
+<repro.summation.prerounded.PreroundedSum.sum_items>`, which packs whole
+collectives into row blocks, takes each row's max as its pre-pass and
+extracts all fold coefficients in one vectorised sweep per fold —
+bitwise-equal to the object walk on any tree, for one collective or a
+whole ``reduce_batch`` group.
 """
 
 from __future__ import annotations
@@ -136,21 +147,11 @@ class SimComm:
         ready-made rank tree or one of ``"balanced"``, ``"serial"``,
         ``"topology"`` (topology-aware when a topology exists, else
         balanced).  ``engine`` selects the execution path (see module
-        docs); both paths are bitwise-equal.
+        docs); all paths are bitwise-equal.
         """
         self._check_size(chunks)
-        op = self._contextualize(op, chunks)
         tree = self._resolve_tree(tree)
-        use_vector = self._use_vector(op, engine)
-        if _OBS.enabled:
-            _OBS.counter(
-                "repro_comm_dispatch_total",
-                engine="vector" if use_vector else "object",
-            ).inc()
-        if use_vector:
-            value = self._execute_vector(chunks, op, tree)
-        else:
-            value = self._execute_object(chunks, op, tree)
+        value = self._execute(self._engine(op, engine), chunks, op, tree)
         cost = tree_cost(tree, self.topology) if self.topology else 0.0
         return ReduceResult(
             value=value, tree=tree, simulated_time=cost, algorithm_code=op.code
@@ -184,7 +185,7 @@ class SimComm:
         machine.
         """
         self._check_size(chunks)
-        op = self._contextualize(op, chunks)
+        path = self._engine(op, engine)
         schedule = sample_arrival_times(
             self.n_ranks,
             jitter=jitter,
@@ -193,20 +194,9 @@ class SimComm:
             seed=self._rng,
         )
         run = arrival_order_tree(schedule, self.topology)
-        tree = run.tree
-        use_vector = self._use_vector(op, engine)
-        if _OBS.enabled:
-            _OBS.counter(
-                "repro_comm_dispatch_total",
-                engine="vector" if use_vector else "object",
-            ).inc()
-        if use_vector:
-            value = self._execute_vector(chunks, op, tree)
-        else:
-            value = self._execute_object(chunks, op, tree)
         return ReduceResult(
-            value=value,
-            tree=tree,
+            value=self._execute(path, chunks, op, run.tree),
+            tree=run.tree,
             simulated_time=run.completion_time,
             algorithm_code=op.code,
         )
@@ -225,15 +215,17 @@ class SimComm:
         the local phase is a single :meth:`VectorOps.fold` sweep, and the
         rank tree runs once with a ``(B, n_ranks)`` batch axis broadcasting
         through every level — amortising packing, compilation and kernel
-        dispatch across the whole stream.  Each element of the returned list
-        is bitwise-equal to ``self.reduce(batches[i], op, tree)``.
+        dispatch across the whole stream.  PR streams take the exact batched
+        path instead (module docs).  Each element of the returned list is
+        bitwise-equal to ``self.reduce(batches[i], op, tree)``.
         """
         tree = self._resolve_tree(tree)
         for chunks in batches:
             self._check_size(chunks)
         if not batches:
             return []
-        if not self._use_vector(op, engine):
+        path = self._engine(op, engine)
+        if path == "object":
             # per-item object fallback: each delegated reduce() records its
             # own engine="object" dispatch, so totals still sum to one
             # dispatch per collective
@@ -245,25 +237,10 @@ class SimComm:
             _OBS.counter("repro_comm_dispatch_total", engine="batch").inc(
                 len(batches)
             )
-        vops = op.vector_ops
-        flat: list = []
-        for chunks in batches:
-            flat.extend(chunks)
-        n_batches = len(batches)
-        if tree.kind == "balanced" and _ckernels.has_reduce_kernel(vops):
-            # fused fast path: fold + balanced rank tree + result extraction
-            # for the whole stream in ONE compiled call (bitwise-equal to the
-            # fold/reduce_states path below; the engine property tests pin it)
-            if _OBS.enabled:
-                _OBS.counter("repro_comm_batch_fused_total").inc()
-            values = _ckernels.reduce_balanced_chunks(flat, self.n_ranks, vops)
+        if path == "exact":
+            values = op.algorithm.sum_items(batches, op.context)
         else:
-            states = op.local_states(flat)
-            states = tuple(c.reshape(n_batches, self.n_ranks) for c in states)
-            root = compile_tree(tree).reduce_states(states, vops)
-            values = np.asarray(vops.result(root), dtype=np.float64).reshape(
-                n_batches
-            )
+            values = self._vector_batch(batches, op, tree)
         cost = tree_cost(tree, self.topology) if self.topology else 0.0
         return [
             ReduceResult(
@@ -273,24 +250,69 @@ class SimComm:
         ]
 
     # -- engines ---------------------------------------------------------------
-    def _use_vector(self, op: ReductionOp, engine: str) -> bool:
+    def _vector_batch(
+        self,
+        batches: Sequence[Sequence[np.ndarray]],
+        op: ReductionOp,
+        tree: ReductionTree,
+    ) -> np.ndarray:
+        """One fold sweep for every item's rank states, one tree walk with
+        a ``(B, n_ranks)`` batch axis."""
+        vops = op.vector_ops
+        flat: list = []
+        for chunks in batches:
+            flat.extend(chunks)
+        if tree.kind == "balanced" and _ckernels.has_reduce_kernel(vops):
+            # fused fast path: fold + balanced rank tree + result extraction
+            # for the whole stream in ONE compiled call (bitwise-equal to the
+            # fold/reduce_states path below; the engine property tests pin it)
+            if _OBS.enabled:
+                _OBS.counter("repro_comm_batch_fused_total").inc()
+            return _ckernels.reduce_balanced_chunks(flat, self.n_ranks, vops)
+        states = op.local_states(flat)
+        states = tuple(c.reshape(len(batches), self.n_ranks) for c in states)
+        root = compile_tree(tree).reduce_states(states, vops)
+        return np.asarray(vops.result(root), dtype=np.float64).reshape(len(batches))
+
+    def _engine(self, op: ReductionOp, engine: str) -> str:
+        """The path ``engine`` resolves to for ``op``: ``"vector"``,
+        ``"exact"`` or ``"object"``."""
         if engine == "auto":
-            return op.supports_vector
+            if op.supports_vector:
+                return "vector"
+            return "exact" if op.supports_exact_batch else "object"
         if engine == "vector":
             if not op.supports_vector:
                 raise ValueError(
                     f"algorithm {op.code!r} does not support the vector engine "
                     "(no VectorOps, or it needs a per-reduction context)"
                 )
-            return True
+            return "vector"
         if engine == "object":
-            return False
+            return "object"
         raise ValueError(f"unknown engine {engine!r} (use 'auto', 'vector' or 'object')")
+
+    def _execute(
+        self,
+        path: str,
+        chunks: Sequence[np.ndarray],
+        op: ReductionOp,
+        tree: ReductionTree,
+    ) -> float:
+        """Run one collective on a resolved path, counting the dispatch."""
+        if _OBS.enabled:
+            _OBS.counter("repro_comm_dispatch_total", engine=path).inc()
+        if path == "exact":
+            return op.algorithm.sum_items([chunks], op.context)[0]
+        if path == "vector":
+            return self._execute_vector(chunks, op, tree)
+        return self._execute_object(chunks, op, tree)
 
     def _execute_object(
         self, chunks: Sequence[np.ndarray], op: ReductionOp, tree: ReductionTree
     ) -> float:
         """Reference path: per-rank accumulators + per-node Python merges."""
+        op = self._contextualize(op, chunks)
         accs: list = [op.local(chunk) for chunk in chunks]
         slots: list = accs + [None] * (self.n_ranks - 1)
         for a, b, out in tree.iter_steps():

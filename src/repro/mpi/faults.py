@@ -62,12 +62,15 @@ def run_campaign(
     op: ReductionOp,
     model: FaultModel,
     n_runs: int,
+    engine: str = "auto",
 ) -> CampaignResult:
     """Repeat a nondeterministic reduction ``n_runs`` times under ``model``.
 
     Each run draws a fresh arrival schedule from the communicator's RNG, so
     tree shapes differ run to run; the returned depths quantify the shape
-    variability and the values its numerical consequence.
+    variability and the values its numerical consequence.  ``engine`` is
+    passed to :meth:`SimComm.reduce_nondeterministic`; ``"object"`` walks
+    every drawn tree even for PR, whose ``"auto"`` path never reads it.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -81,6 +84,7 @@ def run_campaign(
             jitter=model.jitter,
             fault_prob=model.fault_prob,
             fault_delay=model.fault_delay,
+            engine=engine,
         )
         values[i] = res.value
         depths[i] = res.tree.depth()

@@ -53,10 +53,15 @@ class ReductionOp:
     @property
     def supports_vector(self) -> bool:
         """True when the collective fast path can execute this op: the
-        algorithm exposes VectorOps and needs no per-reduction context
-        (context-needing algorithms keep their pre-pass on the object
-        path)."""
+        algorithm exposes VectorOps and needs no per-reduction context."""
         return self.algorithm.vector_ops is not None and not self.algorithm.needs_context
+
+    @property
+    def supports_exact_batch(self) -> bool:
+        """True when the algorithm sums whole collectives in one batched
+        pass (``sum_items``) whose result cannot depend on the rank tree:
+        PR, whose fold deposits are exact integers."""
+        return self.algorithm.exact_batch
 
     def local(self, chunk: np.ndarray) -> Accumulator:
         """Rank-local phase: fold a chunk into a fresh accumulator."""

@@ -20,8 +20,8 @@ Pipeline per reduction:
    picks the cheapest algorithm whose predicted variability meets the
    application's tolerance.
 3. **Reduce** — the chosen algorithm's accumulator runs as a custom op
-   through the simulated communicator; for PR the max from step 1 doubles
-   as the pre-pass, so no extra data pass is needed.
+   through the simulated communicator; PR runs its exact batched path,
+   which takes each item's max as the pre-pass while packing its rows.
 
 Selection is precision-aware end to end: each item's unit roundoff is taken
 from its input dtype (fp16/fp32/fp64), threaded through the bound tier, the
@@ -57,7 +57,6 @@ from repro.selection.bound_tier import (
 )
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
 from repro.selection.profile import StreamProfile, profile_batch, profile_chunk
-from repro.summation.base import SumContext
 from repro.summation.registry import all_algorithms, get_algorithm
 from repro.trees.tree import ReductionTree
 from repro.util.chunking import split_indices
@@ -171,9 +170,9 @@ class AdaptiveReducer:
 
         With the bound tier enabled (``bound_confidence=...``), items whose
         cheapest acceptable algorithm is provably certified by a
-        Hallman–Ipsen bound skip the profiling sketch entirely — the cheap
-        statistics pass doubles as the PR pre-pass, so the fast path costs
-        one data scan instead of the sketch's composite-precision ladder.
+        Hallman–Ipsen bound skip the profiling sketch entirely, so the fast
+        path costs one data scan instead of the sketch's composite-precision
+        ladder.
         The tier never resolves an item unless the profiling policy would
         provably pick the same code, so results are identical either way.
         Tier decisions bypass the decision cache (they are exact, not
@@ -195,7 +194,6 @@ class AdaptiveReducer:
                 decision = tier.decide_item(stats, t, self.policy)
             bound_elapsed = sw_bound.elapsed
         if decision is not None:
-            sketch = stats.as_stream_profile()
             profile_elapsed = bound_elapsed
         else:
             with Stopwatch() as sw_profile:
@@ -221,14 +219,7 @@ class AdaptiveReducer:
                         )
             profile_elapsed = bound_elapsed + sw_profile.elapsed
             select_elapsed = sw_select.elapsed
-        algorithm = get_algorithm(decision.code)
-        # Reuse the profile's global max as PR's pre-pass: no extra data scan.
-        context = (
-            SumContext(max_abs=sketch.max_abs, n_hint=sketch.n)
-            if algorithm.needs_context
-            else None
-        )
-        op = make_reduction_op(algorithm, context)
+        op = make_reduction_op(get_algorithm(decision.code))
         with Stopwatch() as sw_reduce:
             if nondeterministic:
                 result = self.comm.reduce_nondeterministic(chunks, op)
@@ -283,7 +274,9 @@ class AdaptiveReducer:
         and items choosing the same algorithm execute together through
         :meth:`SimComm.reduce_batch`, so packing, schedule compilation and
         kernel dispatch are paid once per algorithm instead of once per
-        item.  Context-needing algorithms (PR) keep their per-item pre-pass.
+        item.  PR groups take the same route: its fold deposits are exact
+        integers, so one vectorised pass over the whole group gives every
+        item the value any reduction tree would.
 
         ``workers`` adds the multicore axis: the item stream splits into
         contiguous shards, each shard runs the full profile → select →
@@ -318,11 +311,11 @@ class AdaptiveReducer:
             return self._reduce_many_parallel(
                 batches, t, tree, pool_workers, n_shards, us
             )
-        sketches, decisions, bound_elapsed, profile_elapsed, select_elapsed = (
+        _, decisions, bound_elapsed, profile_elapsed, select_elapsed = (
             self._tiered_sketch_and_select(batches, t, us)
         )
         results, groups, reduce_elapsed = self._grouped_reduce(
-            batches, sketches, decisions, tree
+            batches, decisions, tree
         )
         if _OBS.enabled:
             for code, indices in groups.items():
@@ -401,8 +394,8 @@ class AdaptiveReducer:
         items; per-item results are position-independent, so profiling a
         fallback subset is bitwise-identical to profiling those items inside
         the full stream.  Tier-resolved items reuse their statistics as a
-        (lo-parts-zero) sketch — exactly what the reduce stage and the PR
-        pre-pass need."""
+        (lo-parts-zero) sketch.  Only the parallel path's replay reads the
+        returned sketches; the serial ``reduce_many`` ignores them."""
         tier = self._engaged_bound_tier()
         if tier is None:
             sketches, decisions, profile_elapsed, select_elapsed = (
@@ -439,14 +432,14 @@ class AdaptiveReducer:
     def _grouped_reduce(
         self,
         batches: Sequence[Sequence[np.ndarray]],
-        sketches: "list[StreamProfile]",
         decisions: "list[SelectionDecision]",
         tree: "ReductionTree | str",
     ) -> tuple:
-        """Step 3 for a stream: same-decision items execute together.
+        """Step 3 for a stream: same-decision items execute together, one
+        :meth:`SimComm.reduce_batch` per algorithm (PR included: its exact
+        batched path takes each item's own max as its pre-pass).
 
         Returns ``(per-item ReduceResults, {code: indices}, elapsed)``.
-        Context-needing algorithms (PR) keep their per-item pre-pass.
         """
         groups: "dict[str, list[int]]" = {}
         for i, decision in enumerate(decisions):
@@ -454,21 +447,12 @@ class AdaptiveReducer:
         results: "list[ReduceResult | None]" = [None] * len(batches)
         with Stopwatch() as sw_reduce:
             for code, indices in groups.items():
-                algorithm = get_algorithm(code)
-                if algorithm.needs_context:
-                    for i in indices:
-                        sk = sketches[i]
-                        op = make_reduction_op(
-                            algorithm, SumContext(max_abs=sk.max_abs, n_hint=sk.n)
-                        )
-                        results[i] = self.comm.reduce(batches[i], op, tree)
-                else:
-                    op = make_reduction_op(algorithm)
-                    group_results = self.comm.reduce_batch(
-                        [batches[i] for i in indices], op, tree
-                    )
-                    for i, rr in zip(indices, group_results):
-                        results[i] = rr
+                op = make_reduction_op(get_algorithm(code))
+                group_results = self.comm.reduce_batch(
+                    [batches[i] for i in indices], op, tree
+                )
+                for i, rr in zip(indices, group_results):
+                    results[i] = rr
         return results, groups, sw_reduce.elapsed
 
     def _reduce_many_parallel(
@@ -850,7 +834,7 @@ def _reduce_many_shard(payload: tuple) -> None:
         reducer._tiered_sketch_and_select(batches, threshold, us)
     )
     results, _groups, reduce_elapsed = reducer._grouped_reduce(
-        batches, sketches, decisions, tree
+        batches, decisions, tree
     )
     code_index = {code: idx for idx, code in enumerate(code_table)}
     span = slice(start, stop)

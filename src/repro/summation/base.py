@@ -203,6 +203,9 @@ class SummationAlgorithm(abc.ABC):
     deterministic: bool = False
     #: True when sum_array / accumulators need a SumContext with max_abs
     needs_context: bool = False
+    #: True when ``sum_items`` sums whole collectives in one batched pass
+    #: whose result cannot depend on the reduction tree
+    exact_batch: bool = False
 
     @abc.abstractmethod
     def make_accumulator(self, context: Optional[SumContext] = None) -> Accumulator:

@@ -33,13 +33,18 @@ Two variants are provided:
   accumulated value onto the new grid, so results remain reproducible in
   practice (the dropped low-order bits sit >K*W bits below the running max);
   it is exercised by the ablation bench, not by the headline experiments.
+
+:meth:`PreroundedSum.sum_items` (over :func:`_fold_items`) is the batched
+form of the two-pass algorithm that the simulated collectives run: whole
+sums packed into row blocks, each row's max as its pre-pass, and one
+vectorised extraction sweep per fold for the whole block.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +60,179 @@ __all__ = [
 #: Block size for int64-safe fold-coefficient reduction: |q| < 2**42, so
 #: 2**20 terms stay below 2**62.
 _BLOCK = 1 << 20
+
+#: Elements per scratch buffer of :func:`_fold_items`.  A buffer's rows sum
+#: in int64, so it must not exceed ``_BLOCK``; the fixed budget keeps the
+#: working set cache-sized and peak memory flat in the batch size.
+_SCRATCH = 1 << 16
+
+#: Largest binary exponent of a double: 2**k and 2**-k are both doubles
+#: exactly when |k| <= _MAX_POW2.
+_MAX_POW2 = 1023
+
+
+def _fold_items(
+    items: Sequence[Sequence[np.ndarray]],
+    folds: int,
+    fold_width: int,
+    bin_exponent: Optional[int] = None,
+) -> list[tuple[int, list[int]]]:
+    """Bin exponent and exact fold-coefficient sums of many independent sums.
+
+    ``items[i]`` holds one sum's operands as a sequence of chunks (say a
+    collective's per-rank data).  With ``bin_exponent=None`` each item is
+    binned at the exponent of its own largest magnitude, which is exactly
+    what a max-allreduce over its chunks yields (the PR pre-pass).
+    Otherwise every item shares the given bin and an operand beyond it
+    raises ``ValueError``, as does any non-finite operand.
+
+    Short items are packed one per row into zero-padded blocks of at most
+    ``_SCRATCH`` elements, shortest first so rows of a block have similar
+    widths; longer items stream through one-row blocks.  Each block's folds
+    come out of one vectorised sweep (:func:`_fold_block`).  The fold sums
+    are exact integers, so how an item's operands are split into chunks,
+    rows or blocks cannot change them: every reduction tree over the chunks
+    yields the same sums, and each equals what
+    :meth:`PreroundedAccumulator.add_array` deposits for the same bin.
+    """
+    sizes = [sum([a.size for a in map(np.asarray, chunks)]) for chunks in items]  # repro: allow[FP002] -- integer element counts
+    exps = [0 if bin_exponent is None else bin_exponent] * len(items)
+    sums = [[0] * folds for _ in items]
+    scratch = np.empty((3, min(_SCRATCH, len(items) * max(sizes, default=0))))
+
+    short = sorted(
+        (i for i, n in enumerate(sizes) if 0 < n <= _SCRATCH), key=sizes.__getitem__
+    )
+    start = 0
+    while start < len(short):
+        stop = start + 1
+        while stop < len(short) and (stop + 1 - start) * sizes[short[stop]] <= _SCRATCH:
+            stop += 1
+        rows = short[start:stop]
+        width = sizes[rows[-1]]
+        block = scratch[0, : len(rows) * width].reshape(len(rows), width)
+        for row, i in zip(block, rows):
+            np.concatenate(items[i], axis=None, out=row[: sizes[i]])
+            row[sizes[i] :] = 0.0
+        block_exps, block_sums = _fold_block(
+            block, scratch, folds, fold_width, bin_exponent
+        )
+        for i, e, row_sums in zip(rows, block_exps.tolist(), block_sums.T.tolist()):
+            exps[i] = e
+            sums[i] = row_sums
+        start = stop
+
+    for i in (i for i, n in enumerate(sizes) if n > _SCRATCH):
+        if bin_exponent is None:
+            m = max(float(_row_max(_load(scratch, p), scratch)[0]) for p in _pieces(items[i]))
+            exps[i] = exponent(m) if m > 0.0 else 0
+        for piece in _pieces(items[i]):
+            _, block_sums = _fold_block(
+                _load(scratch, piece), scratch, folds, fold_width, exps[i]
+            )
+            for j in range(folds):
+                sums[i][j] += int(block_sums[j, 0])
+    return list(zip(exps, sums))
+
+
+def _pieces(chunks: Sequence[np.ndarray]):
+    """An item's operands as consecutive slices of at most ``_SCRATCH``."""
+    for chunk in chunks:
+        flat = np.ravel(chunk)
+        for start in range(0, flat.size, _SCRATCH):
+            yield flat[start : start + _SCRATCH]
+
+
+def _load(scratch: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """Copy one piece into a one-row block at the front of the scratch."""
+    block = scratch[0, : piece.size].reshape(1, piece.size)
+    np.copyto(block[0], piece)
+    return block
+
+
+def _row_max(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Largest magnitude of every row; raises on a non-finite operand."""
+    rows, width = block.shape
+    m = np.abs(block, out=scratch[1, : rows * width].reshape(rows, width)).max(axis=1)
+    if not np.isfinite(m).all():
+        raise ValueError("cannot accumulate non-finite values")
+    return m
+
+
+def _fold_block(
+    block: np.ndarray,
+    scratch: np.ndarray,
+    folds: int,
+    fold_width: int,
+    bin_exponent: Optional[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bin exponent and fold sums of every row of a packed block.
+
+    Returns ``(exps, sums)`` with ``sums[j, r]`` the int64 sum of row
+    ``r``'s fold-``j`` coefficients.  Each fold is one sweep over the whole
+    block: ``q = rint(r * 2**-g)`` and ``r -= q * 2**g`` with ``g`` the
+    row's fold grid, exactly :meth:`PreroundedAccumulator.add`'s
+    decomposition.  ``block`` (a view of ``scratch[0]``) is consumed: it
+    ends up holding residuals; ``scratch[1:]`` is overwritten.
+    """
+    rows, width = block.shape
+    m = _row_max(block, scratch)
+    if bin_exponent is None:
+        exps = np.where(m > 0.0, np.frexp(m)[1] - 1, 0)
+    else:
+        _check_capacity(float(m.max()), bin_exponent)
+        exps = np.full(rows, bin_exponent)
+    # fold grids g[j, r] = exps[r] - (j+1)*fold_width, shaped to broadcast
+    # over each row's columns; g <= 1023 - fold_width always holds
+    g = exps[:, None] - fold_width * np.arange(1, folds + 1).reshape(folds, 1, 1)
+    if g.min() < -_MAX_POW2:
+        # some row's 2**-g is not a double (a bin near the subnormal floor):
+        # the whole block scales by exponents instead, as exactly
+        scale, down, up = np.ldexp, (-g).astype(np.int32), g.astype(np.int32)
+    else:
+        # a product with a power of two is one correctly rounded operation,
+        # the same rounding ldexp does, and a multiply is cheaper
+        scale, down, up = np.multiply, np.ldexp(1.0, -g), np.ldexp(1.0, g)
+    at_top = exps == _MAX_POW2
+    y = scratch[1, : rows * width].reshape(rows, width)
+    q = scratch[2, : rows * width].view(np.int64).reshape(rows, width)
+    sums = np.empty((folds, rows), dtype=np.int64)
+    for j in range(folds):
+        scale(block, down[j], out=y)
+        np.rint(y, out=y)
+        np.copyto(q, y, casting="unsafe")  # exact: |q| < 2**42
+        np.add.reduce(q, axis=1, out=sums[j])
+        if j + 1 < folds:  # the last residual is the pre-rounding: dropped
+            _subtract_fold(block, y, up[j], scale, at_top if j == 0 else None)
+    return exps, sums
+
+
+def _check_capacity(largest: float, bin_exponent: int) -> None:
+    """Reject operands whose largest magnitude does not fit the bin."""
+    # compare exponents, not magnitudes: 2**(E+1) overflows at E = 1023
+    if largest > 0.0 and exponent(largest) > bin_exponent:
+        raise ValueError("operand exceeds bin capacity; bad global max")
+
+
+def _subtract_fold(
+    r: np.ndarray, q: np.ndarray, up, scale, top: Optional[np.ndarray]
+) -> None:
+    """``r -= q * 2**g`` row by row, in place and exactly.
+
+    ``q`` holds one fold's coefficients as doubles and is overwritten;
+    ``scale(q, up)`` forms ``q * 2**g`` (``np.ldexp`` with exponents or
+    ``np.multiply`` with powers of two).  ``top`` masks the rows binned at
+    exponent 1023, where fold 0's ``q * 2**g`` may round up to 2**1024,
+    which is not a double: there it is subtracted as two halves, each exact
+    at this grid.
+    """
+    if top is not None and top.any():
+        q[top] *= 0.5
+        scale(q, up, out=q)
+        r[top] -= q[top]
+    else:
+        scale(q, up, out=q)
+    r -= q
 
 
 class PreroundedAccumulator(Accumulator):
@@ -99,7 +277,13 @@ class PreroundedAccumulator(Accumulator):
             # round() on a float is round-half-to-even: matches np.rint.
             q = round(math.ldexp(r, -g))
             self._folds[j] += q
-            r = r - math.ldexp(float(q), g)
+            if j == 0 and self.E == _MAX_POW2:
+                # q*2**g may round up to 2**1024, which is not a double:
+                # subtract it as two halves, each exact at this grid
+                half = math.ldexp(q / 2, g)
+                r = r - half - half
+            else:
+                r = r - math.ldexp(float(q), g)
         self.count += 1
 
     def add_array(self, x: np.ndarray) -> None:
@@ -108,9 +292,9 @@ class PreroundedAccumulator(Accumulator):
             return
         if not np.all(np.isfinite(x)):
             raise ValueError("cannot accumulate non-finite values")
-        if np.any(np.abs(x) >= math.ldexp(1.0, self.E + 1)):
-            raise ValueError("operand exceeds bin capacity; bad global max")
+        _check_capacity(float(np.max(np.abs(x))), self.E)
         r = x.copy()
+        top = np.array([self.E == _MAX_POW2])
         for j in range(self.K):
             g = self.E - (j + 1) * self.W
             q = np.rint(np.ldexp(r, -g))
@@ -119,7 +303,7 @@ class PreroundedAccumulator(Accumulator):
             for start in range(0, qi.size, _BLOCK):
                 total += int(np.add.reduce(qi[start : start + _BLOCK]))
             self._folds[j] += total
-            r -= np.ldexp(q, g)
+            _subtract_fold(r[None], q[None], g, np.ldexp, top if j == 0 else None)
         self.count += x.size
 
     # -- combination -----------------------------------------------------------
@@ -257,6 +441,7 @@ class PreroundedSum(SummationAlgorithm):
     cost_rank = 3
     deterministic = True
     needs_context = True
+    exact_batch = True
 
     def __init__(self, folds: int = 3, fold_width: int = 40) -> None:
         self.folds = folds
@@ -281,3 +466,26 @@ class PreroundedSum(SummationAlgorithm):
         acc = self.make_accumulator(context)
         acc.add_array(x)
         return acc.result()
+
+    def sum_items(
+        self,
+        items: Sequence[Sequence[np.ndarray]],
+        context: Optional[SumContext] = None,
+    ) -> list[float]:
+        """PR values of many independent sums in one batched pass.
+
+        ``items[i]`` is one sum's operands as a sequence of chunks.  Without
+        ``context.max_abs`` each item is binned at its own largest magnitude
+        (its "pre" pass); with it, every item shares that bin.  Each value
+        is bitwise-equal to folding the chunks into accumulators and merging
+        them in any reduction tree (see :func:`_fold_items`).
+        """
+        bin_exponent = None
+        if context is not None and context.max_abs is not None:
+            bin_exponent = self.bin_exponent_for(context)
+        values = []
+        for e, folds in _fold_items(items, self.folds, self.fold_width, bin_exponent):
+            acc = PreroundedAccumulator(e, self.folds, self.fold_width)
+            acc._folds = folds
+            values.append(acc.result())
+        return values

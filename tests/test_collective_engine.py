@@ -9,6 +9,8 @@ every VectorOps algorithm over ragged chunk lists (including empty chunks
 and single-rank communicators), balanced/serial/random/topology trees,
 arrival-order reductions, the batched ``reduce_batch`` stream, and the
 serving layer (``AdaptiveReducer.reduce_many`` + the batched profiler).
+PR's exact batched path is pinned the same way against the object walk
+and against scalar deposits (``TestExactPrerounded``).
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.fp.properties import exponent
 from repro.mpi.comm import SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.mpi.topology import MachineTopology
 from repro.selection.profile import StreamProfile, profile_batch
 from repro.selection.selector import AdaptiveReducer
 from repro.summation import get_algorithm
+from repro.summation.prerounded import PreroundedAccumulator
 from repro.trees import _ckernels
 from repro.trees.shapes import balanced, random_shape, serial
 from repro.util.chunking import pack_ragged
@@ -168,14 +172,6 @@ class TestLocalPhase:
 
 
 class TestEngineSelection:
-    def test_pr_falls_back_to_object_on_auto(self):
-        comm = SimComm(4)
-        op = make_reduction_op(get_algorithm("PR"))
-        chunks = [np.arange(1.0, 5.0) for _ in range(4)]
-        auto = comm.reduce(chunks, op, "balanced").value
-        ref = comm.reduce(chunks, op, "balanced", engine="object").value
-        assert _bits_equal(auto, ref)
-
     def test_pr_vector_engine_raises(self):
         comm = SimComm(4)
         op = make_reduction_op(get_algorithm("PR"))
@@ -207,15 +203,6 @@ class TestReduceBatch:
             assert result.algorithm_code == ref.algorithm_code
             assert result.simulated_time == ref.simulated_time
 
-    def test_batch_object_fallback_for_pr(self):
-        comm = SimComm(3)
-        op = make_reduction_op(get_algorithm("PR"))
-        batches = [[np.arange(1.0, 6.0)] * 3 for _ in range(3)]
-        got = comm.reduce_batch(batches, op, "balanced")
-        for result, chunks in zip(got, batches):
-            ref = comm.reduce(chunks, op, "balanced", engine="object")
-            assert _bits_equal(result.value, ref.value)
-
     def test_empty_batch(self):
         comm = SimComm(3)
         op = make_reduction_op(get_algorithm("K"))
@@ -226,6 +213,176 @@ class TestReduceBatch:
         op = make_reduction_op(get_algorithm("K"))
         with pytest.raises(ValueError):
             comm.reduce_batch([[np.ones(2)] * 2], op, "balanced")
+
+
+def _scalar_pr(chunks) -> float:
+    """PR by scalar deposits: the max pre-pass, then one ``add`` per operand
+    (``math.ldexp``/``round`` arithmetic, independent of the array paths)."""
+    flat = np.concatenate([np.asarray(c, dtype=np.float64).ravel() for c in chunks])
+    max_abs = float(np.max(np.abs(flat))) if flat.size else 0.0
+    acc = PreroundedAccumulator(exponent(max_abs) if max_abs else 0)
+    for v in flat.tolist():
+        acc.add(v)
+    return acc.result()
+
+
+def _assert_pr_parity(comm, batches, tree, scalar=True):
+    """PR from ``reduce_batch`` and from ``reduce`` on ``engine="auto"`` is
+    bitwise the ``engine="object"`` walk (and the scalar reference)."""
+    op = make_reduction_op(get_algorithm("PR"))
+    batched = comm.reduce_batch(batches, op, tree)
+    assert len(batched) == len(batches)
+    for got, chunks in zip(batched, batches):
+        ref = comm.reduce(chunks, op, tree, engine="object")
+        auto = comm.reduce(chunks, op, tree)
+        assert _bits_equal(got.value, ref.value), (got.value, ref.value)
+        assert _bits_equal(auto.value, ref.value), (auto.value, ref.value)
+        assert got.algorithm_code == auto.algorithm_code == "PR"
+        assert got.simulated_time == auto.simulated_time == ref.simulated_time
+        if scalar:
+            assert _bits_equal(ref.value, _scalar_pr(chunks))
+
+
+class TestExactPrerounded:
+    """The exact batched PR path (``reduce_batch`` and ``reduce`` on
+    ``engine="auto"``) against the ``engine="object"`` reference walk."""
+
+    @pytest.mark.parametrize("n_ranks", [1, 2, 7, 16])
+    def test_ragged_chunks_over_trees(self, n_ranks):
+        comm = SimComm(n_ranks)
+        batches = [_ragged_chunks(n_ranks, seed=300 + i) for i in range(6)]
+        for tree in _trees(n_ranks, seed=n_ranks):
+            _assert_pr_parity(comm, batches, tree)
+
+    @pytest.mark.parametrize(
+        "n_ranks, width", [pytest.param(3, 5, id="3"), pytest.param(4, 4, id="4")]
+    )
+    def test_identical_chunks(self, n_ranks, width):
+        comm = SimComm(n_ranks)
+        batches = [[np.arange(1.0, width + 1.0)] * n_ranks for _ in range(3)]
+        _assert_pr_parity(comm, batches, "balanced")
+
+    def test_topology_tree(self):
+        topo = MachineTopology(nodes=2, sockets_per_node=2, cores_per_socket=3)
+        comm = SimComm(topology=topo)
+        batches = [_ragged_chunks(comm.n_ranks, seed=40 + i) for i in range(4)]
+        _assert_pr_parity(comm, batches, "topology")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_low_precision_chunks(self, dtype):
+        comm = SimComm(5)
+        rng = np.random.default_rng(70)
+        batches = [
+            [
+                (rng.uniform(-1, 1, w) * 10.0 ** rng.integers(-4, 4, w)).astype(dtype)
+                for w in rng.integers(0, 60, 5)
+            ]
+            for _ in range(4)
+        ]
+        _assert_pr_parity(comm, batches, "balanced")
+
+    def test_all_zero_and_empty_items(self):
+        comm = SimComm(3)
+        batches = [
+            [np.zeros(4), np.array([-0.0, 0.0]), np.zeros(0)],
+            [np.zeros(0), np.zeros(0), np.zeros(0)],
+            [np.array([1.0, -1.0]), np.array([2.5]), np.array([-2.5])],
+        ]
+        _assert_pr_parity(comm, batches, "serial")
+        op = make_reduction_op(get_algorithm("PR"))
+        assert [r.value for r in comm.reduce_batch(batches, op, "serial")] == [0.0] * 3
+
+    def test_subnormal_max(self):
+        """Bins near the subnormal floor: their fold grids need factors
+        that are not doubles, so the block scales with ``np.ldexp``."""
+        comm = SimComm(4)
+        rng = np.random.default_rng(11)
+        batches = [
+            [rng.uniform(-1, 1, 30) * 2.0 ** rng.integers(-1074, -1000, 30) for _ in range(4)],
+            [
+                np.array([5e-324, -1e-323, 2.5e-320]),
+                np.array([3e-310]),
+                np.zeros(2),
+                np.array([-7e-322]),
+            ],
+            # a subnormal item batched next to ordinary ones
+            [rng.uniform(-1, 1, 30) for _ in range(4)],
+        ]
+        _assert_pr_parity(comm, batches, "balanced")
+
+    def test_max_near_top_of_range(self):
+        comm = SimComm(3)
+        rng = np.random.default_rng(12)
+        big = np.finfo(np.float64).max
+        batches = [
+            [np.array([1.5e308, 3.0]), np.array([-1.4e308]), np.array([1e300, -2e-300])],
+            [rng.uniform(-1, 1, 20) * 2.0 ** rng.integers(900, 1022, 20) / 64 for _ in range(3)],
+            [np.array([big]), np.array([-big]), np.array([1.0])],
+            # a subnormal item packed into the same block as the top ones
+            [np.array([3e-315, -5e-324]), np.array([7e-322]), np.array([1e-323])],
+        ]
+        _assert_pr_parity(comm, batches, "balanced")
+
+    def test_item_beyond_int64_block(self):
+        """An item with more than 2**20 operands streams through the
+        bounded scratch in pieces; its fold sums stay exact."""
+        comm = SimComm(2)
+        rng = np.random.default_rng(13)
+        n = (1 << 20) + 3
+        big = rng.uniform(-1, 1, n) * 2.0 ** rng.integers(-30, 30, n)
+        big[:64] = 2.0**40  # same-sign top operands: fold-0 sums grow large
+        batches = [
+            [big[: n // 2], big[n // 2 :]],
+            [rng.random(10), rng.random(7)],
+        ]
+        _assert_pr_parity(comm, batches, "balanced", scalar=False)
+
+    def test_explicit_context_shares_one_bin(self):
+        comm = SimComm(2)
+        op = make_reduction_op(get_algorithm("PR")).with_context_for(64.0)
+        batches = [[np.array([0.5, 3.0]), np.array([1e-20])], [np.ones(3), np.zeros(1)]]
+        got = comm.reduce_batch(batches, op, "balanced")
+        for r, chunks in zip(got, batches):
+            ref = comm.reduce(chunks, op, "balanced", engine="object")
+            assert _bits_equal(r.value, ref.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_on_both_paths(self, bad):
+        comm = SimComm(2)
+        op = make_reduction_op(get_algorithm("PR"))
+        chunks = [np.array([1.0, bad]), np.ones(3)]
+        with pytest.raises(ValueError):
+            comm.reduce_batch([[np.ones(2), np.ones(2)], chunks], op, "balanced")
+        with pytest.raises(ValueError):
+            comm.reduce(chunks, op, "balanced")
+        with pytest.raises(ValueError):
+            comm.reduce(chunks, op, "balanced", engine="object")
+
+    def test_undersized_context_raises_on_both_paths(self):
+        comm = SimComm(2)
+        op = make_reduction_op(get_algorithm("PR")).with_context_for(1.0)
+        chunks = [np.array([0.5, 3.0]), np.ones(2)]
+        with pytest.raises(ValueError, match="bin capacity"):
+            comm.reduce_batch([chunks], op, "balanced")
+        with pytest.raises(ValueError, match="bin capacity"):
+            comm.reduce(chunks, op, "balanced")
+        with pytest.raises(ValueError, match="bin capacity"):
+            comm.reduce(chunks, op, "balanced", engine="object")
+
+    def test_nondeterministic_keeps_rng_stream(self):
+        """The exact path still draws the arrival schedule: two equal-seed
+        communicators replay the same trees, and PR's value is the same on
+        every one of them."""
+        op = make_reduction_op(get_algorithm("PR"))
+        chunks = _ragged_chunks(8, seed=5)
+        a, b = SimComm(8, seed=3), SimComm(8, seed=3)
+        runs_a = [a.reduce_nondeterministic(chunks, op) for _ in range(4)]
+        runs_b = [b.reduce_nondeterministic(chunks, op, engine="object") for _ in range(4)]
+        for ra, rb in zip(runs_a, runs_b):
+            assert np.array_equal(ra.tree.parents(), rb.tree.parents())
+            assert ra.simulated_time == rb.simulated_time
+            assert _bits_equal(ra.value, rb.value)
+        assert len({r.value for r in runs_a}) == 1
 
 
 class TestBatchedProfiling:

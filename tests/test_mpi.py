@@ -164,7 +164,10 @@ class TestNondeterminism:
         data = zero_sum_series(32_000, seed=8)
         chunks = comm.scatter_array(data)
         op = make_reduction_op(get_algorithm("PR"))
-        vals = {comm.reduce_nondeterministic(chunks, op, jitter=0.6).value for _ in range(10)}
+        vals = {
+            comm.reduce_nondeterministic(chunks, op, jitter=0.6, engine="object").value
+            for _ in range(10)
+        }
         assert vals == {0.0}
 
     def test_same_seed_same_runs(self):
@@ -203,7 +206,7 @@ class TestFaults:
         chunks = comm.scatter_array(data)
         op = make_reduction_op(get_algorithm("PR"))
         campaign = run_campaign(
-            comm, chunks, op, FaultModel(jitter=1.0, fault_prob=0.5), 20
+            comm, chunks, op, FaultModel(jitter=1.0, fault_prob=0.5), 20, engine="object"
         )
         assert campaign.n_distinct_values == 1
 

@@ -430,6 +430,26 @@ class TestServingReconciliation:
         assert counter_total(snap, "repro_selector_select_seconds") >= 1
         assert counter_total(snap, "repro_selector_reduce_seconds") >= 1
 
+    def test_pr_stream_counts_one_batched_dispatch_per_item(self, global_obs):
+        """PR groups run through ``reduce_batch``'s exact path: one
+        ``batch`` dispatch per item and no per-item fallback."""
+        comm = SimComm(6)
+        reducer = AdaptiveReducer(comm, threshold=1e-13)
+        batches = [
+            list(comm.scatter_array(zero_sum_set(360, 24, seed=i)))
+            for i in range(6)
+        ]
+        results = reducer.reduce_many(batches, tree="balanced")
+        assert {r.decision.code for r in results} == {"PR"}
+        snap = global_obs.snapshot()
+        assert counter_total(snap, "repro_comm_dispatch_total") == len(results)
+        assert (
+            _sample_value(snap, "repro_comm_dispatch_total", engine="batch")
+            == len(results)
+        )
+        assert counter_total(snap, "repro_comm_batch_fallback_total") == 0
+        assert counter_total(snap, "repro_comm_batch_calls_total") == 1
+
     def test_ragged_stream_counts_fallback(self, global_obs):
         rng = np.random.default_rng(5)
         comm = SimComm(3)

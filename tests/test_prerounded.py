@@ -157,6 +157,48 @@ class TestBinSafety:
             PreroundedAccumulator(0, fold_width=60)
 
 
+class TestTopOfRange:
+    """Data whose max is >= 2**1023: the bin capacity 2**1024 is not a
+    double, and an operand can round up to it on the fold-0 grid."""
+
+    def test_sum_array_near_overflow(self):
+        # 3.0 sits > 120 bits below the top, so it is pre-rounded away; the
+        # difference of the two large operands is exact (Sterbenz)
+        got = PreroundedSum().sum_array(np.array([1.5e308, -1.4e308, 3.0]))
+        assert got == 1.5e308 - 1.4e308
+
+    @pytest.mark.parametrize("engine", ["object", "auto"])
+    def test_simcomm_reduce_near_overflow(self, engine):
+        from repro.mpi import SimComm
+        from repro.mpi.ops import make_reduction_op
+
+        comm = SimComm(2)
+        op = make_reduction_op(PreroundedSum())
+        chunks = [np.array([1.5e308, 3.0]), np.array([-1.4e308])]
+        got = comm.reduce(chunks, op, "balanced", engine=engine).value
+        assert got == 1.5e308 - 1.4e308
+
+    def test_operand_rounding_up_to_two_to_the_1024(self):
+        """max double rounds up to 2**1024 on the fold-0 grid; its residual
+        is still extracted exactly on the scalar and array paths."""
+        big = np.finfo(np.float64).max
+        x = np.array([big, -big / 3, big / 7, 1e300])
+        a = PreroundedAccumulator(1023)
+        a.add_array(x)
+        b = PreroundedAccumulator(1023)
+        for v in x.tolist():
+            b.add(v)
+        assert a._folds == b._folds
+        retained = a.to_fraction()
+        cutoff = Fraction(2) ** (1023 - 3 * 40 - 1) * len(x)
+        assert abs(exact_sum_fraction(x) - retained) <= cutoff
+
+    def test_capacity_check_compares_exponents(self):
+        acc = PreroundedAccumulator(1022)
+        with pytest.raises(ValueError, match="bin capacity"):
+            acc.add_array(np.array([1.0, 1.5e308]))
+
+
 class TestAccuracyKnobs:
     def test_fewer_folds_less_accurate(self):
         rng = np.random.default_rng(4)
