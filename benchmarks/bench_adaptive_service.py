@@ -5,9 +5,11 @@ The acceptance bar for the vectorized collective engine is quantitative: a
 (one Python accumulator per rank, one Python ``op.combine`` per tree node)
 by >= 10x for both Kahan and composite precision, the batched serving
 path (:meth:`AdaptiveReducer.reduce_many`) must amortise its per-reduction
-profile+select overhead below the per-call pipeline's, and a PR group's
-exact batched ``reduce_batch`` must beat the per-item accumulator walk by
->= 5x.  This bench times
+profile+select overhead below the per-call pipeline's, its one-pass
+sketch must keep profile+select >= 5x below the same pipeline on the
+frozen composite-precision ladder (with the bound tier within 1.25x of
+it), and a PR group's exact batched ``reduce_batch`` must beat the
+per-item accumulator walk by >= 5x.  This bench times
 both generations at a fixed paper-shaped workload and writes the numbers to
 ``BENCH_adaptive.json`` at the repo root so future PRs extend the perf
 trajectory instead of re-arguing it.
@@ -17,7 +19,8 @@ Methodology
 * The seed collective path is **frozen inline** below (the body
   ``SimComm.reduce`` shipped before the engine split), so the comparison is
   against what the seed actually executed, not today's object engine called
-  through new plumbing.
+  through new plumbing.  The profiling ladder and the per-item PR walk are
+  frozen the same way.
 * Vector and seed paths are asserted bitwise-equal before any timing.
 * Timings are best-of-N wall times (minimum = least noisy point estimate).
 
@@ -38,12 +41,16 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from repro.fp.eft import two_sum_array
 from repro.mpi.comm import SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.obs import get_registry
+from repro.selection import selector
+from repro.selection.profile import StreamProfile, profile_batch
 from repro.selection.selector import AdaptiveReducer
 from repro.summation import get_algorithm
 from repro.trees import _ckernels
@@ -173,13 +180,82 @@ def bench_serving(repeats: int = 3) -> dict:
     }
 
 
+def _seed_cp_sum_rows(matrix: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Frozen copy of the composite-precision pairwise ladder the profiling
+    sketch ran before the fused sketch kernel: ``(hi, lo)`` per row."""
+    s = matrix.copy()
+    n_rows = matrix.shape[0]
+    lo = np.zeros(n_rows, dtype=np.float64)
+    while s.shape[1] > 1:
+        if s.shape[1] % 2:
+            tail = s[:, -1:]
+            s = s[:, :-1]
+        else:
+            tail = None
+        t, err = two_sum_array(s[:, 0::2], s[:, 1::2])
+        lo += np.sum(err, axis=1)  # repro: allow[FP002,FP003] -- frozen reference ladder, timed only
+        s = t if tail is None else np.concatenate([t, tail], axis=1)
+    hi = s[:, 0].copy() if s.shape[1] else np.zeros(n_rows, dtype=np.float64)
+    return hi, lo
+
+
+def _seed_profile_batch(batches) -> "list[StreamProfile]":
+    """Frozen copy of ``profile_batch`` as it ran on the composite-precision
+    ladder (uniform-width streams only): five full-matrix NumPy passes for
+    the magnitude statistics, ~50 for the ladder, then the rank-merge chain
+    vectorised over items."""
+    n_items, n_ranks = len(batches), len(batches[0])
+    arrays = [np.asarray(c, dtype=np.float64).ravel() for chunks in batches for c in chunks]
+    width = arrays[0].size
+    matrix = np.concatenate(arrays).reshape(n_items * n_ranks, width)
+    a = np.abs(matrix)
+    row_max = a.max(axis=1)
+    row_min = np.min(a, axis=1, initial=np.inf, where=(a > 0.0))
+    row_abs = np.sum(a, axis=1)  # repro: allow[FP002] -- frozen reference sketch, timed only
+    cp_hi, cp_lo = _seed_cp_sum_rows(matrix)
+    chunk_sh, err0 = two_sum_array(0.0, cp_hi)
+    chunk_sl = 0.0 + (err0 + cp_lo)
+
+    def col(v: np.ndarray, r: int) -> np.ndarray:
+        return v.reshape(n_items, n_ranks)[:, r]
+
+    max_tot = np.zeros(n_items, dtype=np.float64)
+    min_tot = np.full(n_items, np.inf)
+    ah = np.zeros(n_items, dtype=np.float64)
+    al = np.zeros(n_items, dtype=np.float64)
+    sh = np.zeros(n_items, dtype=np.float64)
+    sl = np.zeros(n_items, dtype=np.float64)
+    for r in range(n_ranks):
+        max_tot = np.maximum(max_tot, col(row_max, r))
+        min_tot = np.minimum(min_tot, col(row_min, r))
+        ah, err = two_sum_array(ah, col(row_abs, r))
+        al = (al + err) + 0.0
+        sh, err = two_sum_array(sh, col(chunk_sh, r))
+        sl = sl + (err + col(chunk_sl, r))
+    return [
+        StreamProfile(
+            n=n_ranks * width,
+            max_abs=float(max_tot[i]),
+            min_abs_nonzero=float(min_tot[i]),
+            abs_sum_hi=float(ah[i]),
+            abs_sum_lo=float(al[i]),
+            sum_hi=float(sh[i]),
+            sum_lo=float(sl[i]),
+        )
+        for i in range(n_items)
+    ]
+
+
 def bench_bound_tier(repeats: int = 3) -> dict:
-    """The profiling tax vs the Hallman–Ipsen fast path (same serving
-    stream).  ``bound_confidence`` close to 1 lets the probabilistic bounds
-    certify the well-conditioned items, so the whole stream resolves from
-    the cheap statistics pass — the acceptance criterion is that bound-tier
-    selection is >= 5x cheaper per item than the empirical profile+select
-    stage it replaces, with values bitwise-unchanged."""
+    """Selection cost on one serving stream, three ways: the profiled path
+    (one fused sketch-kernel pass + policy), the same pipeline with the
+    frozen composite-precision ladder as its profiler, and the
+    Hallman–Ipsen bound tier.  ``bound_confidence`` close to 1 lets the
+    probabilistic bounds certify the well-conditioned items, so the whole
+    stream resolves from the cheap statistics pass.  The acceptance bar:
+    the profiled path's per-item profile+select is >= 5x below the ladder's,
+    and the tier, which now shares the profiler's kernel, is never slower
+    than 1.25x the profiled path — with values bitwise-unchanged."""
     rng = np.random.default_rng(99)
     batches = [
         [rng.random(BATCH_CHUNK_LEN) for _ in range(N_RANKS)]
@@ -209,6 +285,10 @@ def bench_bound_tier(repeats: int = 3) -> dict:
         r = AdaptiveReducer(comm, threshold=1e-13, bound_confidence=confidence)
         return r.reduce_many(batches, tree="balanced", workers=1)
 
+    def run_ladder():
+        with mock.patch.object(selector, "profile_batch", _seed_profile_batch):
+            return run_profiled()
+
     t_profiled = _best_of(run_profiled, repeats)
     t_tiered = _best_of(run_tiered, repeats)
     # per-item selection-stage costs (profile_seconds amortises the whole
@@ -218,6 +298,7 @@ def bench_bound_tier(repeats: int = 3) -> dict:
         run_profiled()[0].profile_seconds for _ in range(repeats)
     )
     bound_select = min(run_tiered()[0].profile_seconds for _ in range(repeats))
+    ladder_select = min(run_ladder()[0].profile_seconds for _ in range(repeats))
     return {
         "case": "bound_tier_serving",
         "items": BATCH_ITEMS,
@@ -225,13 +306,54 @@ def bench_bound_tier(repeats: int = 3) -> dict:
         "chunk_len": BATCH_CHUNK_LEN,
         "bound_confidence": confidence,
         "fast_path_hit_rate": hits / BATCH_ITEMS,
+        "ladder_select_s_per_item": ladder_select,
         "profile_select_s_per_item": profile_select,
         "bound_select_s_per_item": bound_select,
+        "profile_speedup_vs_ladder": ladder_select / profile_select,
         "select_speedup": profile_select / bound_select,
         "reduce_many_s_profiled": t_profiled,
         "reduce_many_s_bound_tier": t_tiered,
         "end_to_end_speedup": t_profiled / t_tiered,
     }
+
+
+def bench_sketch_stream(repeats: int = 25) -> dict:
+    """The serving item shape (64 items x 48 ranks x 128 values): per-item
+    cost of the fused sketch (``profile_batch``, against the frozen ladder)
+    and of ST/K/CP ``reduce_batch`` over packed row pointers.  The sketch
+    is asserted equal to per-item profiling before timing.  Each timed call
+    takes ~1 ms, so best-of-25 costs little and is what keeps the minimum
+    stable on a shared host (best-of-5 spread 17-35 us/item there)."""
+    rng = np.random.default_rng(5)
+    batches = [
+        [
+            rng.uniform(-1.0, 1.0, PR_CHUNK_LEN)
+            * 10.0 ** rng.integers(-8, 9, size=PR_CHUNK_LEN)
+            for _ in range(N_RANKS)
+        ]
+        for _ in range(BATCH_ITEMS)
+    ]
+    comm = SimComm(N_RANKS)
+    reducer = AdaptiveReducer(comm)
+    for sketch, chunks in zip(profile_batch(batches), batches):
+        assert sketch == reducer.profile(chunks), "profile_batch diverged"
+    per_item = 1e6 / BATCH_ITEMS
+    row = {
+        "case": "sketch_stream",
+        "items": BATCH_ITEMS,
+        "n_ranks": N_RANKS,
+        "chunk_len": PR_CHUNK_LEN,
+        "ladder_profile_us_per_item": per_item
+        * _best_of(lambda: _seed_profile_batch(batches), repeats),
+        "profile_batch_us_per_item": per_item
+        * _best_of(lambda: profile_batch(batches), repeats),
+    }
+    for code in ("ST", "K", "CP"):
+        op = make_reduction_op(get_algorithm(code))
+        row[f"reduce_batch_us_per_item_{code}"] = per_item * _best_of(
+            lambda: comm.reduce_batch(batches, op, "balanced"), repeats
+        )
+    return row
 
 
 def _seed_pr_reduce(comm: SimComm, chunks, op, tree) -> float:
@@ -293,6 +415,7 @@ def run_all(repeats: int = 5) -> dict:
         bench_serving(max(2, repeats - 2)),
         bench_bound_tier(max(2, repeats - 2)),
         bench_pr_stream(max(2, repeats - 2)),
+        bench_sketch_stream(),
     ]
     return {
         "bench": "adaptive_service",
@@ -355,12 +478,23 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"reduce_batch={c['reduce_batch_us_per_item']:.0f}us/item  "
                 f"speedup={c['speedup']:.1f}x"
             )
+        elif c["case"] == "sketch_stream":
+            print(
+                f"{c['case']:>18}      B={c['items']}  "
+                f"ladder={c['ladder_profile_us_per_item']:.0f}us/item  "
+                f"profile_batch={c['profile_batch_us_per_item']:.0f}us/item  "
+                + "  ".join(
+                    f"{code}={c[f'reduce_batch_us_per_item_{code}']:.0f}us/item"
+                    for code in ("ST", "K", "CP")
+                )
+            )
         else:
             print(
                 f"{c['case']:>18}      B={c['items']}  "
+                f"ladder_select={c['ladder_select_s_per_item'] * 1e6:.1f}us/item  "
                 f"profile_select={c['profile_select_s_per_item'] * 1e6:.1f}us/item  "
                 f"bound_select={c['bound_select_s_per_item'] * 1e6:.1f}us/item  "
-                f"select_speedup={c['select_speedup']:.1f}x  "
+                f"vs_ladder={c['profile_speedup_vs_ladder']:.1f}x  "
                 f"hit_rate={c['fast_path_hit_rate']:.2f}"
             )
     return 0
@@ -402,16 +536,25 @@ def test_serving_path_amortises_overhead():
     assert row["decision_cache"]["hits"] > 0, row
 
 
-def test_bound_tier_kills_profiling_tax():
-    """Acceptance: the analytic fast path certifies the whole serving
-    stream and its per-item selection cost is >= 5x below the empirical
-    profile+select stage (one re-measure allowed, same policy as the
-    collective floors)."""
+def _selection_floors_hold(row: dict) -> bool:
+    return (
+        row["profile_speedup_vs_ladder"] >= 5.0
+        and row["bound_select_s_per_item"] <= 1.25 * row["profile_select_s_per_item"]
+    )
+
+
+def test_one_pass_profiling_kills_ladder_tax():
+    """Acceptance: the profiled path's per-item profile+select is >= 5x
+    below the same pipeline on the frozen composite-precision ladder, the
+    bound tier certifies the whole stream, and tier selection is never
+    slower than 1.25x the profiled path (one re-measure allowed, same
+    policy as the collective floors)."""
     row = bench_bound_tier(repeats=3)
-    if row["select_speedup"] < 5.0:
+    if not _selection_floors_hold(row):
         row = bench_bound_tier(repeats=3)
     assert row["fast_path_hit_rate"] == 1.0, row
-    assert row["select_speedup"] >= 5.0, row
+    assert row["profile_speedup_vs_ladder"] >= 5.0, row
+    assert row["bound_select_s_per_item"] <= 1.25 * row["profile_select_s_per_item"], row
 
 
 def test_pr_stream_batched_speedup_floor():

@@ -83,9 +83,10 @@ class ReductionOp:
     def local_states(self, chunks):
         """Vectorised rank-local phase straight from a chunk list.
 
-        Same contract as :meth:`local_matrix` but the compiled kernel reads
-        each chunk in place through a pointer table — the padded matrix is
-        never materialised.  The NumPy fallback packs first.
+        Same contract as :meth:`local_matrix` but the compiled kernel takes
+        short chunks packed back to back and long ones in place — the
+        padded matrix is never materialised.  The NumPy fallback pads
+        first.
         """
         vops = self._require_vector_ops()
         if _ckernels.has_fold_kernel(vops):

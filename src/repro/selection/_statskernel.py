@@ -1,233 +1,134 @@
-"""Optional fused statistics kernel for the bound tier (ctypes + cc).
+"""Compensated sketch kernel: one read of each chunk feeds profiling and the
+bound tier.
 
-The bound tier's cheap pass needs four row statistics per chunk —
-``Σ|x|``, ``Σx``, ``max|x|`` and ``min{|x| : x != 0}`` — which the NumPy
-fallback computes in five full-matrix sweeps (abs, max, min, two sums).
-At serving-stream sizes those sweeps are memory-bound: the operand matrix
-is read five times and an ``|x|`` temporary is written once.  This kernel
-fuses everything into a single read pass with eight independent
-accumulator lanes per statistic, so the stream is touched exactly once
-and the loop runs at memory bandwidth instead of ufunc-dispatch rate.
+Per chunk (one *row*) the kernel yields six statistics: ``max|x|``,
+``min{|x| : x != 0}``, and TwoSum-compensated ``(hi, lo)`` pairs for
+``Σ|x|`` and ``Σx``.  It runs eight lanes.  Element ``j`` of the row's
+first ``width - width % 8`` elements feeds lane ``j % 8``, the tail feeds
+lane 0, and lanes 1..7 merge into lane 0 in order.  Each lane is the
+sequential Sum2 chain ``hi, e = TwoSum(hi, v); lo = lo + e``, so a row's
+``hi`` is exactly the plain lane-parallel sum (what the bound tier
+certifies) and ``hi + lo`` is the compensated sum the profiling sketch
+needs.  Asked for items, the kernel also runs each item's
+:meth:`repro.selection.profile.StreamProfile.merge` chain over its rank rows
+in rank order, so a whole uniform-width stream profiles in one call.
 
-Unlike the balanced-sweep kernels in :mod:`repro.trees._ckernels`, this
-kernel is **not** bitwise-equal to its NumPy fallback and does not need to
-be: the lane-parallel summation is just a different fixed association
-order, and the bound tier certifies its statistics against the worst case
-over *any* binary64 summation of height ``<= n-1`` (the lane + tail +
-combine path of a ``width``-element row is at most ``width - 1`` roundings
-for every width).  What must hold — and does — is per-process consistency:
-availability is decided once per process, the shard workers inherit the
-same environment and digest-addressed cache as the parent, and
-``bound_stats_item`` and ``bound_stats_stream`` route through the same
-per-row code, so serial and parallel dispatch keep producing identical
-statistics and therefore identical decisions.
-
-Availability mirrors the tree kernels: compiled on first use with the
-system C compiler into the shared content-addressed cache; no compiler,
-a failed compile, or ``REPRO_NO_CKERNELS`` silently selects the NumPy
-fallback.  Nothing is downloaded or installed.
+The compiled kernel is part of the single :mod:`repro.trees._ckernels`
+build, and its operands arrive through that module's packed row pointers.
+Without it (no compiler, or ``REPRO_NO_CKERNELS``), the NumPy fallback
+below replays the identical lane order and operation sequence with
+:func:`repro.fp.eft.two_sum_array`, so every statistic is **bitwise-equal**
+on both paths.  The parity tests pin this, so serial, batched, parallel and
+served routes agree bit for bit with or without a compiler.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
-from typing import Optional
+import math
 
 import numpy as np
 
-from repro.obs import get_registry
+from repro.fp.eft import two_sum_array
+from repro.trees import _ckernels
 
-__all__ = ["kernel_available", "rowstats"]
+__all__ = ["SKETCH_COLUMNS", "sketch"]
 
-#: Eight lanes: enough independent add chains to hide FP-add latency and
-#: let the compiler keep every statistic in SIMD registers; the remainder
-#: folds into lane 0 and the lanes merge in a fixed order, so any element's
-#: leaf-to-root path sees at most ``width - 1`` roundings (the certified-
-#: statistics budget the tier already assumes).
-_C_SOURCE = r"""
-#include <math.h>
-#include <stddef.h>
-#include <stdint.h>
+#: column order of the row and item planes (StreamProfile's field order)
+SKETCH_COLUMNS = (
+    "max_abs",
+    "min_abs_nonzero",
+    "abs_sum_hi",
+    "abs_sum_lo",
+    "sum_hi",
+    "sum_lo",
+)
 
-#define LANES 8
-
-int bound_rowstats(const double *restrict data, int64_t n_rows,
-                   int64_t width, double *restrict out)
-{
-    double *restrict abs_out = out;
-    double *restrict sum_out = out + n_rows;
-    double *restrict max_out = out + 2 * n_rows;
-    double *restrict min_out = out + 3 * n_rows;
-    for (int64_t r = 0; r < n_rows; r++) {
-        const double *restrict row = data + (size_t)r * (size_t)width;
-        double s[LANES], a[LANES], mx[LANES], mn[LANES];
-        for (int k = 0; k < LANES; k++) {
-            s[k] = 0.0; a[k] = 0.0; mx[k] = 0.0; mn[k] = INFINITY;
-        }
-        int64_t nb = width - width % LANES;
-        for (int64_t j = 0; j < nb; j += LANES) {
-            for (int k = 0; k < LANES; k++) {
-                double v = row[j + k];
-                double av = fabs(v);
-                s[k] = s[k] + v;
-                a[k] = a[k] + av;
-                mx[k] = av > mx[k] ? av : mx[k];
-                /* min over {av if av > 0 else +inf}: two blend/min idioms
-                 * instead of one fused conditional, which schedules much
-                 * better (and exact zeros never win a min-nonzero) */
-                double cand = av > 0.0 ? av : INFINITY;
-                mn[k] = cand < mn[k] ? cand : mn[k];
-            }
-        }
-        for (int64_t j = nb; j < width; j++) {
-            double v = row[j];
-            double av = fabs(v);
-            s[0] = s[0] + v;
-            a[0] = a[0] + av;
-            mx[0] = av > mx[0] ? av : mx[0];
-            double cand = av > 0.0 ? av : INFINITY;
-            mn[0] = cand < mn[0] ? cand : mn[0];
-        }
-        double st = s[0], at = a[0], mxt = mx[0], mnt = mn[0];
-        for (int k = 1; k < LANES; k++) {
-            st = st + s[k];
-            at = at + a[k];
-            mxt = mx[k] > mxt ? mx[k] : mxt;
-            mnt = mn[k] < mnt ? mn[k] : mnt;
-        }
-        abs_out[r] = at;
-        sum_out[r] = st;
-        max_out[r] = mxt;
-        min_out[r] = mnt;
-    }
-    return 0;
-}
-"""
-
-_lock = threading.Lock()
-_lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-_OBS = get_registry()
+_LANES = 8
 
 
-def _compile_library() -> Optional[ctypes.CDLL]:
-    """Compile (or reuse) the stats kernel; None on any failure."""
-    # Build gate only: disabling kernels selects the NumPy statistics pass,
-    # whose (different) rounding is covered by the same certified budget.
-    # repro: allow[FP009] -- build gate, fallback covered by the same certified error budget
-    if os.environ.get("REPRO_NO_CKERNELS"):
-        return None
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None:
-        return None
-    # -ffp-contract=off keeps the source's rounding structure (no FMA
-    # contraction), so the height-(width-1) error argument in the module
-    # docstring is about exactly the operations written here.
-    flags = ["-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off"]
-    digest = hashlib.blake2b(
-        (_C_SOURCE + "\0" + " ".join(flags)).encode(), digest_size=16
-    ).hexdigest()
-    # Cache *location* only; the loaded kernel is digest-addressed.
-    # repro: allow[FP009] -- cache path knob, kernel bytes digest-pinned
-    cache_dir = os.environ.get("REPRO_CKERNEL_CACHE") or os.path.join(
-        tempfile.gettempdir(), "repro-ckernels"
-    )
-    so_path = os.path.join(cache_dir, f"boundstats-{digest}.so")
-    try:
-        if not os.path.exists(so_path):
-            outcome = "compiled"
-            os.makedirs(cache_dir, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=cache_dir) as td:
-                src = os.path.join(td, "statskernel.c")
-                with open(src, "w") as f:
-                    f.write(_C_SOURCE)
-                tmp_so = os.path.join(td, "statskernel.so")
-                try:
-                    subprocess.run(
-                        [cc, *flags, src, "-o", tmp_so],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                except subprocess.CalledProcessError:
-                    # some toolchains lack -march=native (e.g. cross cc)
-                    safe = [f for f in flags if f != "-march=native"]
-                    subprocess.run(
-                        [cc, *safe, src, "-o", tmp_so],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                os.replace(tmp_so, so_path)  # atomic within cache_dir
-        else:
-            outcome = "reused"
-        lib = ctypes.CDLL(so_path)
-    except (OSError, subprocess.SubprocessError):
-        if _OBS.enabled:
-            _OBS.counter(
-                "repro_statskernel_compile_events_total", outcome="failed"
-            ).inc()
-        return None
-    if _OBS.enabled:
-        _OBS.counter(
-            "repro_statskernel_compile_events_total", outcome=outcome
-        ).inc()
-    fn = lib.bound_rowstats
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    fn.restype = ctypes.c_int
-    return lib
+def sketch(chunks, sizes: np.ndarray, n_ranks: int, *, rows: bool, items: bool):
+    """Sketch planes of an item-major chunk list.
 
-
-def _get_lib() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted
-    if not _load_attempted:
-        with _lock:
-            if not _load_attempted:
-                _lib = _compile_library()
-                _load_attempted = True
-    return _lib
-
-
-def kernel_available() -> bool:
-    """True when the fused stats kernel loaded (compiler present, not gated)."""
-    return _get_lib() is not None
-
-
-def rowstats(flat: np.ndarray, n_rows: int, width: int):
-    """Fused per-row statistics of a packed ``(n_rows, width)`` matrix.
-
-    ``flat`` must be a C-contiguous float64 buffer of ``n_rows * width``
-    elements (rows laid out back to back).  Returns four length-``n_rows``
-    views ``(row_abs, row_sum, row_max, row_min_nonzero)`` backed by one
-    freshly allocated output block, or ``None`` when the kernel is
-    unavailable (caller stays on the NumPy path).
+    ``chunks, sizes`` come from :func:`repro.trees._ckernels.chunk_sizes`;
+    item ``i``'s rank ``r`` chunk is ``chunks[i * n_ranks + r]``.  Returns
+    ``(row_planes, item_planes)``: ``(n_rows, 6)`` and ``(n_items, 6)``
+    float64 arrays in :data:`SKETCH_COLUMNS` order, or ``None`` for a plane
+    set not asked for.
     """
-    lib = _get_lib()
-    if lib is None:
-        return None
-    out = np.empty(4 * n_rows, dtype=np.float64)
-    rc = lib.bound_rowstats(
-        flat.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        ctypes.c_int64(n_rows),
-        ctypes.c_int64(width),
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-    )
-    if rc != 0:
-        return None
-    return (
-        out[:n_rows],
-        out[n_rows : 2 * n_rows],
-        out[2 * n_rows : 3 * n_rows],
-        out[3 * n_rows :],
-    )
+    if _ckernels.kernels_available():
+        return _ckernels.sketch_planes(chunks, sizes, n_ranks, rows, items)
+    row_planes = _rows_numpy(chunks, sizes)
+    item_planes = _items_numpy(row_planes, n_ranks) if items else None
+    return (row_planes if rows else None), item_planes
+
+
+def _rows_numpy(chunks, sizes: np.ndarray) -> np.ndarray:
+    """Fallback row sketch: one matrix sweep per distinct chunk width."""
+    out = np.empty((len(chunks), 6), dtype=np.float64)
+    for width in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == width)
+        flat = np.empty(idx.size * width, dtype=np.float64)
+        _ckernels.pack_chunks(
+            chunks if idx.size == len(chunks) else [chunks[i] for i in idx], flat
+        )
+        out[idx] = _rows_matrix(flat.reshape(idx.size, width))
+    return out
+
+
+def _rows_matrix(matrix: np.ndarray) -> np.ndarray:
+    """The C ``sketch_row`` over every row of a ``(m, width)`` matrix."""
+    m, width = matrix.shape
+    mags = np.abs(matrix)
+    sh = np.zeros((m, _LANES))
+    sl = np.zeros((m, _LANES))
+    ah = np.zeros((m, _LANES))
+    al = np.zeros((m, _LANES))
+    nb = width - width % _LANES
+    if nb:
+        vals = matrix[:, :nb].reshape(m, nb // _LANES, _LANES)
+        absv = mags[:, :nb].reshape(m, nb // _LANES, _LANES)
+        for b in range(nb // _LANES):
+            sh, e = two_sum_array(sh, vals[:, b])
+            sl = sl + e
+            ah, e = two_sum_array(ah, absv[:, b])
+            al = al + e
+    for j in range(nb, width):  # the tail rides lane 0
+        sh[:, 0], e = two_sum_array(sh[:, 0], matrix[:, j])
+        sl[:, 0] = sl[:, 0] + e
+        ah[:, 0], e = two_sum_array(ah[:, 0], mags[:, j])
+        al[:, 0] = al[:, 0] + e
+    out = np.empty((m, 6), dtype=np.float64)
+    # max ignores NaN like the kernel's `av > mx ? av : mx` lanes; zero and
+    # NaN magnitudes never win the min-nonzero
+    out[:, 0] = np.fmax.reduce(mags, axis=1, initial=0.0)
+    out[:, 1] = np.min(mags, axis=1, initial=math.inf, where=(mags > 0.0))
+    s_hi, s_lo, a_hi, a_lo = sh[:, 0], sl[:, 0], ah[:, 0], al[:, 0]
+    for k in range(1, _LANES):
+        s_hi, e = two_sum_array(s_hi, sh[:, k])
+        s_lo = s_lo + (e + sl[:, k])
+        a_hi, e = two_sum_array(a_hi, ah[:, k])
+        a_lo = a_lo + (e + al[:, k])
+    out[:, 2], out[:, 3], out[:, 4], out[:, 5] = a_hi, a_lo, s_hi, s_lo
+    return out
+
+
+def _items_numpy(row_planes: np.ndarray, n_ranks: int) -> np.ndarray:
+    """Fallback item chain: ``StreamProfile.merge`` over ranks, vectorised
+    across items (the kernel's per-item loop, lane for lane)."""
+    ranks = row_planes.reshape(-1, n_ranks, 6)
+    n_items = ranks.shape[0]
+    mx = np.zeros(n_items)
+    mn = np.full(n_items, math.inf)
+    ah = np.zeros(n_items)
+    al = np.zeros(n_items)
+    sh = np.zeros(n_items)
+    sl = np.zeros(n_items)
+    for r in range(n_ranks):
+        row = ranks[:, r]
+        mx = np.where(row[:, 0] > mx, row[:, 0], mx)
+        mn = np.where(row[:, 1] < mn, row[:, 1], mn)
+        ah, e = two_sum_array(ah, row[:, 2])
+        al = al + (e + row[:, 3])
+        sh, e = two_sum_array(sh, row[:, 4])
+        sl = sl + (e + row[:, 5])
+    return np.stack([mx, mn, ah, al, sh, sl], axis=1)

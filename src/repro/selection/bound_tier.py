@@ -1,22 +1,23 @@
 """Bound-driven selection tier: O(1) analytic certification, no profiling.
 
-The serving path's dominant per-item cost is *empirical profiling* — the
-composite-precision sketch (`repro.selection.profile`) costs ~4x the
-reduction it informs (BENCH_adaptive.json).  This module implements the
-alternative ROADMAP item 4 prescribes: decide from **cheap one-pass
-statistics** whether an algorithm's *provable* Hallman–Ipsen error bound
+Empirical profiling and this tier read the data through the same fused
+sketch kernel (:mod:`repro.selection._statskernel`), so the tier saves no
+data pass; it replaces the variability-model query with a *provable*
+answer.  It decides from the kernel's **cheap one-pass statistics**
+whether an algorithm's *provable* Hallman–Ipsen error bound
 (:func:`repro.metrics.bounds.summation_error_bound`, deterministic or
 probabilistic at a requested confidence) already meets the reproducibility
-threshold, and skip profiling entirely when it does.
+threshold, and skips the profiling policy's query when it does.
 
 Two properties make the tier safe to run in front of the profiling policy:
 
 1. **Certified statistics.**  The cheap pass computes ``Σ|x|`` and ``Σx``
-   with plain (pairwise/sequential) binary64 summation, whose own error is
-   bounded by the same Hallman–Ipsen machinery.  That turns the noisy
-   estimates into a *certified interval* ``[k_lo, k_hi]`` for the true
-   condition number — every bound below is evaluated at the conservative
-   end, so a certification is a theorem about the data, not a guess.
+   with plain binary64 summation (eight lanes within chunks, pairwise
+   across ranks), whose own error is bounded by the same Hallman–Ipsen
+   machinery.  That turns the noisy estimates into a *certified
+   interval* ``[k_lo, k_hi]`` for the true condition number — every bound
+   below is evaluated at the conservative end, so a certification is a
+   theorem about the data, not a guess.
 
 2. **Decision agreement.**  A candidate is fast-path certified only when
    (a) its provable bound at ``k_hi`` meets the threshold AND (b) the
@@ -45,9 +46,10 @@ import numpy as np
 from repro.fp.properties import UNIT_ROUNDOFF, exponent, unit_roundoff
 from repro.metrics.bounds import summation_error_bound
 from repro.metrics.properties import SetProfile
-from repro.selection._statskernel import rowstats as _fused_rowstats
+from repro.selection._statskernel import sketch
 from repro.selection.policy import SelectionDecision
 from repro.selection.profile import StreamProfile
+from repro.trees._ckernels import chunk_sizes
 
 __all__ = [
     "BoundStats",
@@ -55,6 +57,8 @@ __all__ = [
     "bound_stats_item",
     "bound_stats_stream",
     "item_unit_roundoff",
+    "stream_statistics",
+    "unit_roundoff_of",
 ]
 
 
@@ -69,13 +73,18 @@ def item_unit_roundoff(chunks) -> float:
     reduction *executes* in binary64 either way, but low-precision scenario
     inputs are selected for at their own roundoff.
     """
-    dts = {getattr(c, "dtype", None) for c in chunks}
-    if None in dts or not dts:
+    return unit_roundoff_of({getattr(c, "dtype", None) for c in chunks})
+
+
+def unit_roundoff_of(dtypes: set) -> float:
+    """:func:`item_unit_roundoff` from the set of an item's chunk dtypes
+    (``None`` marks a non-array chunk)."""
+    if None in dtypes or not dtypes:
         return UNIT_ROUNDOFF
-    if len(dts) == 1:
-        dt = next(iter(dts))
+    if len(dtypes) == 1:
+        dt = next(iter(dtypes))
     else:
-        dt = np.result_type(*dts)
+        dt = np.result_type(*dtypes)
     u = _ROUNDOFF_BY_DTYPE.get(dt)
     if u is None:
         u = unit_roundoff(dt)
@@ -86,11 +95,11 @@ def item_unit_roundoff(chunks) -> float:
 @dataclass(frozen=True)
 class BoundStats:
     """One cheap pass over one reduction's operands: everything the bound
-    tier needs, nothing the composite-precision profile sketch pays for.
+    tier needs.
 
-    ``abs_sum`` and ``approx_sum`` are plain binary64 summations (the fused
-    kernel's lane-parallel order or NumPy pairwise within chunks, pairwise
-    across ranks — any fixed order of height ``<= n-1``); their own
+    ``abs_sum`` and ``approx_sum`` are plain binary64 summations (the sketch
+    kernel's ``hi`` planes — its eight-lane order within chunks — merged
+    pairwise across ranks: a fixed order of height ``<= n-1``); their own
     rounding error is certified by the tier before use.  ``u`` is the input
     dtype's unit roundoff.
     """
@@ -135,173 +144,60 @@ class BoundStats:
 
 
 def bound_stats_item(chunks, u: float) -> BoundStats:
-    """Cheap one-pass statistics of one reduction's chunk list.
-
-    Operation order is pinned to match :func:`bound_stats_stream`'s
-    vectorised sweep lane-for-lane: the identical per-chunk row routine
-    (the fused C kernel when available, NumPy pairwise reductions
-    otherwise), then one pairwise :func:`np.sum` across the per-rank
-    partials (NumPy's last-axis reduction applies the identical pairwise
-    routine to each row of a contiguous matrix, which the round-trip test
-    pins), so uniform shards of a ragged stream produce bitwise-identical
-    statistics on either path.
-    """
-    n_ranks = len(chunks)
-    chunk_abs = np.zeros(n_ranks, dtype=np.float64)
-    chunk_sum = np.zeros(n_ranks, dtype=np.float64)
-    chunk_max = np.zeros(n_ranks, dtype=np.float64)
-    chunk_min = np.full(n_ranks, math.inf)
-    n = 0
-    for j, c in enumerate(chunks):
-        arr = np.asarray(c, dtype=np.float64).ravel()
-        n += int(arr.size)
-        if arr.size:
-            planes = _fused_rowstats(arr, 1, arr.size)
-            if planes is not None:
-                chunk_abs[j] = planes[0][0]
-                chunk_sum[j] = planes[1][0]
-                chunk_max[j] = planes[2][0]
-                chunk_min[j] = planes[3][0]
-                continue
-            a = np.abs(arr)
-            chunk_max[j] = a.max()
-            chunk_min[j] = np.min(a, initial=math.inf, where=(a > 0.0))
-            chunk_abs[j] = np.sum(a)  # repro: allow[FP002] -- cheap-statistics pass; its rounding error is certified by the tier before any use
-            chunk_sum[j] = np.sum(arr)  # repro: allow[FP002] -- same certified cheap-statistics pass
-    return BoundStats(
-        n=n,
-        max_abs=float(np.max(chunk_max, initial=0.0)),
-        min_abs_nonzero=float(np.min(chunk_min, initial=math.inf)),
-        abs_sum=float(np.sum(chunk_abs)),  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
-        approx_sum=float(np.sum(chunk_sum)),  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
-        u=u,
-    )
-
-
-#: reused pack/abs scratch buffers keyed by (rows, width): a steady-state
-#: serving process sees the same stream shape every call, and reallocating
-#: two multi-MB temporaries per call costs more in page faults than the
-#: whole statistics computation (same persistent-buffer idiom as the
-#: dispatch arenas in repro.util.pool)
-_SCRATCH: "dict[tuple[int, int], list]" = {}
-_SCRATCH_SHAPES_MAX = 4
-
-
-def _pack_scratch(rows: int, width: int):
-    key = (rows, width)
-    bufs = _SCRATCH.get(key)
-    if bufs is None:
-        if len(_SCRATCH) >= _SCRATCH_SHAPES_MAX:
-            # Pure scratch: every buffer is fully overwritten before each
-            # read, so per-worker copies can only differ in which shapes
-            # they have cached, never in any computed value.
-            # repro: allow[FP010] -- scratch cache, buffers overwritten before every read
-            _SCRATCH.clear()
-        flat = np.empty(rows * width, dtype=np.float64)
-        # the |x| buffer is only needed by the NumPy fallback sweep; the
-        # fused kernel never materialises it, so allocate lazily
-        bufs = [flat, flat.reshape(rows, width), None]
-        _SCRATCH[key] = bufs  # repro: allow[FP010] -- scratch cache, see above
-    return bufs
-
-
-def _abs_scratch(bufs) -> np.ndarray:
-    if bufs[2] is None:
-        bufs[2] = np.empty(bufs[1].shape)  # repro: allow[FP010] -- scratch cache, see above
-    return bufs[2]
+    """Cheap one-pass statistics of one reduction's chunk list: the
+    one-item case of :func:`stream_statistics`."""
+    return stream_statistics([chunks], [u])[0][0]
 
 
 def bound_stats_stream(
     batches, us: Sequence[float]
 ) -> "list[BoundStats]":
-    """Cheap statistics for a whole stream in one vectorised sweep.
+    """Cheap statistics for a whole stream in one kernel call.
 
-    Uniform-width streams (the serving-path common case) pack into one
-    reused matrix: ~5 NumPy passes replace the profiling sketch's ~50 (the
-    composite-precision ladder), which is where the tier's latency win
-    comes from.  Ragged streams fall back to the bitwise-identical per-item
+    Every chunk of the stream is one sketch row (packed into budgeted
+    blocks, one read each); the tier uses the rows' ``hi`` planes.  Streams
+    with a varying rank count fall back to the bitwise-identical per-item
     loop.
+    """
+    return stream_statistics(batches, us)[0]
+
+
+def stream_statistics(batches, us: Sequence[float]) -> tuple:
+    """:func:`bound_stats_stream` plus, from the same kernel pass, every
+    item's profiling sketch fields: ``(stats, fields)`` where
+    ``StreamProfile(stats[i].n, *fields[i])`` is bitwise-equal to
+    :func:`repro.selection.profile.profile_stream` of item ``i``
+    (``fields`` is ``None`` for streams with a varying rank count).
+
+    Each chunk is one row of the compensated sketch kernel
+    (:mod:`repro.selection._statskernel`, bitwise-equal with or without a
+    compiler).  The tier takes the rows' ``hi`` planes — the plain
+    lane-parallel sums — and merges each item's ranks with one pairwise
+    :func:`np.sum` over a contiguous matrix row, which NumPy computes
+    exactly as the 1-D sum of that row, so an item's statistics do not
+    depend on the stream around it.
     """
     n_items = len(batches)
     if n_items == 0:
-        return []
+        return [], []
     n_ranks = len(batches[0])
     if any(len(chunks) != n_ranks for chunks in batches):
-        return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)]
+        return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)], None
     if n_ranks == 0:
-        return [
-            BoundStats(0, 0.0, math.inf, 0.0, 0.0, u) for u in us
-        ]
-    # pack with as little per-chunk Python work as possible: a serving
-    # stream is thousands of small chunk objects, so one attribute access
-    # per chunk is a measurable fraction of the whole tier.  np.concatenate
-    # consumes the raw chunk objects directly (casting floats itself); any
-    # shape the fast pack cannot express falls back to the per-chunk
-    # normalising loop below, bitwise-identically.
-    chunk_list = [c for chunks in batches for c in chunks]
-    rows = n_items * n_ranks
-    try:
-        sizes = np.fromiter(
-            (c.size for c in chunk_list), dtype=np.int64, count=rows
-        )
-    except AttributeError:  # non-array chunks: normalise one by one
-        arrays = [np.asarray(c, dtype=np.float64).ravel() for c in chunk_list]
-        sizes = np.fromiter((a.size for a in arrays), dtype=np.int64, count=rows)
-        chunk_list = arrays
-    width = int(sizes[0])
-    if not bool((sizes == width).all()):
-        return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)]
-    if width:
-        bufs = _pack_scratch(rows, width)
-        flat, matrix = bufs[0], bufs[1]
-        try:
-            np.concatenate(chunk_list, out=flat)
-        except (TypeError, ValueError):
-            # e.g. integer dtypes or multi-d chunks the same-kind cast into
-            # the flat binary64 buffer cannot take: normalise per chunk
-            np.concatenate(
-                [np.asarray(c, dtype=np.float64).ravel() for c in chunk_list],
-                out=flat,
-            )
-        planes = _fused_rowstats(flat, rows, width)
-        if planes is not None:
-            # single fused read pass: the matrix is touched once and no
-            # |x| temporary exists at all (see _statskernel docstring for
-            # why the different association order is certified-safe)
-            row_abs, row_sum, row_max, row_min = planes
-        else:
-            absbuf = _abs_scratch(bufs)
-            np.abs(matrix, out=absbuf)
-            row_max = absbuf.max(axis=1)
-            # min-nonzero: the plain row min is right wherever no zero
-            # occurs (the serving-path common case); only zero-containing
-            # rows pay the slower where-masked reduction
-            row_min = absbuf.min(axis=1)
-            zero_rows = np.nonzero(row_min == 0.0)[0]  # repro: allow[FP001] -- exact sentinel: a zero row-min means the row contains a literal 0.0
-            if zero_rows.size:
-                sub = absbuf[zero_rows]
-                row_min[zero_rows] = np.min(
-                    sub, axis=1, initial=math.inf, where=(sub > 0.0)
-                )
-            row_abs = np.sum(absbuf, axis=1)  # repro: allow[FP002] -- cheap-statistics pass; its rounding error is certified by the tier before any use
-            row_sum = np.sum(matrix, axis=1)  # repro: allow[FP002] -- same certified cheap-statistics pass
-    else:
-        row_max = np.zeros(rows, dtype=np.float64)
-        row_min = np.full(rows, math.inf)
-        row_abs = np.zeros(rows, dtype=np.float64)
-        row_sum = np.zeros(rows, dtype=np.float64)
-
-    # the rank merge of bound_stats_item, vectorised over items: max/min are
-    # order-independent, and a last-axis pairwise np.sum over the contiguous
-    # per-rank partials is bitwise-identical to the per-item 1-D np.sum
-    max_tot = row_max.reshape(n_items, n_ranks).max(axis=1)
-    min_tot = row_min.reshape(n_items, n_ranks).min(axis=1)
-    abs_tot = np.sum(row_abs.reshape(n_items, n_ranks), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
-    sum_tot = np.sum(row_sum.reshape(n_items, n_ranks), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
-    n_total = n_ranks * width
-    return [
+        stats = [BoundStats(0, 0.0, math.inf, 0.0, 0.0, u) for u in us]
+        return stats, [[0.0, math.inf, 0.0, 0.0, 0.0, 0.0] for _ in us]
+    chunks, sizes = chunk_sizes([c for chunks in batches for c in chunks])
+    rows, items = sketch(chunks, sizes, n_ranks, rows=True, items=True)
+    planes = rows.T.copy()
+    shape = (n_items, n_ranks)
+    max_tot = planes[0].reshape(shape).max(axis=1)
+    min_tot = planes[1].reshape(shape).min(axis=1)
+    abs_tot = np.sum(planes[2].reshape(shape), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
+    sum_tot = np.sum(planes[4].reshape(shape), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
+    n_tot = sizes.reshape(shape).sum(axis=1).tolist()  # repro: allow[FP002] -- integer element counts, not an FP reduction
+    stats = [
         BoundStats(
-            n=n_total,
+            n=n_tot[i],
             max_abs=float(max_tot[i]),
             min_abs_nonzero=float(min_tot[i]),
             abs_sum=float(abs_tot[i]),
@@ -310,6 +206,7 @@ def bound_stats_stream(
         )
         for i in range(n_items)
     ]
+    return stats, items.tolist()
 
 
 @dataclass(frozen=True)

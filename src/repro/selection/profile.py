@@ -7,15 +7,23 @@ reduced" — and those properties must be *estimable* at a cost far below the
 reduction itself.
 
 :class:`StreamProfile` is a mergeable statistics sketch: each rank folds its
-chunk in with one vectorised pass (max, min-nonzero magnitude, |x| sum, and
-a composite-precision signed sum so the condition-number estimate stays
+chunk in with one read (max, min-nonzero magnitude, and compensated ``(hi,
+lo)`` sums of ``|x|`` and ``x`` from the fused kernel in
+:mod:`repro.selection._statskernel`, so the condition-number estimate stays
 meaningful up to k ~ 1e30 instead of saturating at 1/(n·u)); sketches merge
-associatively, so profiling costs one extra allreduce of five doubles —
+associatively, so profiling costs one extra allreduce of six doubles —
 exactly the "profile parameters of interest at runtime" tooling Sec. V.D
-calls for.
+calls for.  :func:`profile_batch` sketches a whole uniform-width stream,
+rank merges included, in one kernel call.
 
-Accuracy: ``dr`` is exact (it only needs the extreme exponents); ``k̂``
-matches the exact condition number to ~n·u² relative, far tighter than the
+Accuracy: ``dr`` is exact (it only needs the extreme exponents).  Each
+chunk's sums are eight lane-sequential Sum2 chains (Ogita–Rump–Oishi) of at
+most ``m = ceil(w/8) + 7`` terms for a chunk of ``w`` values, so with unit
+roundoff ``u`` and ``γ_m = m·u/(1 - m·u)`` the compensated chunk sum obeys
+``|ŝ - s| <= u·|s| + γ_m²·Σ|x|`` — about ``(w/8·u)²·Σ|x|`` — and the rank
+merges add the same form with ``m`` the rank count.  The relative error of
+``k̂ = Σ|x| / |Σx|`` is therefore about ``u + (w/8·u)²·k``: under 1e-6 for
+``k <= 1e15`` on single chunks of up to 2**20 values, far tighter than the
 decade granularity selection needs (tests pin this).
 """
 
@@ -26,10 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fp.eft import two_sum, two_sum_array
+from repro.fp.eft import two_sum
 from repro.fp.properties import exponent
 from repro.metrics.properties import SetProfile
 from repro.obs import get_registry
+from repro.selection._statskernel import sketch
+from repro.trees._ckernels import chunk_sizes
 
 __all__ = ["StreamProfile", "profile_chunk", "profile_stream", "profile_batch"]
 
@@ -58,39 +68,20 @@ class StreamProfile:
 
     # -- accumulation ----------------------------------------------------------
     def update(self, chunk: np.ndarray) -> None:
-        """Fold a chunk in (vectorised; one pass over the data)."""
-        chunk = np.asarray(chunk, dtype=np.float64).ravel()
-        if chunk.size == 0:
-            return
-        a = np.abs(chunk)
-        self.n += int(chunk.size)
-        self.max_abs = max(self.max_abs, float(a.max()))
-        # masked min instead of materialising a[a != 0] — one pass, no copy
-        mn = float(np.min(a, initial=math.inf, where=(a > 0.0)))
-        if mn < self.min_abs_nonzero:
-            self.min_abs_nonzero = mn
-        # pairwise numpy sums are accurate enough for the magnitudes, but
-        # the signed sum needs composite precision to keep k̂ from saturating
-        self._add_abs(float(np.sum(a)))  # repro: allow[FP002] -- magnitude sum has no cancellation; pairwise is accurate enough
-        s, e = _cp_sum(chunk)
-        self._add_signed(s, e)
-
-    def _add_abs(self, value: float) -> None:
-        self.abs_sum_hi, err = two_sum(self.abs_sum_hi, value)
-        self.abs_sum_lo += err
-
-    def _add_signed(self, hi: float, lo: float) -> None:
-        self.sum_hi, err = two_sum(self.sum_hi, hi)
-        self.sum_lo += err + lo
+        """Fold a chunk in: its one-read kernel row, merged into the sketch."""
+        chunks, sizes = chunk_sizes([chunk])
+        rows, _ = sketch(chunks, sizes, 1, rows=True, items=False)
+        self.merge(StreamProfile(int(sizes[0]), *rows[0].tolist()))
 
     def merge(self, other: "StreamProfile") -> None:
         """Associative sketch merge (the allreduce combine)."""
         self.n += other.n
         self.max_abs = max(self.max_abs, other.max_abs)
         self.min_abs_nonzero = min(self.min_abs_nonzero, other.min_abs_nonzero)
-        self._add_abs(other.abs_sum_hi)
-        self.abs_sum_lo += other.abs_sum_lo
-        self._add_signed(other.sum_hi, other.sum_lo)
+        self.abs_sum_hi, err = two_sum(self.abs_sum_hi, other.abs_sum_hi)
+        self.abs_sum_lo = self.abs_sum_lo + (err + other.abs_sum_lo)
+        self.sum_hi, err = two_sum(self.sum_hi, other.sum_hi)
+        self.sum_lo = self.sum_lo + (err + other.sum_lo)
 
     # -- estimates ----------------------------------------------------------------
     @property
@@ -129,24 +120,6 @@ class StreamProfile:
         )
 
 
-def _cp_sum(x: np.ndarray) -> tuple[float, float]:
-    """Composite-precision pairwise sum of an array: (hi, lo)."""
-    s = x.copy()
-    lo = 0.0
-    while s.size > 1:
-        if s.size % 2:
-            tail = float(s[-1])
-            s = s[:-1]
-        else:
-            tail = None
-        t, err = two_sum_array(s[0::2], s[1::2])
-        # The err mass is magnitude-homogeneous (per-level roundoffs), so a
-        # pairwise np.sum into the scalar lo term is second-order accurate.
-        lo += float(np.sum(err))  # repro: allow[FP002,FP003]
-        s = t if tail is None else np.append(t, tail)
-    return (float(s[0]) if s.size else 0.0), lo
-
-
 def profile_chunk(chunk: np.ndarray) -> StreamProfile:
     """Sketch one rank's chunk."""
     p = StreamProfile()
@@ -155,109 +128,41 @@ def profile_chunk(chunk: np.ndarray) -> StreamProfile:
 
 
 def profile_stream(chunks: "list[np.ndarray]") -> StreamProfile:
-    """Sketch a distributed set: profile each chunk, merge (the allreduce)."""
-    total = StreamProfile()
-    for c in chunks:
-        total.merge(profile_chunk(c))
-    return total
-
-
-def _cp_sum_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`_cp_sum`: ``(hi, lo)`` vectors, each row bitwise-equal
-    to ``_cp_sum(matrix[r])`` (NumPy applies the same pairwise reduction to
-    the contiguous last axis of a matrix as to a 1-D array)."""
-    s = matrix.copy()
-    n_rows = matrix.shape[0]
-    lo = np.zeros(n_rows, dtype=np.float64)
-    while s.shape[1] > 1:
-        if s.shape[1] % 2:
-            tail = s[:, -1:]
-            s = s[:, :-1]
-        else:
-            tail = None
-        t, err = two_sum_array(s[:, 0::2], s[:, 1::2])
-        lo += np.sum(err, axis=1)  # repro: allow[FP002,FP003]
-        s = t if tail is None else np.concatenate([t, tail], axis=1)
-    hi = s[:, 0].copy() if s.shape[1] else np.zeros(n_rows, dtype=np.float64)
-    return hi, lo
+    """Sketch a distributed set: every chunk's row merged in rank order (the
+    allreduce), in one kernel call — bitwise-equal to ``update`` per chunk."""
+    if not len(chunks):
+        return StreamProfile()
+    chunks, sizes = chunk_sizes(list(chunks))
+    _, items = sketch(chunks, sizes, len(chunks), rows=False, items=True)
+    return StreamProfile(int(sizes.sum()), *items[0].tolist())  # repro: allow[FP002] -- integer element counts, not an FP reduction
 
 
 def profile_batch(batches) -> "list[StreamProfile] | None":
     """Sketch a whole stream of same-shape distributed sets in bulk.
 
     ``batches[i]`` is one reduction's per-rank chunk list.  When every chunk
-    across the stream has the same length (the serving-path common case) the
-    per-chunk statistics are computed as row sweeps over one packed matrix
-    and the per-item rank merges replay the :meth:`StreamProfile.merge`
-    recurrence vectorised across items — every returned sketch is
-    bitwise-equal to ``AdaptiveReducer.profile`` on the same item.  Returns
-    ``None`` for ragged streams (callers fall back to the per-item loop).
+    across the stream has the same length (the serving-path common case)
+    one kernel call sketches every chunk and runs every item's rank-merge
+    chain, so each returned sketch is bitwise-equal to
+    ``AdaptiveReducer.profile`` on the same item.  Returns ``None`` for
+    ragged streams (callers fall back to the per-item loop).
     """
     n_items = len(batches)
     if n_items == 0:
         return []
     n_ranks = len(batches[0])
-    arrays: list[np.ndarray] = []
-    for chunks in batches:
-        if len(chunks) != n_ranks:
-            _record_profile_path("ragged_fallback", n_items)
-            return None
-        for c in chunks:
-            arrays.append(np.asarray(c, dtype=np.float64).ravel())
+    if any(len(chunks) != n_ranks for chunks in batches):
+        _record_profile_path("ragged_fallback", n_items)
+        return None
     if n_ranks == 0:
         _record_profile_path("batched", n_items)
         return [StreamProfile() for _ in range(n_items)]
-    width = arrays[0].size
-    if any(a.size != width for a in arrays):
+    chunks, sizes = chunk_sizes([c for chunks in batches for c in chunks])
+    width = int(sizes[0])
+    if not bool((sizes == width).all()):
         _record_profile_path("ragged_fallback", n_items)
         return None
-    matrix = np.concatenate(arrays).reshape(n_items * n_ranks, width) if width else (
-        np.zeros((n_items * n_ranks, 0), dtype=np.float64)
-    )
-    # per-chunk statistics, one vectorised pass over all rows
-    a = np.abs(matrix)
-    if width:
-        row_max = a.max(axis=1)
-        row_min = np.min(a, axis=1, initial=math.inf, where=(a > 0.0))
-        row_abs = np.sum(a, axis=1)  # repro: allow[FP002] -- magnitude sum has no cancellation; pairwise is accurate enough
-    else:
-        row_max = np.zeros(matrix.shape[0], dtype=np.float64)
-        row_min = np.full(matrix.shape[0], math.inf)
-        row_abs = np.zeros(matrix.shape[0], dtype=np.float64)
-    cp_hi, cp_lo = _cp_sum_rows(matrix)
-    # profile_chunk from the fresh state: abs two_sum(0, v) is exact for
-    # v >= 0, the signed sum replays _add_signed from zero
-    chunk_sh, err0 = two_sum_array(0.0, cp_hi)
-    chunk_sl = 0.0 + (err0 + cp_lo)
-
-    def col(v: np.ndarray, r: int) -> np.ndarray:
-        return v.reshape(n_items, n_ranks)[:, r]
-
-    # the rank-merge chain of AdaptiveReducer.profile, vectorised over items
-    max_tot = np.zeros(n_items, dtype=np.float64)
-    min_tot = np.full(n_items, math.inf)
-    ah = np.zeros(n_items, dtype=np.float64)
-    al = np.zeros(n_items, dtype=np.float64)
-    sh = np.zeros(n_items, dtype=np.float64)
-    sl = np.zeros(n_items, dtype=np.float64)
-    for r in range(n_ranks):
-        max_tot = np.maximum(max_tot, col(row_max, r))
-        min_tot = np.minimum(min_tot, col(row_min, r))
-        ah, err = two_sum_array(ah, col(row_abs, r))
-        al = (al + err) + 0.0  # other.abs_sum_lo is exactly zero
-        sh, err = two_sum_array(sh, col(chunk_sh, r))
-        sl = sl + (err + col(chunk_sl, r))
+    _, items = sketch(chunks, sizes, n_ranks, rows=False, items=True)
     n_total = n_ranks * width
     _record_profile_path("batched", n_items)
-    return [
-        StreamProfile(
-            n=n_total,
-            max_abs=float(max_tot[i]),
-            min_abs_nonzero=float(min_tot[i]),
-            abs_sum_hi=float(ah[i]),
-            abs_sum_lo=float(al[i]),
-            sum_hi=float(sh[i]),
-            sum_lo=float(sl[i]),
-        )
-        for i in range(n_items)
-    ]
+    return [StreamProfile(n_total, *row) for row in items.tolist()]

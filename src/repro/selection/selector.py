@@ -8,13 +8,13 @@ for the application at hand."
 Pipeline per reduction:
 
 0. **Bound tier** (optional, ``bound_confidence=...``) — O(1) Hallman–Ipsen
-   analytic certification from one cheap statistics pass
-   (:mod:`repro.selection.bound_tier`).  When the provable error bound of
-   the policy's cheapest acceptable algorithm already meets the threshold,
-   steps 1–2 are skipped entirely; the tier only resolves items where it
-   can *prove* the profiling policy would pick the same code, so enabling
-   it never changes a selection outcome — only its cost.
-1. **Profile** — every rank sketches its chunk in one vectorised pass; the
+   analytic certification from the same kernel pass that yields the
+   profiling sketch (:mod:`repro.selection.bound_tier`).  When the provable
+   error bound of the policy's cheapest acceptable algorithm already meets
+   the threshold, the policy query of step 2 is skipped; the tier only
+   resolves items where it can *prove* the profiling policy would pick the
+   same code, so enabling it never changes a selection outcome.
+1. **Profile** — every rank sketches its chunk in one kernel read; the
    sketches merge in an (exactly associative) allreduce.
 2. **Select** — a policy (analytic model or calibrated grid classifier)
    picks the cheapest algorithm whose predicted variability meets the
@@ -38,6 +38,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -51,12 +52,12 @@ from repro.obs import get_registry
 from repro.selection.bound_tier import (
     BoundStats,
     BoundTier,
-    bound_stats_item,
-    bound_stats_stream,
     item_unit_roundoff,
+    stream_statistics,
+    unit_roundoff_of,
 )
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
-from repro.selection.profile import StreamProfile, profile_batch, profile_chunk
+from repro.selection.profile import StreamProfile, profile_batch, profile_stream
 from repro.summation.registry import all_algorithms, get_algorithm
 from repro.trees.tree import ReductionTree
 from repro.util.chunking import split_indices
@@ -72,6 +73,9 @@ _OBS = get_registry()
 #: the whole Fig. 12 grid cross every threshold the benches use with room
 #: to spare, while bounding a pathological high-cardinality stream
 DEFAULT_DECISION_CACHE_SIZE = 4096
+
+_DTYPE = attrgetter("dtype")
+_SIZE = attrgetter("size")
 
 
 class Policy(Protocol):
@@ -150,10 +154,7 @@ class AdaptiveReducer:
 
     def profile(self, chunks: Sequence[np.ndarray]) -> StreamProfile:
         """Step 1: sketch + allreduce-merge."""
-        total = StreamProfile()
-        for chunk in chunks:
-            total.merge(profile_chunk(chunk))
-        return total
+        return profile_stream(chunks)
 
     def reduce(
         self,
@@ -170,9 +171,9 @@ class AdaptiveReducer:
 
         With the bound tier enabled (``bound_confidence=...``), items whose
         cheapest acceptable algorithm is provably certified by a
-        Hallman–Ipsen bound skip the profiling sketch entirely, so the fast
-        path costs one data scan instead of the sketch's composite-precision
-        ladder.
+        Hallman–Ipsen bound skip the policy query; inconclusive items
+        select from the sketch the tier's statistics pass already computed,
+        so the data is read once either way.
         The tier never resolves an item unless the profiling policy would
         provably pick the same code, so results are identical either way.
         Tier decisions bypass the decision cache (they are exact, not
@@ -186,18 +187,22 @@ class AdaptiveReducer:
         u = item_unit_roundoff(chunks)
         tier = None if nondeterministic else self._engaged_bound_tier()
         decision = None
+        sketch = None
         bound_elapsed = 0.0
         select_elapsed = 0.0
         if tier is not None:
             with Stopwatch() as sw_bound:
-                stats = bound_stats_item(chunks, u)
+                (stats,), fields = stream_statistics([chunks], [u])
                 decision = tier.decide_item(stats, t, self.policy)
+                # the statistics pass also ran the item's sketch chain
+                sketch = StreamProfile(stats.n, *fields[0])
             bound_elapsed = sw_bound.elapsed
         if decision is not None:
             profile_elapsed = bound_elapsed
         else:
             with Stopwatch() as sw_profile:
-                sketch = self.profile(chunks)
+                if sketch is None:
+                    sketch = self.profile(chunks)
                 with Stopwatch() as sw_select:
                     precision_aware = getattr(
                         self.policy, "supports_unit_roundoff", False
@@ -265,8 +270,8 @@ class AdaptiveReducer:
     ) -> "list[AdaptiveResult]":
         """Adaptively reduce a stream of independent reductions in bulk.
 
-        The serving path: uniform-width streams profile as one vectorised
-        sweep (:func:`repro.selection.profile.profile_batch`, bitwise-equal
+        The serving path: uniform-width streams profile in one sketch-kernel
+        call (:func:`repro.selection.profile.profile_batch`, bitwise-equal
         to per-item profiling; ragged streams fall back to the loop), the
         selection step is memoised in a decision cache keyed by the profile
         signature (``n``, condition-number decade, dynamic range,
@@ -303,10 +308,8 @@ class AdaptiveReducer:
             raise ValueError("threshold must be >= 0")
         if not batches:
             return []
-        us = [item_unit_roundoff(chunks) for chunks in batches]
-        pool_workers, n_shards = shard_plan(
-            len(batches), _payload_bytes(batches), workers
-        )
+        us, payload_bytes = _stream_meta(batches)
+        pool_workers, n_shards = shard_plan(len(batches), payload_bytes, workers)
         if n_shards > 1:
             return self._reduce_many_parallel(
                 batches, t, tree, pool_workers, n_shards, us
@@ -359,16 +362,19 @@ class AdaptiveReducer:
         batches: Sequence[Sequence[np.ndarray]],
         threshold: float,
         us: "Sequence[float] | None" = None,
+        sketches: "list[StreamProfile] | None" = None,
     ) -> tuple:
         """Steps 1+2 for a stream: ``(sketches, decisions, profile elapsed,
         select elapsed)``.  Shared by the serial serving path and the shard
         workers so both run the exact same pipeline.  ``us`` carries each
         item's input-dtype unit roundoff into the policy query (``None``
-        means binary64 throughout)."""
+        means binary64 throughout); ``sketches`` skips profiling when the
+        caller already holds them."""
         with Stopwatch() as sw_profile:
-            # uniform-width streams profile as one vectorised sweep; the
+            # uniform-width streams profile as one kernel call; the
             # batched sketches are bitwise-equal to the per-item loop
-            sketches = profile_batch(batches)
+            if sketches is None:
+                sketches = profile_batch(batches)
             if sketches is None:
                 sketches = [self.profile(chunks) for chunks in batches]
             with Stopwatch() as sw_select:
@@ -389,13 +395,13 @@ class AdaptiveReducer:
         """Steps 0+1+2 for a stream: ``(sketches, decisions, bound elapsed,
         profile elapsed, select elapsed)``.
 
-        With the bound tier engaged, the cheap statistics sweep runs first
-        and the expensive profiling sketch only touches the *inconclusive*
-        items; per-item results are position-independent, so profiling a
-        fallback subset is bitwise-identical to profiling those items inside
-        the full stream.  Tier-resolved items reuse their statistics as a
-        (lo-parts-zero) sketch.  Only the parallel path's replay reads the
-        returned sketches; the serial ``reduce_many`` ignores them."""
+        With the bound tier engaged, one sketch-kernel pass yields both the
+        tier's statistics and every item's profiling sketch; only the
+        *inconclusive* items go on to the policy query, selecting from the
+        same sketch a standalone profile would compute.  Tier-resolved
+        items reuse their statistics as a (lo-parts-zero) sketch.  Only the
+        parallel path's replay reads the returned sketches; the serial
+        ``reduce_many`` ignores them."""
         tier = self._engaged_bound_tier()
         if tier is None:
             sketches, decisions, profile_elapsed, select_elapsed = (
@@ -403,7 +409,7 @@ class AdaptiveReducer:
             )
             return sketches, decisions, 0.0, profile_elapsed, select_elapsed
         with Stopwatch() as sw_bound:
-            stats = bound_stats_stream(batches, us)
+            stats, fields = stream_statistics(batches, us)
             tier_decisions = tier.decide_stream(stats, threshold, self.policy)
         n_items = len(batches)
         sketches: "list[StreamProfile | None]" = [None] * n_items
@@ -417,11 +423,19 @@ class AdaptiveReducer:
         profile_elapsed = 0.0
         select_elapsed = 0.0
         if fallback:
+            # the statistics pass already ran every item's sketch chain:
+            # fallback items select from it without a second data pass
+            fb_sketches = (
+                None
+                if fields is None
+                else [StreamProfile(stats[i].n, *fields[i]) for i in fallback]
+            )
             fb_sketches, fb_decisions, profile_elapsed, select_elapsed = (
                 self._sketch_and_select(
                     [batches[i] for i in fallback],
                     threshold,
                     [us[i] for i in fallback],
+                    fb_sketches,
                 )
             )
             for j, i in enumerate(fallback):
@@ -765,14 +779,21 @@ class AdaptiveReducer:
             self._cache_invalidations = 0
 
 
-def _payload_bytes(batches: Sequence[Sequence[np.ndarray]]) -> int:
-    """Total float64 bytes a stream would ship to workers (cutover input)."""
-    total = 0
+def _stream_meta(batches: Sequence[Sequence[np.ndarray]]) -> tuple:
+    """One walk over a stream's chunks: ``(per-item unit roundoffs, total
+    float64 bytes the stream would ship to workers)``."""
+    us = []
+    n_values = 0
     for chunks in batches:
-        for c in chunks:
-            nbytes = getattr(c, "nbytes", None)
-            total += int(nbytes) if nbytes is not None else len(c) * 8
-    return total
+        try:
+            dtypes = set(map(_DTYPE, chunks))
+            n_values += sum(map(_SIZE, chunks))  # repro: allow[FP002] -- integer element counts, not an FP reduction
+        except AttributeError:  # non-array chunks
+            us.append(item_unit_roundoff(chunks))
+            n_values += sum(np.size(c) for c in chunks)  # repro: allow[FP002] -- integer element counts, not an FP reduction
+            continue
+        us.append(unit_roundoff_of(dtypes))
+    return us, 8 * n_values
 
 
 def _reduce_many_shard(payload: tuple) -> None:

@@ -31,6 +31,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -46,6 +47,9 @@ __all__ = [
     "fold_matrix",
     "fold_chunks",
     "reduce_balanced_chunks",
+    "chunk_sizes",
+    "pack_chunks",
+    "sketch_planes",
     "kernels_available",
 ]
 
@@ -58,6 +62,7 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define LEAF(j) (idx ? data[idx[(size_t)r * (size_t)n + (size_t)(j)]] \
                      : data[(size_t)r * (size_t)n + (size_t)(j)])
@@ -896,6 +901,127 @@ int reduce_balanced_dd(const double *const *restrict rows,
     free(buf); free(s);
     return 0;
 }
+
+/* Compensated sketch rows (repro.selection._statskernel).
+ *
+ * One read of each row yields max|x|, min{|x| : x != 0} and TwoSum-
+ * compensated (hi, lo) sums of |x| and x.  Eight lanes: element j of the
+ * row's first width - width % 8 elements feeds lane j % 8, the tail feeds
+ * lane 0, and lanes 1..7 merge into lane 0 in order.  Each lane is the
+ * sequential Sum2 chain hi, e = TwoSum(hi, v); lo = lo + e, so the hi
+ * planes are exactly the plain lane sums.  Row-major output, six doubles
+ * per row: max, min_nonzero, abs_hi, abs_lo, sum_hi, sum_lo.
+ *
+ * row_out (may be NULL) receives every row; item_out (may be NULL)
+ * receives each item's StreamProfile.merge chain over its n_ranks rows
+ * from the empty sketch, in rank order.
+ */
+
+#define SKETCH_LANES 8
+
+/* The eight lanes as one generic vector: every lane op is the scalar IEEE
+ * op (no reassociation, no FMA under -ffp-contract=off), so the compiler
+ * maps the lanes onto whatever SIMD width the host has without changing a
+ * bit.  fabs is a sign-bit clear; the selects are bit blends. */
+typedef double sk_vd __attribute__((vector_size(8 * SKETCH_LANES)));
+typedef int64_t sk_vl __attribute__((vector_size(8 * SKETCH_LANES)));
+
+#define SK_BLEND(mask, a, b) \
+    ((sk_vd)(((sk_vl)(a) & (mask)) | ((sk_vl)(b) & ~(mask))))
+
+static void sketch_row(const double *restrict row, int64_t n,
+                       double *restrict o)
+{
+    const sk_vd zero = {0.0};
+    const sk_vd inf = zero + INFINITY;
+    const sk_vl absmask = (sk_vl){0} + INT64_MAX;
+    sk_vd vsh = zero, vsl = zero, vah = zero, val = zero, vmx = zero;
+    sk_vd vmn = inf;
+    int64_t nb = n - n % SKETCH_LANES;
+    for (int64_t j = 0; j < nb; j += SKETCH_LANES) {
+        sk_vd v;
+        memcpy(&v, row + j, sizeof v);
+        sk_vd av = (sk_vd)((sk_vl)v & absmask);
+        sk_vd s = vsh + v;
+        sk_vd bb = s - vsh;
+        vsl = vsl + ((vsh - (s - bb)) + (v - bb));
+        vsh = s;
+        sk_vd t = vah + av;
+        sk_vd tb = t - vah;
+        val = val + ((vah - (t - tb)) + (av - tb));
+        vah = t;
+        vmx = SK_BLEND(av > vmx, av, vmx);
+        sk_vd cand = SK_BLEND(av > zero, av, inf);
+        vmn = SK_BLEND(cand < vmn, cand, vmn);
+    }
+    double sh[SKETCH_LANES], sl[SKETCH_LANES], ah[SKETCH_LANES],
+           al[SKETCH_LANES], mx[SKETCH_LANES], mn[SKETCH_LANES];
+    memcpy(sh, &vsh, sizeof sh); memcpy(sl, &vsl, sizeof sl);
+    memcpy(ah, &vah, sizeof ah); memcpy(al, &val, sizeof al);
+    memcpy(mx, &vmx, sizeof mx); memcpy(mn, &vmn, sizeof mn);
+    for (int64_t j = nb; j < n; j++) {
+        double v = row[j];
+        double av = fabs(v);
+        double s = sh[0] + v;
+        double bb = s - sh[0];
+        sl[0] = sl[0] + ((sh[0] - (s - bb)) + (v - bb));
+        sh[0] = s;
+        double t = ah[0] + av;
+        double tb = t - ah[0];
+        al[0] = al[0] + ((ah[0] - (t - tb)) + (av - tb));
+        ah[0] = t;
+        mx[0] = av > mx[0] ? av : mx[0];
+        double cand = av > 0.0 ? av : INFINITY;
+        mn[0] = cand < mn[0] ? cand : mn[0];
+    }
+    double SH = sh[0], SL = sl[0], AH = ah[0], AL = al[0];
+    double MX = mx[0], MN = mn[0];
+    for (int k = 1; k < SKETCH_LANES; k++) {
+        double s = SH + sh[k];
+        double bb = s - SH;
+        SL = SL + (((SH - (s - bb)) + (sh[k] - bb)) + sl[k]);
+        SH = s;
+        double t = AH + ah[k];
+        double tb = t - AH;
+        AL = AL + (((AH - (t - tb)) + (ah[k] - tb)) + al[k]);
+        AH = t;
+        MX = mx[k] > MX ? mx[k] : MX;
+        MN = mn[k] < MN ? mn[k] : MN;
+    }
+    o[0] = MX; o[1] = MN; o[2] = AH; o[3] = AL; o[4] = SH; o[5] = SL;
+}
+
+int sketch_rows(const double *const *restrict rows,
+                const int64_t *restrict len, int64_t n_items,
+                int64_t n_ranks, double *restrict row_out,
+                double *restrict item_out)
+{
+    for (int64_t it = 0; it < n_items; it++) {
+        double MX = 0.0, MN = INFINITY, AH = 0.0, AL = 0.0, SH = 0.0, SL = 0.0;
+        for (int64_t r = 0; r < n_ranks; r++) {
+            int64_t idx = it * n_ranks + r;
+            double o[6];
+            sketch_row(rows[idx], len[idx], o);
+            if (row_out)
+                for (int p = 0; p < 6; p++) row_out[6 * idx + p] = o[p];
+            MX = o[0] > MX ? o[0] : MX;
+            MN = o[1] < MN ? o[1] : MN;
+            double t = AH + o[2];
+            double tb = t - AH;
+            AL = AL + (((AH - (t - tb)) + (o[2] - tb)) + o[3]);
+            AH = t;
+            double s = SH + o[4];
+            double bb = s - SH;
+            SL = SL + (((SH - (s - bb)) + (o[4] - bb)) + o[5]);
+            SH = s;
+        }
+        if (item_out) {
+            double *io = item_out + 6 * it;
+            io[0] = MX; io[1] = MN; io[2] = AH; io[3] = AL; io[4] = SH; io[5] = SL;
+        }
+    }
+    return 0;
+}
 """
 
 _FUNCTIONS = (
@@ -1058,6 +1184,15 @@ def _compile_library() -> Optional[ctypes.CDLL]:
         fn = getattr(lib, name)
         fn.argtypes = reduce_argtypes
         fn.restype = ctypes.c_int
+    lib.sketch_rows.argtypes = [
+        ctypes.POINTER(ctypes.c_void_p),  # item-major per-chunk pointers
+        ctypes.POINTER(ctypes.c_int64),
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_void_p,  # row planes (NULL: not wanted)
+        ctypes.c_void_p,  # item planes (NULL: not wanted)
+    ]
+    lib.sketch_rows.restype = ctypes.c_int
     return lib
 
 
@@ -1160,26 +1295,34 @@ def sweep_indexed(
     return out
 
 
-def _call_fold(vops, row_ptrs: np.ndarray, lengths: np.ndarray, max_len: int) -> tuple:
-    """Shared fold-kernel dispatch: per-row pointers in, state tuple out."""
+def _call_fold(
+    vops,
+    row_ptrs: np.ndarray,
+    lengths: np.ndarray,
+    max_len: int,
+    outs: Optional[tuple] = None,
+) -> tuple:
+    """Shared fold-kernel dispatch: per-row pointers in, state tuple out
+    (written into ``outs`` when given, one ``len(lengths)`` view each)."""
     lib = _get_lib()
     assert lib is not None, "compiled kernels not available"
     name, n_components = _FOLD_FUNCTIONS[vops.ckernel]
-    n_rows = int(lengths.size)
-    out0 = np.empty(n_rows, dtype=np.float64)
-    out1 = np.empty(n_rows, dtype=np.float64) if n_components == 2 else out0
+    if outs is None:
+        outs = tuple(
+            np.empty(lengths.size, dtype=np.float64) for _ in range(n_components)
+        )
     fn = getattr(lib, name)
     status = fn(
         row_ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
         lengths.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        n_rows,
+        int(lengths.size),
         max_len,
-        out0.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        out1.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        outs[0].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        outs[-1].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
     )
     if status != 0:  # pragma: no cover - allocation failure
         raise MemoryError(f"{name} scratch allocation failed")
-    return (out0,) if n_components == 1 else (out0, out1)
+    return outs
 
 
 def fold_matrix(matrix: np.ndarray, lengths: np.ndarray, vops) -> tuple:
@@ -1198,41 +1341,126 @@ def fold_matrix(matrix: np.ndarray, lengths: np.ndarray, vops) -> tuple:
     return _call_fold(vops, row_ptrs, lengths, width)
 
 
-def fold_chunks(chunks, vops) -> tuple:
-    """Rank-local states straight from a list of 1-D chunks — no packing.
+#: Element budget of one packed kernel block (512 KiB of float64), the
+#: fixed-scratch idiom of ``prerounded._fold_items``: a block holds ~10
+#: serving items of 48 x 128 values, so one copy and one kernel call serve
+#: them all, and the block stays cache-resident.
+_PACK_BUDGET = 1 << 16
 
-    Zero-copy counterpart of ``pack_ragged`` + :func:`fold_matrix`: the
-    kernel reads each chunk in place through a per-row pointer table, so
-    ragged chunk lists cost no padded-matrix materialisation at all.
+#: Mean chunk length from which chunks are read in place: a per-chunk
+#: pointer lookup (~2 us) then costs no more than copying the chunk.
+_INPLACE_LEN = 2048
+
+_SIZE = attrgetter("size")
+
+
+def chunk_sizes(chunks) -> tuple:
+    """``(chunks, sizes)``: the chunk list with each chunk's element count
+    as an int64 vector.  Chunks without a ``size`` (lists, scalars) come
+    back normalised to 1-D float64 arrays."""
+    try:
+        sizes = np.fromiter(map(_SIZE, chunks), dtype=np.int64, count=len(chunks))
+    except AttributeError:
+        chunks = [np.asarray(c, dtype=np.float64).ravel() for c in chunks]
+        sizes = np.fromiter(map(_SIZE, chunks), dtype=np.int64, count=len(chunks))
+    return chunks, sizes
+
+
+def pack_chunks(chunks, flat: np.ndarray) -> None:
+    """Copy ``chunks`` back to back into the float64 block ``flat``."""
+    try:
+        np.concatenate(chunks, out=flat)
+    except (TypeError, ValueError):
+        # dtypes the same-kind cast refuses, multi-d or 0-d chunks
+        np.concatenate(
+            [np.asarray(c, dtype=np.float64).ravel() for c in chunks], out=flat
+        )
+
+
+def _row_blocks(chunks, sizes: np.ndarray, group: int):
+    """Kernel pointer tables over ``chunks`` in blocks of whole units.
+
+    A unit is ``group`` consecutive chunks (one item's ranks).  Yields
+    ``(u0, u1, row_ptrs, lengths)`` for units ``[u0, u1)``.  Short chunks
+    (the serving case) are copied, consecutive units together, into one
+    scratch block of at most ``_PACK_BUDGET`` elements, and their row
+    pointers are ``base + 8 * offset``: one ``ctypes`` lookup per block,
+    not per chunk.  Long chunks, and any unit over the budget, are read in
+    place through per-chunk pointers.  The buffers behind a yielded table
+    stay alive until the next step.
+    """
+    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    unit_offsets = offsets[::group]
+    n_units = unit_offsets.size - 1
+    if n_units == 0:
+        return
+    if int(offsets[-1]) >= _INPLACE_LEN * len(chunks):
+        ptrs, arrays = _in_place(chunks)
+        yield 0, n_units, ptrs, sizes
+        return
+    scratch = None
+    u0 = 0
+    while u0 < n_units:
+        u1 = int(
+            np.searchsorted(
+                unit_offsets, unit_offsets[u0] + _PACK_BUDGET, side="right"
+            )
+        ) - 1
+        c0 = u0 * group
+        if u1 == u0:  # one unit over the budget
+            u1 = u0 + 1
+            ptrs, arrays = _in_place(chunks[c0 : u1 * group])
+            yield u0, u1, ptrs, sizes[c0 : u1 * group]
+        else:
+            c1 = u1 * group
+            start = int(offsets[c0])
+            if scratch is None:
+                scratch = np.empty(min(_PACK_BUDGET, int(offsets[-1]) - start))
+            flat = scratch[: int(offsets[c1]) - start]
+            pack_chunks(chunks[c0:c1], flat)
+            ptrs = ((offsets[c0:c1] - start) * 8 + flat.ctypes.data).view(np.uintp)
+            yield u0, u1, ptrs, sizes[c0:c1]
+        u0 = u1
+
+
+def _in_place(chunks) -> tuple:
+    """``(row_ptrs, arrays)``: pointers to the chunks themselves (normalised
+    to contiguous float64 where needed); keep ``arrays`` alive while the
+    pointers are in use."""
+    arrays = [
+        np.ascontiguousarray(np.asarray(c, dtype=np.float64).ravel()) for c in chunks
+    ]
+    return np.array([a.ctypes.data for a in arrays], dtype=np.uintp), arrays
+
+
+def fold_chunks(chunks, vops) -> tuple:
+    """Rank-local states straight from a list of 1-D chunks.
+
+    Counterpart of ``pack_ragged`` + :func:`fold_matrix` without the padded
+    matrix: chunks are copied back to back into budgeted scratch blocks
+    (long chunks are read in place) and folded one block per kernel call.
     Requires ``has_fold_kernel(vops)``.
     """
-    arrays = [
-        np.ascontiguousarray(np.asarray(c, dtype=np.float64).ravel())
-        for c in chunks
-    ]
-    n_rows = len(arrays)
-    if n_rows == 0:
-        name, n_components = _FOLD_FUNCTIONS[vops.ckernel]
-        empty = np.empty(0, dtype=np.float64)
-        return (empty,) * n_components
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
-    row_ptrs = np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
-    states = _call_fold(vops, row_ptrs, lengths, int(lengths.max()))
-    del arrays  # keep the chunk buffers alive through the kernel call
-    return states
+    _, n_components = _FOLD_FUNCTIONS[vops.ckernel]
+    chunks, sizes = chunk_sizes(chunks)
+    outs = tuple(np.empty(len(chunks), dtype=np.float64) for _ in range(n_components))
+    for r0, r1, ptrs, lens in _row_blocks(chunks, sizes, 1):
+        _call_fold(vops, ptrs, lens, int(lens.max()), tuple(o[r0:r1] for o in outs))
+    return outs
 
 
 def reduce_balanced_chunks(
     chunks, n_ranks: int, vops, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Balanced rank-tree values of whole items in one fused kernel call.
+    """Balanced rank-tree values of whole items in fused kernel calls.
 
     ``chunks`` is an item-major flat list: ``n_items`` consecutive groups of
     ``n_ranks`` 1-D chunks each (item ``i``'s rank ``r`` chunk at index
     ``i * n_ranks + r``).  Each item folds its rank chunks to accumulator
     states and collapses them through the balanced reduction tree inside the
-    kernel, so a worker serves its whole contiguous shard in one ``ctypes``
-    call.  Bitwise-equal to :func:`fold_chunks` +
+    kernel; items are packed into budgeted scratch blocks, one kernel call
+    per block.  Bitwise-equal to :func:`fold_chunks` +
     ``compile_tree(balanced(n_ranks)).reduce_states`` + ``vops.result``;
     requires ``has_reduce_kernel(vops)``.  ``out`` (when given) must be a
     contiguous float64 vector of ``n_items`` — e.g. a result-arena view, so
@@ -1240,15 +1468,11 @@ def reduce_balanced_chunks(
     """
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
-    arrays = [
-        np.ascontiguousarray(np.asarray(c, dtype=np.float64).ravel())
-        for c in chunks
-    ]
-    if len(arrays) % n_ranks:
+    if len(chunks) % n_ranks:
         raise ValueError(
-            f"chunk count {len(arrays)} is not a multiple of n_ranks {n_ranks}"
+            f"chunk count {len(chunks)} is not a multiple of n_ranks {n_ranks}"
         )
-    n_items = len(arrays) // n_ranks
+    n_items = len(chunks) // n_ranks
     if out is None:
         out = np.empty(n_items, dtype=np.float64)
     elif out.dtype != np.float64 or not out.flags.c_contiguous or out.size != n_items:
@@ -1257,18 +1481,43 @@ def reduce_balanced_chunks(
         return out
     lib = _get_lib()
     assert lib is not None, "compiled kernels not available"
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
-    row_ptrs = np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
     fn = getattr(lib, _REDUCE_FUNCTIONS[vops.ckernel])
-    status = fn(
-        row_ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-        lengths.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        n_items,
-        n_ranks,
-        int(lengths.max()),
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-    )
-    if status != 0:  # pragma: no cover - allocation failure
-        raise MemoryError("reduce_balanced scratch allocation failed")
-    del arrays  # keep the chunk buffers alive through the kernel call
+    chunks, sizes = chunk_sizes(chunks)
+    for u0, u1, ptrs, lens in _row_blocks(chunks, sizes, n_ranks):
+        status = fn(
+            ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
+            lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+            u1 - u0,
+            n_ranks,
+            int(lens.max()),
+            out[u0:u1].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        )
+        if status != 0:  # pragma: no cover - allocation failure
+            raise MemoryError("reduce_balanced scratch allocation failed")
     return out
+
+
+def sketch_planes(chunks, sizes: np.ndarray, n_ranks: int, rows: bool, items: bool):
+    """Compiled compensated sketch of an item-major chunk list.
+
+    Returns ``(row_planes, item_planes)``: ``(n_rows, 6)`` and
+    ``(n_items, 6)`` float64 arrays (or ``None`` when not asked for) with
+    columns ``max, min_nonzero, abs_hi, abs_lo, sum_hi, sum_lo`` — see the
+    ``sketch_rows`` C comment for the lane order.  ``sizes`` comes from
+    :func:`chunk_sizes`; requires :func:`kernels_available`.
+    """
+    lib = _get_lib()
+    assert lib is not None, "compiled kernels not available"
+    n_items = len(chunks) // n_ranks
+    row_out = np.empty((len(chunks), 6)) if rows else None
+    item_out = np.empty((n_items, 6)) if items else None
+    for u0, u1, ptrs, lens in _row_blocks(chunks, sizes, n_ranks):
+        lib.sketch_rows(
+            ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
+            lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+            u1 - u0,
+            n_ranks,
+            None if row_out is None else row_out[u0 * n_ranks :].ctypes.data,
+            None if item_out is None else item_out[u0:].ctypes.data,
+        )
+    return row_out, item_out
