@@ -175,7 +175,7 @@ async def _run_mode(
         batching=batching,
     ) as daemon:
         host, port = daemon.host, daemon.port
-        # warmup: populate the decision cache so both modes time steady state
+        # warmup: one request first so both modes time steady state
         await http_request(host, port, "POST", "/v1/reduce", payloads[0][0])
         best = float("inf")
         hexes: "list[str]" = []
@@ -363,7 +363,7 @@ def bench_codecs(repeats: int = 3) -> dict:
                     FRAME_CONTENT_TYPE if binary else "application/json"
                 )
                 decode = _decode_binary_bits if binary else _decode_json_bits
-                # warmup: decision cache + scaffold/buffer growth
+                # warmup: scaffold/buffer growth
                 _, warm_bits = await _fire_codec_burst(
                     host, port, bodies[:CONCURRENCY], content_type, decode
                 )

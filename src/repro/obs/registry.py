@@ -182,7 +182,9 @@ class Histogram:
         self._count = 0
         self._lock = threading.Lock()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (a batch's amortised per-item
+        time, weighted by its item count, is one call)."""
         value = float(value)
         lo, hi = 0, len(self.buckets)
         while lo < hi:  # bisect over the fixed bounds
@@ -192,9 +194,9 @@ class Histogram:
             else:
                 lo = mid + 1
         with self._lock:
-            self._counts[lo] += 1
-            self._sum += value  # repro: allow[FP003] -- telemetry total, not a numerical result
-            self._count += 1
+            self._counts[lo] += count
+            self._sum += value * count  # repro: allow[FP003] -- telemetry total, not a numerical result
+            self._count += count
 
     @property
     def count(self) -> int:

@@ -1,5 +1,5 @@
 """Compensated sketch kernel: one read of each chunk feeds profiling and the
-bound tier.
+bound probe.
 
 Per chunk (one *row*) the kernel yields six statistics: ``max|x|``,
 ``min{|x| : x != 0}``, and TwoSum-compensated ``(hi, lo)`` pairs for
@@ -7,7 +7,7 @@ Per chunk (one *row*) the kernel yields six statistics: ``max|x|``,
 first ``width - width % 8`` elements feeds lane ``j % 8``, the tail feeds
 lane 0, and lanes 1..7 merge into lane 0 in order.  Each lane is the
 sequential Sum2 chain ``hi, e = TwoSum(hi, v); lo = lo + e``, so a row's
-``hi`` is exactly the plain lane-parallel sum (what the bound tier
+``hi`` is exactly the plain lane-parallel sum (what the bound probe
 certifies) and ``hi + lo`` is the compensated sum the profiling sketch
 needs.  Asked for items, the kernel also runs each item's
 :meth:`repro.selection.profile.StreamProfile.merge` chain over its rank rows

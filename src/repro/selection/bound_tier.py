@@ -1,15 +1,16 @@
-"""Bound-driven selection tier: O(1) analytic certification, no profiling.
+"""Analytic certification probe: which items a provable bound settles.
 
-Empirical profiling and this tier read the data through the same fused
-sketch kernel (:mod:`repro.selection._statskernel`), so the tier saves no
-data pass; it replaces the variability-model query with a *provable*
-answer.  It decides from the kernel's **cheap one-pass statistics**
-whether an algorithm's *provable* Hallman–Ipsen error bound
-(:func:`repro.metrics.bounds.summation_error_bound`, deterministic or
-probabilistic at a requested confidence) already meets the reproducibility
-threshold, and skips the profiling policy's query when it does.
+This module is not a selection route: :class:`repro.selection.selector.AdaptiveReducer`
+always profiles and queries its policy.  It answers a separate question
+about a stream of reductions: for which items does a *provable*
+Hallman–Ipsen error bound (:func:`repro.metrics.bounds.summation_error_bound`,
+deterministic or probabilistic at a requested confidence) already certify
+the algorithm the profiling policy picks?  :meth:`BoundTier.decide_stream`
+answers from cheap one-pass statistics read through the same fused sketch
+kernel as profiling (:mod:`repro.selection._statskernel`), so the probe can
+be measured next to the served decisions.
 
-Two properties make the tier safe to run in front of the profiling policy:
+Two properties make a resolved item trustworthy:
 
 1. **Certified statistics.**  The cheap pass computes ``Σ|x|`` and ``Σx``
    with plain binary64 summation (eight lanes within chunks, pairwise
@@ -19,15 +20,13 @@ Two properties make the tier safe to run in front of the profiling policy:
    below is evaluated at the conservative end, so a certification is a
    theorem about the data, not a guess.
 
-2. **Decision agreement.**  A candidate is fast-path certified only when
+2. **Decision agreement.**  A candidate is certified only when
    (a) its provable bound at ``k_hi`` meets the threshold AND (b) the
    profiling policy's own variability estimate at ``k_hi`` would accept it;
    a candidate is skipped only when the policy's estimate at ``k_lo`` would
-   provably reject it.  Anything in between is *inconclusive* and falls
-   back to the empirical profiling pipeline unchanged.  Consequently a
-   tier-resolved decision always carries the same algorithm code the
-   profiling path would have chosen — the fast path changes selection
-   *cost*, never selection *outcome* (tests pin this).
+   provably reject it.  Anything in between is *inconclusive* (``None``).
+   Consequently a resolved item always carries the same algorithm code the
+   profiling route chooses (tests pin this).
 
 The statistics pass is precision-aware: each item carries the unit roundoff
 of its input dtype (:func:`item_unit_roundoff`), so fp32/fp16 inputs are
@@ -48,7 +47,6 @@ from repro.metrics.bounds import summation_error_bound
 from repro.metrics.properties import SetProfile
 from repro.selection._statskernel import sketch
 from repro.selection.policy import SelectionDecision
-from repro.selection.profile import StreamProfile
 from repro.trees._ckernels import chunk_sizes
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "bound_stats_item",
     "bound_stats_stream",
     "item_unit_roundoff",
-    "stream_statistics",
     "unit_roundoff_of",
 ]
 
@@ -94,13 +91,13 @@ def unit_roundoff_of(dtypes: set) -> float:
 
 @dataclass(frozen=True)
 class BoundStats:
-    """One cheap pass over one reduction's operands: everything the bound
-    tier needs.
+    """One cheap pass over one reduction's operands: everything the probe
+    needs.
 
     ``abs_sum`` and ``approx_sum`` are plain binary64 summations (the sketch
     kernel's ``hi`` planes — its eight-lane order within chunks — merged
     pairwise across ranks: a fixed order of height ``<= n-1``); their own
-    rounding error is certified by the tier before use.  ``u`` is the input
+    rounding error is certified by the probe before use.  ``u`` is the input
     dtype's unit roundoff.
     """
 
@@ -117,77 +114,35 @@ class BoundStats:
             return 0
         return exponent(self.max_abs) - exponent(self.min_abs_nonzero)
 
-    def as_stream_profile(self) -> StreamProfile:
-        """The stats as a (lo-parts-zero) sketch: what the reduce stage and
-        the shared-memory result arena consume for fast-path items."""
-        return StreamProfile(
-            n=self.n,
-            max_abs=self.max_abs,
-            min_abs_nonzero=self.min_abs_nonzero,
-            abs_sum_hi=self.abs_sum,
-            abs_sum_lo=0.0,
-            sum_hi=self.approx_sum,
-            sum_lo=0.0,
-        )
-
-    @staticmethod
-    def from_stream_profile(sketch: StreamProfile, u: float) -> "BoundStats":
-        """Inverse of :meth:`as_stream_profile` (the arena replay path)."""
-        return BoundStats(
-            n=sketch.n,
-            max_abs=sketch.max_abs,
-            min_abs_nonzero=sketch.min_abs_nonzero,
-            abs_sum=sketch.abs_sum_hi,
-            approx_sum=sketch.sum_hi,
-            u=u,
-        )
-
 
 def bound_stats_item(chunks, u: float) -> BoundStats:
     """Cheap one-pass statistics of one reduction's chunk list: the
-    one-item case of :func:`stream_statistics`."""
-    return stream_statistics([chunks], [u])[0][0]
+    one-item case of :func:`bound_stats_stream`."""
+    return bound_stats_stream([chunks], [u])[0]
 
 
-def bound_stats_stream(
-    batches, us: Sequence[float]
-) -> "list[BoundStats]":
+def bound_stats_stream(batches, us: Sequence[float]) -> "list[BoundStats]":
     """Cheap statistics for a whole stream in one kernel call.
-
-    Every chunk of the stream is one sketch row (packed into budgeted
-    blocks, one read each); the tier uses the rows' ``hi`` planes.  Streams
-    with a varying rank count fall back to the bitwise-identical per-item
-    loop.
-    """
-    return stream_statistics(batches, us)[0]
-
-
-def stream_statistics(batches, us: Sequence[float]) -> tuple:
-    """:func:`bound_stats_stream` plus, from the same kernel pass, every
-    item's profiling sketch fields: ``(stats, fields)`` where
-    ``StreamProfile(stats[i].n, *fields[i])`` is bitwise-equal to
-    :func:`repro.selection.profile.profile_stream` of item ``i``
-    (``fields`` is ``None`` for streams with a varying rank count).
 
     Each chunk is one row of the compensated sketch kernel
     (:mod:`repro.selection._statskernel`, bitwise-equal with or without a
-    compiler).  The tier takes the rows' ``hi`` planes — the plain
+    compiler).  The probe takes the rows' ``hi`` planes — the plain
     lane-parallel sums — and merges each item's ranks with one pairwise
     :func:`np.sum` over a contiguous matrix row, which NumPy computes
     exactly as the 1-D sum of that row, so an item's statistics do not
-    depend on the stream around it.
+    depend on the stream around it.  Streams with a varying rank count
+    fall back to the bitwise-identical per-item loop.
     """
     n_items = len(batches)
     if n_items == 0:
-        return [], []
+        return []
     n_ranks = len(batches[0])
     if any(len(chunks) != n_ranks for chunks in batches):
-        return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)], None
+        return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)]
     if n_ranks == 0:
-        stats = [BoundStats(0, 0.0, math.inf, 0.0, 0.0, u) for u in us]
-        return stats, [[0.0, math.inf, 0.0, 0.0, 0.0, 0.0] for _ in us]
+        return [BoundStats(0, 0.0, math.inf, 0.0, 0.0, u) for u in us]
     chunks, sizes = chunk_sizes([c for chunks in batches for c in chunks])
-    rows, items = sketch(chunks, sizes, n_ranks, rows=True, items=True)
+    rows, _ = sketch(chunks, sizes, n_ranks, rows=True, items=False)
     planes = rows.T.copy()
     shape = (n_items, n_ranks)
     max_tot = planes[0].reshape(shape).max(axis=1)
@@ -195,7 +150,7 @@ def stream_statistics(batches, us: Sequence[float]) -> tuple:
     abs_tot = np.sum(planes[2].reshape(shape), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
     sum_tot = np.sum(planes[4].reshape(shape), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
     n_tot = sizes.reshape(shape).sum(axis=1).tolist()  # repro: allow[FP002] -- integer element counts, not an FP reduction
-    stats = [
+    return [
         BoundStats(
             n=n_tot[i],
             max_abs=float(max_tot[i]),
@@ -206,19 +161,19 @@ def stream_statistics(batches, us: Sequence[float]) -> tuple:
         )
         for i in range(n_items)
     ]
-    return stats, items.tolist()
 
 
 @dataclass(frozen=True)
 class BoundTier:
-    """The O(1) analytic selection tier.
+    """The analytic certification probe.
 
     ``confidence`` parameterises the probabilistic (martingale) bounds:
     ``1.0`` (default) certifies only against the deterministic worst case;
     ``0.999999`` allows the ``sqrt(n)``-scaled probabilistic forms, which
     is what certifies large well-conditioned reductions at serving-grade
-    thresholds.  Frozen and picklable — the shard workers carry it into the
-    pool and the parent replays it for the bitwise-identity audit.
+    thresholds.  ``policy`` must walk ``candidates`` cheapest-first with a
+    vectorised ``model`` and a ``cost_model``, as :class:`AnalyticPolicy`
+    does.
     """
 
     confidence: float = 1.0
@@ -227,28 +182,21 @@ class BoundTier:
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError("confidence must be in (0, 1]")
 
-    @staticmethod
-    def engages(policy) -> bool:
-        """The tier can only front policies it can reason about: cheapest-
-        first walkers exposing ``candidates``, a vectorised ``model`` and a
-        ``cost_model`` (:class:`AnalyticPolicy` opts in)."""
-        return bool(getattr(policy, "supports_bound_tier", False))
-
     def decide_stream(
         self,
         stats: Sequence[BoundStats],
         threshold: float,
         policy,
     ) -> "list[SelectionDecision | None]":
-        """Resolve what can be *proved*; return ``None`` where profiling
-        must decide.
+        """Resolve what can be *proved*; return ``None`` where only
+        profiling decides.
 
         Walks the policy's candidates cheapest-first with three vectorised
         verdicts per candidate: **certify** (provable bound and the
         policy's own estimate both meet the threshold at the conservative
         ``k_hi``), **reject** (the policy's estimate provably misses the
         threshold even at ``k_lo`` — keep walking), or **inconclusive**
-        (fall back to empirical profiling for this item).  Items whose every
+        (``None`` for this item).  Items whose every
         candidate is provably rejected resolve to the policy's documented
         most-robust fall-through.
         """
@@ -335,10 +283,3 @@ class BoundTier:
                 u=s.u,
             )
         return decisions
-
-    def decide_item(
-        self, stats: BoundStats, threshold: float, policy
-    ) -> "SelectionDecision | None":
-        """Single-item :meth:`decide_stream` (all lanes are independent, so
-        this is bitwise-identical to the item's lane in a stream call)."""
-        return self.decide_stream([stats], threshold, policy)[0]

@@ -58,9 +58,11 @@ __all__ = ["SelectionDecision", "VariabilityModel", "AnalyticPolicy"]
 class SelectionDecision:
     """The outcome of a policy query — everything needed to audit it.
 
-    ``tier`` records which selection tier produced the decision:
-    ``"profile"`` (empirical sketch + calibrated variability model, the
-    default) or ``"bound"`` (the O(1) Hallman–Ipsen analytic fast path).
+    ``tier`` records what produced the decision: ``"profile"`` (empirical
+    sketch + calibrated variability model, every
+    :class:`~repro.selection.selector.AdaptiveReducer` decision) or
+    ``"bound"`` (the Hallman–Ipsen certification probe,
+    :meth:`repro.selection.bound_tier.BoundTier.decide_stream`).
     ``u`` is the unit roundoff the decision was made at — ``2**-53`` for
     binary64 inputs, larger for fp32/fp16 scenario inputs, so low-precision
     data is never silently upcast inside the selection decision.
@@ -155,8 +157,8 @@ class VariabilityModel:
         ``u`` may be a scalar or a per-item array of unit roundoffs.  Each
         lane evaluates the exact scalar expression (same operation order, so
         results are bitwise-equal to per-item :meth:`predict_std` calls) —
-        this is what lets the bound tier reason about the profiling policy's
-        own accept/reject behaviour without running it per item.
+        this is what lets the bound probe reason about the profiling
+        policy's own accept/reject behaviour without running it per item.
         """
         n = np.maximum(np.asarray(n, dtype=np.float64), 1.0)
         k = np.asarray(k, dtype=np.float64)
@@ -182,9 +184,6 @@ class AnalyticPolicy:
     #: this policy's select() accepts the u keyword (precision-aware
     #: decisions for fp32/fp16 inputs)
     supports_unit_roundoff = True
-    #: the bound tier can introspect this policy (candidates in cost order +
-    #: a vectorised variability model) to prove decision agreement
-    supports_bound_tier = True
 
     def __init__(
         self,

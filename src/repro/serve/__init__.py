@@ -2,8 +2,8 @@
 
 ROADMAP item 1 calls network serving "the piece that turns library into
 service": the batched selection/reduction engines
-(:meth:`repro.selection.selector.AdaptiveReducer.reduce_many`, the bound
-tier, the persistent worker pool) only pay off when they sit in front of
+(:meth:`repro.selection.selector.AdaptiveReducer.reduce_many`, the
+persistent worker pool) only pay off when they sit in front of
 real concurrent traffic.  This package is that front end, built on stdlib
 ``asyncio`` with a hand-rolled minimal HTTP/1.1 layer — no new
 dependencies:

@@ -29,8 +29,8 @@ Semantics:
 
 Batches execute one at a time (the drain task awaits each executor call),
 so a single-reducer daemon never runs two ``reduce_many`` calls
-concurrently from this path — the decision cache and dispatch arenas see
-strictly ordered traffic even at high client concurrency.
+concurrently from this path — the dispatch arenas see strictly ordered
+traffic even at high client concurrency.
 
 Item lifetime: queued items may be zero-copy ndarray views of a
 connection's receive buffer (the binary-frame ingest path), pinned only

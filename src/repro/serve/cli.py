@@ -61,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     parser.add_argument(
-        "--bound-confidence", type=float, default=None,
-        help="enable the analytic bound fast path at this confidence "
-        "(1.0 = deterministic bounds only; default: off)",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=64,
         help="max requests coalesced into one reduce_many tick "
         "(default: %(default)s)",
@@ -144,7 +139,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ranks=args.ranks,
         workers=args.workers,
         threshold=args.threshold,
-        bound_confidence=args.bound_confidence,
         max_batch=args.max_batch,
         max_linger_us=args.max_linger_us,
         queue_size=args.queue_size,

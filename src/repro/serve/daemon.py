@@ -1,7 +1,7 @@
 """The repro-serve asyncio daemon: HTTP routes over the micro-batcher.
 
 One daemon owns one :class:`AdaptiveReducer` (one simulated communicator,
-one decision cache, one worker-pool handle) and one
+one worker-pool handle) and one
 :class:`~repro.serve.batcher.MicroBatcher`.  The event loop only parses
 sockets and JSON; every reduction executes through the batcher's single
 drain task (micro-batched ``reduce_many`` in a worker thread), so client
@@ -121,7 +121,6 @@ class ReproServeDaemon:
         ranks: int = 8,
         workers: "int | None" = None,
         threshold: float = 1e-13,
-        bound_confidence: "float | None" = None,
         max_batch: int = 64,
         max_linger_us: float = 1000.0,
         queue_size: int = 1024,
@@ -147,11 +146,7 @@ class ReproServeDaemon:
         if reducer is not None:
             self.reducer = reducer
         else:
-            self.reducer = AdaptiveReducer(
-                SimComm(int(ranks)),
-                threshold=threshold,
-                bound_confidence=bound_confidence,
-            )
+            self.reducer = AdaptiveReducer(SimComm(int(ranks)), threshold=threshold)
         self.batcher = MicroBatcher(
             self._reduce_batch,
             max_batch=max_batch,

@@ -1,13 +1,12 @@
-"""The bound-driven selection tier: agreement, bitwise identity, precision.
+"""The Hallman–Ipsen certification probe, checked against the one route.
 
-The tier's contract (Sec. V.D's runtime, minus the profiling tax): enabling
-``bound_confidence`` must change *selection cost only* — every decision code
-and every reduced value stays bitwise-identical to the profiling-only
-pipeline, because the tier resolves an item only when it can prove the
-profiling policy would choose the same algorithm.  These tests pin that
-agreement across data regimes, dtypes, thresholds, worker counts and the
-decision cache, plus the fp32/fp16 precision axis (no silent upcast inside
-the decision) and the new observability counters.
+:class:`AdaptiveReducer` always profiles and queries its policy.  The bound
+probe (:meth:`BoundTier.decide_stream` over :func:`bound_stats_stream`)
+resolves an item only when it can prove the profiling policy picks the
+same algorithm.  These tests pin that agreement against the reducer's own
+codes across data regimes, dtypes, thresholds and worker counts, plus the
+fp32/fp16 precision axis (no silent upcast inside the decision) on every
+route.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.obs import get_registry
 from repro.selection import (
     AdaptiveReducer,
     AnalyticPolicy,
-    BoundStats,
     BoundTier,
     bound_stats_item,
     bound_stats_stream,
@@ -67,85 +65,79 @@ def _stream(kinds, seeds, dtype=np.float64):
 KINDS = ("easy", "mixed", "cancel", "zero", "denormal", "wide")
 
 
+def _probe(batches, threshold, confidence=CONFIDENCE):
+    """The probe's decisions for a stream (``None`` where it cannot prove)."""
+    us = [item_unit_roundoff(chunks) for chunks in batches]
+    return BoundTier(confidence=confidence).decide_stream(
+        bound_stats_stream(batches, us), threshold, AnalyticPolicy()
+    )
+
+
+def _assert_probe_agrees(probe, results):
+    """Every item the probe resolves carries the reducer's code."""
+    for d, r in zip(probe, results):
+        if d is not None:
+            assert d.tier == "bound"
+            assert d.code == r.decision.code
+
+
 class TestDecisionAgreement:
-    """Tiered and untiered pipelines always pick the same algorithm."""
+    """A probe-resolved item always carries the reducer's algorithm."""
 
     @pytest.mark.parametrize("threshold", [1e-7, 1e-11, 1e-13, 1e-15, 0.0])
     def test_reduce_many_agreement_sweep(self, threshold):
         batches = _stream(KINDS, range(4))
-        comm = SimComm(N_RANKS)
-        plain = AdaptiveReducer(comm, threshold=threshold)
-        tiered = AdaptiveReducer(
-            comm, threshold=threshold, bound_confidence=CONFIDENCE
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=threshold)
+        _assert_probe_agrees(
+            _probe(batches, threshold), reducer.reduce_many(batches, workers=1)
         )
-        rp = plain.reduce_many(batches, workers=1)
-        rt = tiered.reduce_many(batches, workers=1)
-        assert [r.decision.code for r in rp] == [r.decision.code for r in rt]
-        for a, b in zip(rp, rt):
-            assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_solo_reduce_agreement(self, kind):
-        comm = SimComm(N_RANKS)
-        plain = AdaptiveReducer(comm, threshold=1e-13)
-        tiered = AdaptiveReducer(comm, threshold=1e-13, bound_confidence=CONFIDENCE)
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
         for seed in range(3):
             chunks = _chunks(kind, seed)
-            a = plain.reduce(chunks)
-            b = tiered.reduce(chunks)
-            assert a.decision.code == b.decision.code
-            assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+            _assert_probe_agrees(_probe([chunks], 1e-13), [reducer.reduce(chunks)])
 
     def test_deterministic_confidence_agreement(self):
         """confidence=1.0 (deterministic bounds only) also never disagrees."""
         batches = _stream(KINDS, range(2))
-        comm = SimComm(N_RANKS)
-        plain = AdaptiveReducer(comm, threshold=1e-9)
-        tiered = AdaptiveReducer(comm, threshold=1e-9, bound_confidence=1.0)
-        rp = plain.reduce_many(batches, workers=1)
-        rt = tiered.reduce_many(batches, workers=1)
-        assert [r.decision.code for r in rp] == [r.decision.code for r in rt]
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-9)
+        _assert_probe_agrees(
+            _probe(batches, 1e-9, confidence=1.0),
+            reducer.reduce_many(batches, workers=1),
+        )
 
     def test_fast_path_actually_engages(self):
-        """Well-conditioned serving data resolves via the bound tier."""
+        """Well-conditioned serving data is certified by the probe."""
         batches = _stream(("easy",), range(8))
-        tiered = AdaptiveReducer(
-            SimComm(N_RANKS), threshold=1e-13, bound_confidence=CONFIDENCE
-        )
-        results = tiered.reduce_many(batches, workers=1)
-        assert all(r.decision.tier == "bound" for r in results)
-        # and the tier bypasses the decision cache entirely
-        assert tiered.decision_cache_info()["misses"] == 0
+        probe = _probe(batches, 1e-13)
+        assert all(d is not None for d in probe)
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
+        _assert_probe_agrees(probe, reducer.reduce_many(batches, workers=1))
 
     def test_inconclusive_items_fall_back(self):
         """Exact-zero sums are beyond cheap-statistics certification."""
-        batches = _stream(("zero",), range(4))
-        tiered = AdaptiveReducer(
-            SimComm(N_RANKS), threshold=1e-13, bound_confidence=CONFIDENCE
-        )
-        results = tiered.reduce_many(batches, workers=1)
-        assert all(r.decision.tier == "profile" for r in results)
-        assert tiered.decision_cache_info()["misses"] >= 1
+        assert all(d is None for d in _probe(_stream(("zero",), range(4)), 1e-13))
 
     def test_default_is_tier_off(self):
+        """The reducer decides every item by profiling, on every route."""
         reducer = AdaptiveReducer(SimComm(N_RANKS))
-        assert reducer.bound_confidence is None
-        results = reducer.reduce_many(_stream(("easy",), range(2)), workers=1)
-        assert all(r.decision.tier == "profile" for r in results)
+        batches = _stream(("easy",), range(2))
+        for workers in (1, 2):
+            results = reducer.reduce_many(batches, workers=workers)
+            assert all(r.decision.tier == "profile" for r in results)
+        assert reducer.reduce(batches[0]).decision.tier == "profile"
 
     def test_nondeterministic_route_skips_tier(self):
-        tiered = AdaptiveReducer(
-            SimComm(N_RANKS), threshold=1e-7, bound_confidence=CONFIDENCE
-        )
-        res = tiered.reduce(_chunks("easy", 0), nondeterministic=True)
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-7)
+        res = reducer.reduce(_chunks("easy", 0), nondeterministic=True)
         assert res.decision.tier == "profile"
 
     def test_confidence_validation(self):
-        for bad in (0.0, -0.5, 1.5):
+        for bad in (0.0, -0.5, 1.5, 2.0):
             with pytest.raises(ValueError):
-                AdaptiveReducer(SimComm(2), bound_confidence=bad)
-        with pytest.raises(ValueError):
-            BoundTier(confidence=2.0)
+                BoundTier(confidence=bad)
 
 
 class TestPrecisionAxis:
@@ -167,65 +159,41 @@ class TestPrecisionAxis:
     def test_low_precision_round_trip(self, dtype):
         u = unit_roundoff(dtype)
         batches = _stream(("easy", "mixed"), range(3), dtype=dtype)
-        comm = SimComm(N_RANKS)
-        plain = AdaptiveReducer(comm, threshold=1e-13)
-        tiered = AdaptiveReducer(comm, threshold=1e-13, bound_confidence=CONFIDENCE)
-        rp = plain.reduce_many(batches, workers=1)
-        rt = tiered.reduce_many(batches, workers=1)
-        for a, b in zip(rp, rt):
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
+        many = reducer.reduce_many(batches, workers=1)
+        for chunks, a in zip(batches, many):
+            b = reducer.reduce(chunks)
             # the decision was made at the input's own roundoff, both paths
             assert a.decision.u == u
             assert b.decision.u == u
             assert a.decision.code == b.decision.code
             assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        _assert_probe_agrees(_probe(batches, 1e-13), many)
         # at serving thresholds low-precision variability forces the exact
         # algorithm — the decision visibly differs from the binary64 one
-        r64 = plain.reduce_many(_stream(("easy",), range(1)), workers=1)
+        r64 = reducer.reduce_many(_stream(("easy",), range(1)), workers=1)
         assert r64[0].decision.code == "ST"
-        assert rt[0].decision.code == "PR"
+        assert many[0].decision.code == "PR"
 
     def test_solo_reduce_low_precision(self):
-        tiered = AdaptiveReducer(
-            SimComm(N_RANKS), threshold=1e-13, bound_confidence=CONFIDENCE
-        )
-        res = tiered.reduce(_chunks("easy", 0, dtype=np.float16))  # repro: allow[FP005] -- exercises the tier's fp16 precision axis
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
+        res = reducer.reduce(_chunks("easy", 0, dtype=np.float16))  # repro: allow[FP005] -- exercises the fp16 precision axis
         assert res.decision.u == 2.0**-11
         assert math.isfinite(res.value)
 
-    def test_cache_key_no_dtype_aliasing(self):
-        """Regression (cache-key extension): an fp16 stream whose profile
-        signature (n, k-decade, dr, threshold) matches a binary64 stream's
-        must not reuse its cached decision."""
+    def test_fp16_never_aliases_binary64_decision(self):
+        """An fp16 stream with the same (n, k, dr, threshold) profile as a
+        binary64 stream decides at its own roundoff, on the same reducer."""
         reducer = AdaptiveReducer(SimComm(2), threshold=1e-13)
         rng = np.random.default_rng(5)
         base = rng.random(32)
         b64 = [[base.copy(), base.copy()]]
         b16 = [[base.astype(np.float16), base.astype(np.float16)]]  # repro: allow[FP005] -- the aliasing regression needs a genuine fp16 stream
         r64 = reducer.reduce_many(b64, workers=1)
-        info_before = reducer.decision_cache_info()
         r16 = reducer.reduce_many(b16, workers=1)
-        info_after = reducer.decision_cache_info()
-        # second stream was a cache miss, not an aliased hit
-        assert info_after["misses"] == info_before["misses"] + 1
         assert r64[0].decision.u == 2.0**-53
         assert r16[0].decision.u == 2.0**-11
         assert r64[0].decision.code != r16[0].decision.code
-
-    def test_cache_key_no_confidence_aliasing(self):
-        """Reconfiguring the tier changes the key's confidence axis."""
-        comm = SimComm(2)
-        sketch_batches = [[np.ones(16), np.ones(16)]]
-        r1 = AdaptiveReducer(comm, threshold=1e-13)
-        r2 = AdaptiveReducer(comm, threshold=1e-13, bound_confidence=0.5)
-        k1 = r1._decision_key(
-            bound_stats_item(sketch_batches[0], UNIT_ROUNDOFF).as_stream_profile(),
-            1e-13,
-        )
-        k2 = r2._decision_key(
-            bound_stats_item(sketch_batches[0], UNIT_ROUNDOFF).as_stream_profile(),
-            1e-13,
-        )
-        assert k1 != k2
 
 
 class TestStatisticsPass:
@@ -247,11 +215,6 @@ class TestStatisticsPass:
         stream = bound_stats_stream(batches, us)
         for st, chunks in zip(stream, batches):
             assert st == bound_stats_item(chunks, UNIT_ROUNDOFF)
-
-    def test_stats_round_trip_through_stream_profile(self):
-        stats = bound_stats_item(_chunks("wide", 1), 2.0**-24)
-        again = BoundStats.from_stream_profile(stats.as_stream_profile(), 2.0**-24)
-        assert again == stats
 
     def test_empty_and_zero_items(self):
         zero = bound_stats_item([np.zeros(8), np.zeros(8)], UNIT_ROUNDOFF)
@@ -284,23 +247,22 @@ class TestParallelPath:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_bitwise_identity(self, workers):
         batches = _stream(KINDS, range(3))
-        comm = SimComm(N_RANKS)
-        tiered = AdaptiveReducer(comm, threshold=1e-13, bound_confidence=CONFIDENCE)
-        serial = tiered.reduce_many(batches, workers=1)
-        parallel = tiered.reduce_many(batches, workers=workers)
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
+        serial = reducer.reduce_many(batches, workers=1)
+        parallel = reducer.reduce_many(batches, workers=workers)
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
             assert a.decision.code == b.decision.code
             assert a.decision.tier == b.decision.tier
             assert a.decision.u == b.decision.u
+        _assert_probe_agrees(_probe(batches, 1e-13), parallel)
 
     def test_parallel_low_precision_round_trip(self):
         batches = _stream(("easy", "mixed"), range(4), dtype=np.float32)  # repro: allow[FP005] -- exercises the parallel fp32 precision axis
-        comm = SimComm(N_RANKS)
-        tiered = AdaptiveReducer(comm, threshold=1e-13, bound_confidence=CONFIDENCE)
-        serial = tiered.reduce_many(batches, workers=1)
-        parallel = tiered.reduce_many(batches, workers=2)
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
+        serial = reducer.reduce_many(batches, workers=1)
+        parallel = reducer.reduce_many(batches, workers=2)
         for a, b in zip(serial, parallel):
             assert b.decision.u == 2.0**-24
             assert a.decision.code == b.decision.code
@@ -324,30 +286,24 @@ class TestObservability:
             s["value"] for s in snapshot.get("counters", {}).get(name, [])
         )
 
-    def test_fast_path_and_fallback_counters_reconcile(self):
-        batches = _stream(("easy", "zero"), range(3))
-        tiered = AdaptiveReducer(
-            SimComm(N_RANKS), threshold=1e-13, bound_confidence=CONFIDENCE
-        )
-        results = tiered.reduce_many(batches, workers=1)
-        snap = get_registry().snapshot()
-        fast = self._counter_total(snap, "repro_select_bound_fast_path_total")
-        fallback = self._counter_total(snap, "repro_select_profile_fallback_total")
-        assert fast + fallback == len(batches)
-        assert fast == sum(1 for r in results if r.decision.tier == "bound")
-        assert fast > 0 and fallback > 0
-        assert "repro_selector_bound_seconds" in snap.get("histograms", {})
-
     def test_solo_reduce_counters(self):
-        tiered = AdaptiveReducer(
-            SimComm(N_RANKS), threshold=1e-13, bound_confidence=CONFIDENCE
-        )
-        tiered.reduce(_chunks("easy", 0))
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
+        reducer.reduce(_chunks("easy", 0))
         snap = get_registry().snapshot()
-        assert self._counter_total(snap, "repro_select_bound_fast_path_total") == 1
+        assert self._counter_total(snap, "repro_selector_selections_total") == 1
+        assert self._counter_total(snap, "repro_select_bound_fast_path_total") == 0
 
     def test_tier_off_emits_no_bound_metrics(self):
-        plain = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
-        plain.reduce_many(_stream(("easy",), range(2)), workers=1)
+        """No route of the reducer emits the retired tier metrics."""
+        reducer = AdaptiveReducer(SimComm(N_RANKS), threshold=1e-13)
+        batches = _stream(("easy",), range(2))
+        reducer.reduce_many(batches, workers=1)
+        reducer.reduce_many(batches, workers=2)
+        reducer.reduce(batches[0])
         snap = get_registry().snapshot()
-        assert self._counter_total(snap, "repro_select_bound_fast_path_total") == 0
+        for name in (
+            "repro_select_bound_fast_path_total",
+            "repro_select_profile_fallback_total",
+        ):
+            assert self._counter_total(snap, name) == 0
+        assert "repro_selector_bound_seconds" not in snap.get("histograms", {})

@@ -454,62 +454,6 @@ class TestServingPath:
             assert result.decision.profile.n == sketch.n
             assert _bits_equal(result.decision.profile.max_abs, sketch.max_abs)
 
-    def test_decision_cache_hits_accumulate(self):
-        rng = np.random.default_rng(19)
-        comm = SimComm(4)
-        reducer = AdaptiveReducer(comm, threshold=1e-13)
-        batches = [[rng.random(64) for _ in range(4)] for _ in range(8)]
-        reducer.reduce_many(batches, tree="balanced")
-        info = reducer.decision_cache_info()
-        assert info["hits"] + info["misses"] == len(batches)
-        assert info["hits"] > 0
-        assert info["size"] == info["misses"]
-        reducer.clear_decision_cache()
-        info = reducer.decision_cache_info()
-        assert info == {
-            "size": 0,
-            "max_size": reducer.cache_size,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "invalidations": 0,
-        }
-
-    def test_decision_cache_is_capped_lru(self):
-        """Regression: the decision cache must not grow without bound in a
-        long-lived serving process — distinct (n, ...) signatures beyond
-        ``cache_size`` evict the coldest entry instead of accumulating."""
-        comm = SimComm(2)
-        reducer = AdaptiveReducer(comm, threshold=1e-13, cache_size=4)
-        for n in range(1, 10):  # 9 distinct n => 9 distinct cache keys
-            reducer.reduce_many([[np.ones(n)] * 2], tree="balanced")
-        info = reducer.decision_cache_info()
-        assert info["max_size"] == 4
-        assert info["size"] <= 4
-        assert info["misses"] == 9
-        assert info["evictions"] == info["misses"] - info["size"] == 5
-
-    def test_decision_cache_lru_keeps_recently_used(self):
-        comm = SimComm(2)
-        reducer = AdaptiveReducer(comm, threshold=1e-13, cache_size=2)
-
-        def stream(n):
-            return [[np.ones(n)] * 2]
-
-        reducer.reduce_many(stream(4), tree="balanced")  # miss: {4}
-        reducer.reduce_many(stream(8), tree="balanced")  # miss: {4, 8}
-        reducer.reduce_many(stream(4), tree="balanced")  # hit: 4 now hottest
-        reducer.reduce_many(stream(16), tree="balanced")  # miss: evicts 8, not 4
-        reducer.reduce_many(stream(4), tree="balanced")  # still a hit
-        info = reducer.decision_cache_info()
-        assert info["hits"] == 2
-        assert info["evictions"] == 1
-        assert info["size"] == 2
-
-    def test_cache_size_validated(self):
-        with pytest.raises(ValueError):
-            AdaptiveReducer(SimComm(2), cache_size=0)
-
     def test_reduce_many_empty_stream(self):
         assert AdaptiveReducer(SimComm(3)).reduce_many([]) == []
 

@@ -78,6 +78,16 @@ class TestRegistry:
         assert h.count == 5
         assert h.sum == pytest.approx(56.05)
 
+    def test_histogram_weighted_observe(self):
+        """``count`` records one value that many times in one call."""
+        reg = MetricsRegistry(enabled=True)
+        h = reg.histogram("w_seconds", buckets=(0.1, 1.0))
+        h.observe(0.5, count=4)
+        h.observe(0.05)
+        assert h.bucket_counts() == [(0.1, 1), (1.0, 5), (math.inf, 5)]
+        assert h.count == 5
+        assert h.sum == pytest.approx(2.05)
+
     def test_histogram_boundary_goes_to_lower_bucket(self):
         reg = MetricsRegistry(enabled=True)
         h = reg.histogram("b_seconds", buckets=(1.0, 2.0))
@@ -374,8 +384,7 @@ class TestCli:
 
 class TestServingReconciliation:
     """Acceptance: an instrumented ``reduce_many`` stream's snapshot must
-    exactly reconcile with the returned ``AdaptiveResult`` records and
-    ``decision_cache_info()``."""
+    exactly reconcile with the returned ``AdaptiveResult`` records."""
 
     def test_reduce_many_counts_reconcile(self, global_obs):
         rng = np.random.default_rng(42)
@@ -400,22 +409,6 @@ class TestServingReconciliation:
             ), (code, snap["counters"])
         assert counter_total(snap, "repro_selector_selections_total") == len(results)
 
-        # decision-cache traffic == decision_cache_info()
-        info = reducer.decision_cache_info()
-        assert info["hits"] + info["misses"] == len(results)
-        assert (
-            counter_total(snap, "repro_selector_decision_cache_hits_total")
-            == info["hits"]
-        )
-        assert (
-            counter_total(snap, "repro_selector_decision_cache_misses_total")
-            == info["misses"]
-        )
-        assert (
-            counter_total(snap, "repro_selector_decision_cache_evictions_total")
-            == info["evictions"]
-        )
-
         # engine dispatch totals == one dispatch per returned collective
         assert counter_total(snap, "repro_comm_dispatch_total") == len(results)
 
@@ -429,6 +422,39 @@ class TestServingReconciliation:
         assert counter_total(snap, "repro_selector_profile_seconds") >= 1
         assert counter_total(snap, "repro_selector_select_seconds") >= 1
         assert counter_total(snap, "repro_selector_reduce_seconds") >= 1
+
+    @pytest.mark.parametrize("route", ["reduce", "workers=1", "workers=2"])
+    def test_phase_histograms_count_selections(self, global_obs, route):
+        """The phase histograms hold per-item times on every route: each
+        one's count equals the number of selections, and its sum is the
+        per-item times added up (the AdaptiveResult records carry the same
+        amortised figures)."""
+        rng = np.random.default_rng(8)
+        comm = SimComm(4)
+        reducer = AdaptiveReducer(comm, threshold=1e-13)
+        batches = [[rng.random(32) for _ in range(4)] for _ in range(10)]
+        if route == "reduce":
+            results = [reducer.reduce(chunks) for chunks in batches]
+        else:
+            results = reducer.reduce_many(batches, workers=int(route[-1]))
+        snap = global_obs.snapshot()
+        selections = counter_total(snap, "repro_selector_selections_total")
+        assert selections == len(batches)
+        hists = snap["histograms"]
+        for name in (
+            "repro_selector_profile_seconds",
+            "repro_selector_select_seconds",
+            "repro_selector_reduce_seconds",
+        ):
+            (h,) = hists[name]
+            assert h["count"] == selections, name
+            assert h["buckets"][-1][1] == selections, name
+        for name, attr in (
+            ("repro_selector_profile_seconds", "profile_seconds"),
+            ("repro_selector_reduce_seconds", "reduce_seconds"),
+        ):
+            expected = math.fsum(getattr(r, attr) for r in results)
+            assert hists[name][0]["sum"] == pytest.approx(expected, rel=1e-9)
 
     def test_pr_stream_counts_one_batched_dispatch_per_item(self, global_obs):
         """PR groups run through ``reduce_batch``'s exact path: one

@@ -10,6 +10,7 @@ across workers ∈ {1, 2, 4}, plus a crashed-worker recovery check.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -18,6 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.experiments.grid import grid_sweep
 from repro.mpi.comm import SimComm
+from repro.selection.policy import AnalyticPolicy
 from repro.selection.selector import AdaptiveReducer
 from repro.summation import get_algorithm
 from repro.trees import evaluate_ensemble, random_shape
@@ -48,6 +50,21 @@ def _ragged_stream(n_items: int = 12, n_ranks: int = 3):
         [rng.random(int(rng.integers(5, 120))) for _ in range(n_ranks)]
         for _ in range(n_items)
     ]
+
+
+class _WorkerDriftPolicy(AnalyticPolicy):
+    """Chooses PR in every process but ``parent_pid``: a worker whose
+    decisions drift from the parent's."""
+
+    def __init__(self, parent_pid: int) -> None:
+        super().__init__()
+        self.parent_pid = parent_pid
+
+    def select(self, profile, threshold, **kwargs):
+        decision = super().select(profile, threshold, **kwargs)
+        if os.getpid() == self.parent_pid:
+            return decision
+        return dataclasses.replace(decision, code="PR")
 
 
 class TestReduceManyDeterminism:
@@ -254,13 +271,14 @@ class TestArenaServing:
                 assert _bits(a.value) == _bits(b.value)
                 assert a.decision.code == b.decision.code
 
-    def test_parallel_calls_populate_parent_decision_cache(self):
-        # the parent replays selection from arena-returned sketches, so the
-        # serving cache warms up identically to a serial run
-        batches = _uniform_stream(n_items=10)
-        comm = SimComm(4)
-        reducer = AdaptiveReducer(comm, threshold=1e-13)
-        reducer.reduce_many(batches, tree="balanced", workers=2)
-        info = reducer.decision_cache_info()
-        assert info["hits"] + info["misses"] == len(batches)
-        assert info["misses"] >= 1
+    def test_worker_decision_drift_raises(self):
+        """The parent re-selects from the arena sketches: a worker that chose
+        differently is named, not served."""
+        batches = _uniform_stream(n_items=6)
+        reducer = AdaptiveReducer(
+            SimComm(4), _WorkerDriftPolicy(os.getpid()), threshold=1e-13
+        )
+        first = reducer.reduce_many(batches, tree="balanced", workers=1)
+        assert first[0].decision.code != "PR"
+        with pytest.raises(RuntimeError, match="parallel decision drift at item 0"):
+            reducer.reduce_many(batches, tree="balanced", workers=2)

@@ -10,14 +10,18 @@ import pytest
 from repro.generators import generate_sum_set, zero_sum_set
 from repro.metrics import profile_set
 from repro.mpi import MachineTopology, SimComm
+from repro.obs import get_registry
 from repro.selection import (
     AdaptiveReducer,
     AnalyticPolicy,
+    BoundTier,
     CostModel,
     GridCell,
     GridClassifier,
     StreamProfile,
     VariabilityModel,
+    bound_stats_stream,
+    item_unit_roundoff,
     profile_chunk,
     profile_stream,
 )
@@ -266,6 +270,39 @@ class TestAdaptiveReducer:
             red.reduce(comm.scatter_array(np.ones(64)), threshold=-1e-13)
 
 
+class _ProbeChecked:
+    """An :class:`AdaptiveReducer` whose every call is also run through the
+    bound probe at ``confidence`` (``None``: the reducer alone).  Each item
+    the probe resolves must carry the reducer's code, and the probe must
+    stay as warning-free as the reducer on degenerate items."""
+
+    def __init__(self, reducer: AdaptiveReducer, confidence: "float | None"):
+        self.reducer = reducer
+        self.tier = None if confidence is None else BoundTier(confidence)
+
+    def _check(self, batches, results, threshold) -> None:
+        if self.tier is None:
+            return
+        t = self.reducer.threshold if threshold is None else threshold
+        us = [item_unit_roundoff(chunks) for chunks in batches]
+        probe = self.tier.decide_stream(
+            bound_stats_stream(batches, us), t, self.reducer.policy
+        )
+        for d, r in zip(probe, results):
+            if d is not None:
+                assert d.code == r.decision.code
+
+    def reduce_many(self, batches, **kwargs):
+        results = self.reducer.reduce_many(batches, **kwargs)
+        self._check(batches, results, kwargs.get("threshold"))
+        return results
+
+    def reduce(self, chunks, **kwargs):
+        result = self.reducer.reduce(chunks, **kwargs)
+        self._check([chunks], [result], kwargs.get("threshold"))
+        return result
+
+
 class TestDegenerateBatches:
     """Serving-path regression sweep: the daemon's micro-batcher can
     legitimately hand the selector an empty batch (every queued request
@@ -278,7 +315,7 @@ class TestDegenerateBatches:
 
     @pytest.fixture(params=[None, 1.0, 0.999999], ids=["no-tier", "det", "prob"])
     def reducer(self, comm, request):
-        return AdaptiveReducer(comm, bound_confidence=request.param)
+        return _ProbeChecked(AdaptiveReducer(comm), request.param)
 
     def test_reduce_many_empty_batch(self, reducer):
         assert reducer.reduce_many([]) == []
@@ -302,7 +339,7 @@ class TestDegenerateBatches:
         assert batched.decision.code == standalone.decision.code
 
     def test_all_empty_chunk_items_warn_free(self, comm, reducer):
-        """n=0 items carry inf condition numbers through the bound tier's
+        """n=0 items carry inf condition numbers through the bound probe's
         vectorised statistics — masked lanes must stay silent."""
         empty = [np.empty(0) for _ in range(comm.n_ranks)]
         data = np.arange(64, dtype=np.float64)
@@ -332,10 +369,10 @@ class TestDegenerateBatches:
 
 
 class TestDecisionCacheThreadSafety:
-    """The serving daemon drives one reducer from executor threads; the
-    cache's hit/miss/eviction tallies must stay exact under that traffic
-    (``hits + misses == queries``), and concurrent hot-key lookups must
-    not corrupt the LRU OrderedDict."""
+    """The serving daemon drives one reducer from executor threads.  That
+    traffic must leave every served value bitwise-equal to a serial run,
+    and the selection tally exact (``selections == queries``).  First
+    guarded against the since-removed decision cache's shared LRU."""
 
     def test_tallies_exact_under_threads(self):
         import threading
@@ -346,46 +383,64 @@ class TestDecisionCacheThreadSafety:
         streams = [
             comm.scatter_array(rng.normal(size=256)) for _ in range(8)
         ]
+        expected = [red.reduce_many([s])[0] for s in streams]
         n_threads, per_thread = 4, 25
         barrier = threading.Barrier(n_threads)
         errors: list = []
+        got: list = []
 
         def worker(tid: int) -> None:
             try:
                 barrier.wait()
                 for i in range(per_thread):
-                    red.reduce_many([streams[(tid + i) % len(streams)]])
+                    j = (tid + i) % len(streams)
+                    got.append((j, red.reduce_many([streams[j]])[0]))
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=worker, args=(t,))
-            for t in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
+        reg = get_registry()
+        reg.reset()
+        reg.enable()
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,))
+                for t in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            selections = sum(
+                s["value"]
+                for s in reg.snapshot()["counters"]["repro_selector_selections_total"]
+            )
+        finally:
+            reg.disable()
+            reg.reset()
         assert not errors, errors
-        info = red.decision_cache_info()
-        assert info["hits"] + info["misses"] == n_threads * per_thread
-        assert info["size"] <= info["max_size"]
+        assert len(got) == selections == n_threads * per_thread
+        for j, res in got:
+            assert res.decision.code == expected[j].decision.code
+            assert (
+                np.float64(res.value).tobytes()
+                == np.float64(expected[j].value).tobytes()
+            )
 
 
 class TestDecisionCacheOrderIndependence:
     """Regression (found by the repro-serve bench): two items can share a
-    decision-cache key (same n, k-decade, dr, threshold) yet straddle a
-    selection boundary at their exact condition estimates.  Serving one
-    item the other's memoised decision made the served *bits* depend on
-    request arrival order.  Hits are now validated against the item's own
-    exact-profile policy query, so every decision equals what a cold
-    standalone ``reduce`` computes, in any order."""
+    condition-number decade (same n, k-decade, dr, threshold) yet straddle
+    a selection boundary at their exact condition estimates.  A
+    decade-keyed decision cache once served one item the other's memoised
+    decision, so the served *bits* depended on request arrival order.
+    Every decision is the item's own exact-profile policy query, equal to
+    what a cold standalone ``reduce`` computes, in any order."""
 
     N_RANKS = 48
     CHUNK_LEN = 256
 
     def _conflicting_pair(self):
-        """Items 1 and 23 of the bench workload share a cache key but
+        """Items 1 and 23 of the bench workload share a k-decade but
         select ST vs K at threshold 1e-13."""
         rng = np.random.default_rng(4242)
         n = self.N_RANKS * self.CHUNK_LEN
@@ -408,16 +463,16 @@ class TestDecisionCacheOrderIndependence:
 
         exp_a, exp_b = fresh(a), fresh(b)
         # the pair is only a regression guard while it actually straddles a
-        # boundary inside one bucket
+        # boundary inside one decade
         ra = AdaptiveReducer(comm, threshold=1e-13)
-        key_a = ra._decision_key(ra.profile(comm.scatter_array(a)), 1e-13)
-        key_b = ra._decision_key(ra.profile(comm.scatter_array(b)), 1e-13)
-        assert key_a == key_b
+        k_a = ra.profile(comm.scatter_array(a)).condition_estimate()
+        k_b = ra.profile(comm.scatter_array(b)).condition_estimate()
+        assert math.floor(math.log10(k_a)) == math.floor(math.log10(k_b))
         assert exp_a.decision.code != exp_b.decision.code
 
         for order in ((a, b), (b, a)):
             # the serving path: a shared reducer's reduce_many, one item per
-            # tick (the daemon's cache-warming order is the arrival order)
+            # tick, in arrival order
             shared = AdaptiveReducer(comm, threshold=1e-13)
             got = {
                 id(v): shared.reduce_many(
@@ -431,8 +486,3 @@ class TestDecisionCacheOrderIndependence:
                     np.float64(got[id(v)].value).tobytes()
                     == np.float64(exp.value).tobytes()
                 ), "served bits depended on arrival order"
-            info = shared.decision_cache_info()
-            assert info["hits"] + info["misses"] == 2
-            # the boundary-straddling second item must not reuse the first
-            # item's decision: it lands as an invalidation, not a hit
-            assert info["invalidations"] == 1

@@ -962,6 +962,9 @@ class TestConcurrentServing:
             for _ in range(self.N_THREADS * self.PER_THREAD)
         ]
         expected = [_serial_hex(v) for v in streams]
+        serial_selections = _counter_sum(
+            global_obs, "repro_selector_selections_total"
+        )
         results: "list[str | None]" = [None] * len(streams)
         errors: list = []
 
@@ -995,7 +998,6 @@ class TestConcurrentServing:
             # every concurrent response equals its serial recomputation
             assert results == expected
 
-            info = handle.daemon.reducer.decision_cache_info()
             batcher = handle.daemon.batcher
             accepted = batcher.requests_accepted
 
@@ -1021,10 +1023,14 @@ class TestConcurrentServing:
         assert (
             _counter_sum(global_obs, "repro_serve_deadline_misses_total") == 0
         )
-        # ... and the decision cache saw exactly one query per item, with
-        # hits + misses == queries (the lock keeps the tallies exact)
-        assert info["hits"] + info["misses"] == n
-        assert info["misses"] >= 1
+        # ... and the selector made exactly one selection per served item
+        # (on top of the serial recomputation's)
+        selections = _counter_sum(global_obs, "repro_selector_selections_total")
+        assert selections == serial_selections + n
+        assert (
+            snap["histograms"]["repro_selector_select_seconds"][0]["count"]
+            == selections
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1140,12 +1146,11 @@ class TestCli:
         args = build_parser().parse_args(
             [
                 "--workers", "4", "--max-batch", "64", "--ranks", "48",
-                "--bound-confidence", "1.0", "--deadline-ms", "250",
+                "--deadline-ms", "250",
                 "--no-metrics",
             ]
         )
         assert args.workers == 4
         assert args.ranks == 48
-        assert args.bound_confidence == 1.0
         assert args.deadline_ms == 250.0
         assert args.no_metrics
