@@ -26,13 +26,8 @@ import time
 import numpy as np
 
 from repro.mpi.comm import SimComm
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, get_registry
 from repro.selection.selector import AdaptiveReducer
-
-#: guard evaluations one reduce_many item can trigger across the stack
-#: (selector counters/histograms + comm dispatch + profile path + schedule
-#: cache) — a deliberate overestimate so the bound is conservative
-GUARDS_PER_ITEM = 16
 
 N_RANKS = 16
 CHUNK_LEN = 256
@@ -75,11 +70,36 @@ def bench_guard(iterations: int = 200_000) -> dict:
     }
 
 
+def count_guard_reads(fn) -> int:
+    """Reads of the global registry's ``enabled`` flag during one ``fn()``.
+
+    Every instrumented site reads the flag through the same registry object,
+    so swapping that object's class for a counting subclass for the one
+    call counts the guards the call really evaluates, at every layer.
+    """
+    registry = get_registry()
+    original = type(registry)
+    reads = [0]
+
+    class _Counting(original):
+        def __getattribute__(self, name):
+            if name == "enabled":
+                reads[0] += 1
+            return object.__getattribute__(self, name)
+
+    registry.__class__ = _Counting
+    try:
+        fn()
+    finally:
+        registry.__class__ = original
+    return reads[0]
+
+
 def bench_serving_bound(guard_row: dict) -> dict:
     """Bound the serving-path overhead of disabled metrics analytically.
 
-    The per-item guard bill is ``GUARDS_PER_ITEM`` × the measured disabled
-    guard cost; dividing by the measured per-item serving time gives the
+    The per-item guard bill is the counted guard reads per item (see
+    :func:`count_guard_reads`) × the measured disabled call cost; dividing by the measured per-item serving time gives the
     worst-case throughput loss — the quantity the 2% acceptance criterion
     caps.  Measuring the ratio directly (instrumented vs uninstrumented
     binary) is impossible in-tree, and a disabled-vs-enabled wall-clock diff
@@ -96,17 +116,20 @@ def bench_serving_bound(guard_row: dict) -> dict:
         AdaptiveReducer(comm, threshold=1e-13).reduce_many(batches, tree="balanced")
 
     run()  # warm schedule caches and kernels
+    guard_reads = count_guard_reads(run)
+    guards_per_item = guard_reads / BATCH_ITEMS
     best = min(_time_loop(run, 1) for _ in range(5))
     per_item_s = best / BATCH_ITEMS
     guard_s = max(guard_row["disabled_call_ns"], 0.0) * 1e-9
-    overhead_fraction = (GUARDS_PER_ITEM * guard_s) / per_item_s
+    overhead_fraction = (guards_per_item * guard_s) / per_item_s
     return {
         "case": "serving_overhead_bound",
         "items": BATCH_ITEMS,
         "n_ranks": N_RANKS,
         "chunk_len": CHUNK_LEN,
         "per_item_s": per_item_s,
-        "guards_per_item": GUARDS_PER_ITEM,
+        "guard_reads_per_call": guard_reads,
+        "guards_per_item": guards_per_item,
         "overhead_fraction": overhead_fraction,
     }
 

@@ -12,11 +12,11 @@ pass that catches those hazards statically:
   :mod:`repro.summation.registry`) and the ``# repro: allow[RULE-ID]``
   inline-suppression syntax.
 * :mod:`repro.analysis.rules` — the concrete rules: syntactic FP001–FP008
-  plus catalogue metadata for the whole-program FP009–FP013.
+  plus catalogue metadata for the whole-program FP009–FP011, FP013.
 * :mod:`repro.analysis.engine` — file walking, suppression and baseline
   filtering; ``lint_paths(..., flow=True)`` merges the whole-program pass.
 * :mod:`repro.analysis.flow` — the interprocedural layer: call-graph
-  construction, taint dataflow (rules FP009–FP013) and the serving-path
+  construction, taint dataflow (rules FP009–FP011, FP013) and the serving-path
   determinism certificates.
 * :mod:`repro.analysis.baseline` — the JSON baseline (accepted legacy
   findings) used by ``repro-lint --baseline``.

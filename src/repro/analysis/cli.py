@@ -5,7 +5,7 @@ Usage::
     repro-lint src tests examples                    # text report, exit 1 on findings
     repro-lint src --format json                     # machine-readable
     repro-lint src --format sarif                    # CI code-scanning artifact
-    repro-lint src --flow                            # + whole-program FP009-FP013
+    repro-lint src --flow                            # + whole-program FP009-FP011, FP013
     repro-lint src --flow --certificates certs.json  # determinism certificates
     repro-lint src --baseline .repro-lint-baseline.json
     repro-lint src --baseline b.json --write-baseline  # (re)record current findings
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based FP-safety & determinism linter "
             "(syntactic rules FP001-FP008; whole-program flow rules "
-            "FP009-FP013 with --flow)."
+            "FP009-FP011, FP013 with --flow)."
         ),
     )
     parser.add_argument(
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also run the whole-program flow pass (call-graph taint "
-            "analysis, rules FP009-FP013, determinism certificates)"
+            "analysis, rules FP009-FP011, FP013, determinism certificates)"
         ),
     )
     parser.add_argument(

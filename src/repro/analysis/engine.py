@@ -137,7 +137,7 @@ def lint_paths(
     """Lint a set of files/directories and return a filtered result.
 
     With ``flow=True`` the whole-program pass (:mod:`repro.analysis.flow`)
-    runs over the same discovered file set; its FP009–FP013 findings merge
+    runs over the same discovered file set; its FP009–FP011, FP013 findings merge
     into the result *before* baseline partitioning, so the baseline and
     suppression machinery treat syntactic and flow findings identically.
     """

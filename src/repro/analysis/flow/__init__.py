@@ -3,7 +3,7 @@
 Public surface:
 
 * :func:`analyze_files` — run the interprocedural pass over a file set and
-  get engine-compatible findings (rules FP009–FP013) plus the graph.
+  get engine-compatible findings (rules FP009–FP011, FP013) plus the graph.
 * :func:`flow_certificates` / :func:`certify_serving_path` — determinism
   certificates for the serving entrypoints.
 * :func:`serving_flow_verdict` — the one-word verdict

@@ -22,7 +22,7 @@ Resolution is deliberately conservative-but-useful, in this order:
 * the pool indirection table: ``map_parallel(fn, ...)``, ``pool.map(fn,
   ...)``, ``executor.submit(fn, ...)`` and ``ProcessPoolExecutor(...,
   initializer=fn)`` all add a ``pool`` edge to ``fn`` — the callee runs in a
-  *worker process*, which is what the FP010–FP012 hazard rules key on.
+  *worker process*, which is what the FP010 and FP011 hazard rules key on.
 
 Unresolvable callees (NumPy internals, computed attributes) simply add no
 edge; sources are detected syntactically in every function, so an

@@ -19,7 +19,7 @@ FP010
     only writers live in the closure of registered initializers (or
     ``register_worker_state`` factories) are sanctioned — that is exactly
     the protocol :func:`repro.util.pool.register_worker_state` exists for.
-FP011/FP012/FP013
+FP011/FP013
     Local concurrency hazards from :mod:`repro.analysis.flow.hazards`,
     filtered through the same suppression machinery.
 
@@ -47,13 +47,12 @@ __all__ = ["FlowAnalysis", "analyze_files", "FLOW_RULE_IDS"]
 
 _OBS = get_registry()
 
-FLOW_RULE_IDS = ("FP009", "FP010", "FP011", "FP012", "FP013")
+FLOW_RULE_IDS = ("FP009", "FP010", "FP011", "FP013")
 
 _SEVERITY = {
     "FP009": Severity.ERROR,
     "FP010": Severity.WARNING,
     "FP011": Severity.ERROR,
-    "FP012": Severity.ERROR,
     "FP013": Severity.WARNING,
 }
 
@@ -304,7 +303,7 @@ class _FlowPass:
                     (fq, acc.path, acc.lineno, guarded, message)
                 )
 
-    # -- FP011/FP012/FP013 ---------------------------------------------------
+    # -- FP011/FP013 ---------------------------------------------------------
     def run_hazards(self, hazards: List[Hazard]) -> None:
         for hz in hazards:
             self._emit(hz.rule_id, hz.path, hz.lineno, hz.col, hz.message)

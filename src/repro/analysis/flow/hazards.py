@@ -1,28 +1,24 @@
 """Concurrency-hazard extraction: shared-memory view lifetimes and lock
 discipline.
 
-These checks are local to one function (FP011/FP012) or one class (FP013)
-but only make sense with the call graph's vocabulary — worker reachability
+These checks are local to one function (FP011) or one class (FP013) but
+only make sense with the call graph's vocabulary — worker reachability
 decides severity of exposure, and the certificate wants hazards *per
 function* so it can intersect them with an entrypoint's closure.
 
-FP011 — ``attach_shared`` view escape
-    ``with attach_shared(handle) as view:`` maps another process's shared
-    memory; the mapping dies at ``__exit__``.  Any alias of the view (the
-    view itself, a slice of it, a container holding slices) that *escapes*
-    the function — returned, yielded, stored on ``self`` or a module global
-    — is a dangling pointer: NumPy will happily read unmapped pages.
-    Aliases are tracked linearly: slicing taints, container literals taint,
-    ``.append(view_slice)`` taints the container, ``del`` clears, and
-    function-call results do NOT taint (reductions over a view allocate
-    fresh output).
-
-FP012 — write to attached shared memory
-    ``attach_shared`` is the *consumer* side of the shard protocol; the
-    owning process wrote the data before dispatch and every shard reads
-    concurrently.  Any store through the view (``view[i] = x``, ``view +=``,
-    ``view.fill(...)``, ``np.add(..., out=view)``) is a cross-process data
-    race that re-associates someone else's reduction mid-flight.
+FP011 — ``arena_view`` escape
+    ``arena_view(handle, ...)`` maps a pool arena segment into the worker,
+    and the arenas are reused by every later dispatch.  Any alias of the
+    view (the view itself, a slice of it, a container holding slices) that
+    *escapes* the function — returned, yielded or stored on an attribute —
+    reads whatever the next dispatch packs there, and pins the attachment
+    so the worker's next arena-regrow epoch swap fails.  Aliases are tracked
+    linearly: ``arena_view(...)`` results taint the names they are bound to,
+    slicing taints, container literals taint, ``.append(view_slice)`` taints
+    the container, ``del`` clears, and other function-call results do NOT
+    taint (reductions over a view allocate fresh output).  Writes through
+    views need no lint rule: input-arena views are read-only at runtime,
+    and result-arena views are meant to be written.
 
 FP013 — mutation off the owning lock
     A class that creates ``self._lock = threading.Lock()/RLock()`` has
@@ -52,7 +48,7 @@ __all__ = ["Hazard", "extract_hazards"]
 class Hazard:
     """One concurrency hazard anchored at a source location."""
 
-    rule_id: str  # FP011 | FP012 | FP013
+    rule_id: str  # FP011 | FP013
     qname: str  # owning function/method
     path: str
     lineno: int
@@ -64,7 +60,7 @@ def _loc(node: ast.AST) -> Tuple[int, int]:
     return getattr(node, "lineno", 1), getattr(node, "col_offset", 0)
 
 
-# -- FP011 / FP012: attach_shared view tracking --------------------------------
+# -- FP011: arena_view escape tracking ----------------------------------------
 
 
 class _ViewTracker:
@@ -82,13 +78,13 @@ class _ViewTracker:
             self._walk_block(body)
         return self.hazards
 
-    def _hazard(self, rule_id: str, node: ast.AST, message: str) -> None:
+    def _hazard(self, node: ast.AST, message: str) -> None:
         line, col = _loc(node)
         self.hazards.append(
-            Hazard(rule_id, self.fn.qname, self.fn.path, line, col, message)
+            Hazard("FP011", self.fn.qname, self.fn.path, line, col, message)
         )
 
-    # taint predicate: does this expression alias shared-view memory?
+    # taint predicate: does this expression alias arena memory?
     def _is_tainted(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Name):
             return node.id in self.tainted
@@ -100,35 +96,28 @@ class _ViewTracker:
             return self._is_tainted(node.value)
         if isinstance(node, ast.IfExp):
             return self._is_tainted(node.body) or self._is_tainted(node.orelse)
-        return False  # calls, binops, comprehensions allocate fresh storage
+        # an arena_view(...) call is the source; other calls, binops and
+        # comprehensions allocate fresh storage
+        return (
+            isinstance(node, ast.Call)
+            and (dotted_name(node.func) or "").split(".")[-1] == "arena_view"
+        )
 
     def _walk_block(self, stmts: List[ast.stmt]) -> None:
         for stmt in stmts:
             self._walk_stmt(stmt)
 
     def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.With):
-            for item in stmt.items:
-                ctx = item.context_expr
-                if (
-                    isinstance(ctx, ast.Call)
-                    and (dotted_name(ctx.func) or "").split(".")[-1] == "attach_shared"
-                    and isinstance(item.optional_vars, ast.Name)
-                ):
-                    self.tainted.add(item.optional_vars.id)
-            self._walk_block(stmt.body)
-            return
         if isinstance(stmt, ast.Return) and stmt.value is not None:
             if self._is_tainted(stmt.value):
                 self._hazard(
-                    "FP011",
                     stmt,
-                    "shared-memory view (or a slice of one) returned from "
-                    f"'{self.fn.qname}': the mapping dies when attach_shared "
-                    "exits, leaving the caller a dangling buffer; copy "
-                    "(np.array(view)) before returning",
+                    "arena view (or a slice of one) returned from "
+                    f"'{self.fn.qname}': the next dispatch overwrites its "
+                    "bytes and the held attachment blocks the next arena "
+                    "epoch; copy (np.array(view)) before returning",
                 )
-            self._check_expr_writes(stmt.value)
+            self._scan_expr(stmt.value)
             return
         if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
@@ -136,26 +125,13 @@ class _ViewTracker:
                     self.tainted.discard(target.id)
             return
         if isinstance(stmt, ast.Assign):
-            self._check_expr_writes(stmt.value)
+            self._scan_expr(stmt.value)
             escapes = self._is_tainted(stmt.value)
             for target in stmt.targets:
                 self._handle_store(target, escapes, stmt)
             return
-        if isinstance(stmt, ast.AugAssign):
-            target = stmt.target
-            if self._is_tainted(target):
-                self._hazard(
-                    "FP012",
-                    stmt,
-                    "in-place write to an attached shared-memory view in "
-                    f"'{self.fn.qname}': shards read the owner's buffer "
-                    "concurrently; write to a local copy instead",
-                )
-            self._check_expr_writes(stmt.value)
-            return
         if isinstance(stmt, ast.Expr):
-            self._check_expr_writes(stmt.value)
-            self._check_yield(stmt.value)
+            self._scan_expr(stmt.value)
             return
         # compound statements: recurse into bodies, scan condition exprs
         for child_block in ("body", "orelse", "finalbody"):
@@ -166,7 +142,7 @@ class _ViewTracker:
             self._walk_block(handler.body)
         for value in ast.iter_child_nodes(stmt):
             if isinstance(value, ast.expr):
-                self._check_expr_writes(value)
+                self._scan_expr(value)
 
     def _handle_store(self, target: ast.expr, escapes: bool, stmt: ast.stmt) -> None:
         if isinstance(target, ast.Name):
@@ -174,75 +150,40 @@ class _ViewTracker:
                 self.tainted.add(target.id)
             else:
                 self.tainted.discard(target.id)
-        elif isinstance(target, ast.Subscript):
-            if self._is_tainted(target.value):
-                self._hazard(
-                    "FP012",
-                    stmt,
-                    "store through an attached shared-memory view in "
-                    f"'{self.fn.qname}': attach_shared maps another "
-                    "process's buffer read-only by protocol; mutate a copy",
-                )
         elif isinstance(target, ast.Attribute) and escapes:
             self._hazard(
-                "FP011",
                 stmt,
-                "shared-memory view stored on an object attribute in "
-                f"'{self.fn.qname}': the alias outlives the mapping scope",
+                "arena view stored on an object attribute in "
+                f"'{self.fn.qname}': the alias outlives the task that "
+                "attached it",
             )
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._handle_store(elt, escapes, stmt)
 
-    def _check_mutator_calls(self, node: ast.expr) -> None:
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            return
-        recv = node.func.value
-        attr = node.func.attr
-        if attr in MUTATOR_METHODS and self._is_tainted(recv):
-            self._hazard(
-                "FP012",
-                node,
-                f"mutating method '.{attr}()' on an attached shared-memory "
-                f"view in '{self.fn.qname}': shards share the owner's pages",
-            )
-        # container.append(view_slice) keeps the alias alive
-        if (
-            attr in ("append", "extend", "insert", "add")
-            and isinstance(recv, ast.Name)
-            and any(self._is_tainted(a) for a in node.args)
-        ):
-            self.tainted.add(recv.id)
-
-    def _check_yield(self, node: ast.expr) -> None:
-        if isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None:
-            if self._is_tainted(node.value):
-                self._hazard(
-                    "FP011",
-                    node,
-                    "shared-memory view yielded from "
-                    f"'{self.fn.qname}': the consumer resumes after the "
-                    "mapping may have been torn down",
-                )
-
-    def _check_expr_writes(self, node: Optional[ast.expr]) -> None:
-        """Catch ``out=view`` kwargs and nested mutator calls anywhere."""
-        if node is None:
-            return
+    def _scan_expr(self, node: ast.expr) -> None:
+        """Track ``container.append(view_slice)`` aliases and yields."""
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                for kw in sub.keywords:
-                    if kw.arg == "out" and self._is_tainted(kw.value):
-                        self._hazard(
-                            "FP012",
-                            sub,
-                            "'out=' targets an attached shared-memory view "
-                            f"in '{self.fn.qname}': the kernel would write "
-                            "into another process's buffer",
-                        )
-                self._check_mutator_calls(sub)
-            elif isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                self._check_yield(sub)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                recv = sub.func.value
+                # container.append(view_slice) keeps the alias alive
+                if (
+                    sub.func.attr in ("append", "extend", "insert", "add")
+                    and isinstance(recv, ast.Name)
+                    and any(self._is_tainted(a) for a in sub.args)
+                ):
+                    self.tainted.add(recv.id)
+            elif (
+                isinstance(sub, (ast.Yield, ast.YieldFrom))
+                and sub.value is not None
+                and self._is_tainted(sub.value)
+            ):
+                self._hazard(
+                    sub,
+                    "arena view yielded from "
+                    f"'{self.fn.qname}': the consumer resumes after the "
+                    "task, when the arena may hold another dispatch",
+                )
 
 
 # -- FP013: lock discipline ----------------------------------------------------
@@ -357,7 +298,7 @@ def _scan_method_locks(fn: FunctionInfo, lock_attrs: Set[str]) -> List[Hazard]:
 
 
 def extract_hazards(graph: CallGraph) -> List[Hazard]:
-    """All FP011/FP012/FP013 hazards across the graph, sorted."""
+    """All FP011/FP013 hazards across the graph, sorted."""
     hazards: List[Hazard] = []
     for fq in sorted(graph.functions):
         fn = graph.functions[fq]

@@ -1,15 +1,17 @@
-"""Concrete FP001–FP013 rules, registered on import.
+"""Concrete FP001–FP011 and FP013 rules, registered on import.
 
 Mirrors :mod:`repro.summation.registry`: each rule module defines a class,
 this package instantiates and registers one of each, and
 :func:`repro.analysis.base.all_rules` is the authoritative catalogue.
 
 FP001–FP008 are file-local syntactic rules run by the per-file engine;
-FP009–FP013 are *flow* rules — their findings come from the whole-program
-pass in :mod:`repro.analysis.flow` (``repro-lint --flow``), and the classes
-here carry the catalogue metadata (id, severity, rationale) plus a
-``flow = True`` marker so the CLI, baselines and suppressions treat both
-kinds uniformly.
+FP009–FP011 and FP013 are *flow* rules — their findings come from the
+whole-program pass in :mod:`repro.analysis.flow` (``repro-lint --flow``),
+and the classes here carry the catalogue metadata (id, severity, rationale)
+plus a ``flow = True`` marker so the CLI, baselines and suppressions treat
+both kinds uniformly.  The id between FP011 and FP013 is retired: it
+flagged writes through shared-memory views, and input-arena views are now
+read-only at runtime.
 """
 
 from repro.analysis.base import register
@@ -24,7 +26,6 @@ from repro.analysis.rules.fp008_rng_hazards import SharedRngAndMutableDefaults
 from repro.analysis.rules.fp009_flow_nondet_source import FlowNondeterminismSource
 from repro.analysis.rules.fp010_worker_global import WorkerSharedGlobal
 from repro.analysis.rules.fp011_shared_view_escape import SharedViewEscape
-from repro.analysis.rules.fp012_shared_write import SharedMemoryWrite
 from repro.analysis.rules.fp013_unlocked_mutation import UnlockedPrivateMutation
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "FlowNondeterminismSource",
     "WorkerSharedGlobal",
     "SharedViewEscape",
-    "SharedMemoryWrite",
     "UnlockedPrivateMutation",
 ]
 
@@ -55,7 +55,6 @@ for _rule in (
     FlowNondeterminismSource(),
     WorkerSharedGlobal(),
     SharedViewEscape(),
-    SharedMemoryWrite(),
     UnlockedPrivateMutation(),
 ):
     register(_rule)

@@ -1,12 +1,13 @@
-"""FP011: shared-memory view escaping its ``attach_shared`` lifetime scope.
+"""FP011: arena view escaping the task that attached it.
 
-``with attach_shared(handle) as view:`` maps another process's shared
-memory; ``__exit__`` unmaps it.  Returning the view, yielding it, storing
-it (or a slice of it — NumPy slices alias the same pages) on ``self`` or a
-module global hands out a pointer into memory that is about to disappear:
-the crash arrives later, in unrelated code, as garbage values or a
-segfault.  Results leaving a shard function must be fresh arrays
-(``np.array(view[...])``) or scalars.
+``arena_view(handle, ...)`` maps a pool arena segment into the worker, and
+the arenas are reused by every later dispatch.  Returning the view,
+yielding it, or storing it (or a slice of it — NumPy slices alias the same
+pages) on an attribute keeps an alias whose bytes the next dispatch
+overwrites, and which pins the attachment: the worker's next arena-regrow
+epoch swap then fails, far from the code that kept the view.  Results
+leaving a shard function must be fresh arrays (``np.array(view[...])``) or
+scalars, or be written into the result arena.
 
 Findings are emitted by the flow engine (``repro-lint --flow``); this class
 anchors the id/severity/rationale in the shared catalogue.
@@ -21,12 +22,12 @@ from repro.analysis.base import FileContext, Finding, Rule, Severity
 
 class SharedViewEscape(Rule):
     id = "FP011"
-    title = "attach_shared view escapes its mapping scope"
+    title = "arena_view view escapes its task"
     severity = Severity.ERROR
     rationale = (
-        "ndarray views of an attached shared-memory segment dangle once the "
-        "context manager unmaps it; copy before returning/storing — a "
-        "dangling view is a use-after-free dressed as an array"
+        "ndarray views of an arena segment see the next dispatch's bytes and "
+        "pin the worker's attachment past the arena's next regrow; copy "
+        "before returning/storing"
     )
     flow = True
 

@@ -3,9 +3,7 @@
 from repro.util.chunking import iter_chunks, safe_block_len, split_indices
 from repro.util.parallel import default_workers, map_parallel
 from repro.util.pool import (
-    SharedArray,
     WorkerPool,
-    attach_shared,
     get_pool,
     in_worker,
     parallel_cutover,
@@ -18,11 +16,9 @@ from repro.util.timing import Stopwatch, TimingResult, time_callable
 
 __all__ = [
     "SeedLike",
-    "SharedArray",
     "Stopwatch",
     "TimingResult",
     "WorkerPool",
-    "attach_shared",
     "default_workers",
     "derive_seed",
     "get_pool",

@@ -9,29 +9,20 @@ paying ``ProcessPoolExecutor`` startup per call.  Workers receive plain
 picklable payloads (integer seeds, parameter tuples) — never live
 generators — so results are bitwise identical regardless of pool size.
 
-The adaptive-cutover knobs (``REPRO_PARALLEL_MIN_ITEMS`` / ``_MIN_BYTES`` /
-``_MAX_BYTES``) are parsed once per process, off the hot dispatch path; a
-sweep runner that edits them mid-process must call
-:func:`reload_parallel_env` (re-exported here) for the change to take
-effect.  ``REPRO_WORKERS`` stays per-call so per-sweep worker overrides
-keep working unchanged.
+``REPRO_WORKERS`` is read on every call, so a runner can change the worker
+count between sweeps.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, TypeVar
 
-from repro.util.pool import (
-    default_workers,
-    get_pool,
-    in_worker,
-    reload_parallel_env,
-)
+from repro.util.pool import default_workers, get_pool, in_worker
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["default_workers", "map_parallel", "reload_parallel_env"]
+__all__ = ["default_workers", "map_parallel"]
 
 
 def map_parallel(

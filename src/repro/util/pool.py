@@ -9,29 +9,28 @@ operand through the IPC pipe as pickled bytes.  Both costs are hoisted here:
 * **Persistent pool** — one process-global :class:`WorkerPool`, lazily
   started on first dispatch and reused by every subsequent call (explicit
   :func:`shutdown_pool` plus an ``atexit`` hook).  Worker count comes from
-  ``REPRO_WORKERS`` or cpu_count − 1; the start method prefers ``forkserver``
-  (fork-safety with threads, workers importable once then forked) and falls
-  back to ``spawn``, overridable via ``REPRO_POOL_START``.  A crashed worker
-  breaks a ``ProcessPoolExecutor`` irrecoverably, so :meth:`WorkerPool.map`
-  detects ``BrokenProcessPool``, rebuilds the executor, retries the batch
-  once (dispatched tasks are deterministic and idempotent by construction),
-  and counts the restart.
-* **Persistent arenas** — the serving engines dispatch through a
-  pool-lifetime shared-memory segment pair (:func:`arena_pair`: an input
-  arena and a result arena), sized geometrically by :meth:`SharedArena.reserve`
-  and reused across calls, so a warm dispatch performs **zero** segment
-  create/unlink syscalls.  Workers cache their attachment per arena epoch
-  (:func:`arena_view`; attach once per segment generation, not once per
-  task) and write results — reduced values *and* decision codes — straight
-  into the result arena instead of pickling them back through the IPC pipe.
-  Only tiny descriptors (segment name, generation, shard bounds) are
-  pickled.  :class:`SharedArray`/:func:`attach_shared` remain as the
-  one-shot building blocks for ad-hoc payloads.
+  ``REPRO_WORKERS`` or cpu_count − 1; the start method is ``forkserver``
+  (fork-safety with threads, workers importable once then forked) where
+  available, else ``spawn``.  A crashed worker breaks a
+  ``ProcessPoolExecutor`` irrecoverably, so :meth:`WorkerPool.map` detects
+  ``BrokenProcessPool``, rebuilds the executor, retries the batch once
+  (dispatched tasks are deterministic and idempotent by construction), and
+  counts the restart.
+* **Persistent arenas** — the one shared-memory transport.  The serving
+  engines dispatch through a pool-lifetime segment pair (:func:`arena_pair`:
+  an input arena and a result arena), sized geometrically by
+  :meth:`SharedArena.reserve` and reused across calls, so a warm dispatch
+  performs **zero** segment create/unlink syscalls.  Workers cache their
+  attachment per arena epoch (:func:`arena_view`; attach once per segment
+  generation, not once per task), read operands through **read-only**
+  input-arena views, and write results — reduced values *and* decision
+  codes — straight into the result arena instead of pickling them back
+  through the IPC pipe.  Only tiny descriptors (segment name, generation,
+  shard bounds) are pickled.
 * **Adaptive cutover** — :func:`shard_plan` keeps small batches serial: IPC
-  only pays for itself past a bytes-and-items threshold (tunable via
-  ``REPRO_PARALLEL_MIN_ITEMS`` / ``REPRO_PARALLEL_MIN_BYTES``, parsed once
-  per process — see :func:`reload_parallel_env`), while an explicit
-  ``workers >= 2`` request always parallelises.
+  only pays for itself past fixed items-and-bytes floors
+  (:data:`MIN_PARALLEL_ITEMS` / :data:`MIN_PARALLEL_BYTES`), while an
+  explicit ``workers >= 2`` request always parallelises.
 
 Determinism contract: callers shard work into *contiguous* ranges and
 workers receive bit-identical operand bytes (``float64`` views of the packed
@@ -49,14 +48,13 @@ from __future__ import annotations
 
 import atexit
 import os
-import sys
 import threading
 import time
 import warnings
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import multiprocessing as mp
 from multiprocessing import shared_memory
@@ -75,15 +73,12 @@ __all__ = [
     "get_pool",
     "shutdown_pool",
     "pool_info",
-    "SharedArray",
-    "attach_shared",
     "SharedArena",
     "arena_pair",
     "arena_view",
     "arena_info",
     "parallel_cutover",
     "shard_plan",
-    "reload_parallel_env",
     "register_worker_state",
     "worker_state",
     "MIN_PARALLEL_ITEMS",
@@ -95,9 +90,7 @@ _OBS = get_registry()
 
 #: auto-cutover floors, recalibrated for warm-arena dispatch: a reused arena
 #: pays one memcpy in plus a ~100 µs pool round trip (no segment create or
-#: unlink syscalls, no pickled result return), so parallel breaks even on
-#: much smaller batches than the one-shot SharedArray path did (was 8 items /
-#: 2 MiB)
+#: unlink syscalls, no pickled result return)
 MIN_PARALLEL_ITEMS = 4
 MIN_PARALLEL_BYTES = 1 << 18  # 256 KiB of float64 payload
 
@@ -186,55 +179,6 @@ def worker_state(name: str) -> object:
     return _WORKER_STATE[name]  # repro: allow[FP010] -- see above
 
 
-def _env_int(name: str, default: int) -> int:
-    """Integer env override with warn-and-fallback on malformed values."""
-    # Cutover/placement knob: decides WHERE shards run, never how a reduction
-    # associates; parallel==serial is bitwise by contract.
-    # repro: allow[FP009] -- placement knob only, reduction order unaffected
-    env = os.environ.get(name)
-    if not env:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={env!r}; using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-
-
-def _build_cutover_config() -> "tuple[int, int, int]":
-    """Parse the ``REPRO_PARALLEL_*`` cutover knobs once per process.
-
-    Registered as worker state so the hot dispatch path never re-reads the
-    environment: ``(min_items, min_bytes, max_bytes)`` is materialised on
-    first use in each process and cached until :func:`reload_parallel_env`.
-    """
-    return (
-        _env_int("REPRO_PARALLEL_MIN_ITEMS", MIN_PARALLEL_ITEMS),
-        _env_int("REPRO_PARALLEL_MIN_BYTES", MIN_PARALLEL_BYTES),
-        _env_int("REPRO_PARALLEL_MAX_BYTES", MAX_AUTO_PARALLEL_BYTES),
-    )
-
-
-register_worker_state("pool.cutover_config", _build_cutover_config)
-
-
-def reload_parallel_env() -> "tuple[int, int, int]":
-    """Re-parse ``REPRO_PARALLEL_*`` after an environment change.
-
-    The cutover floors are cached per process at first use; a long-lived
-    server (or a test monkeypatching the environment) that edits the knobs
-    afterwards calls this to drop the cache.  Parsing happens eagerly here,
-    so a malformed value warns at the reload site; returns the fresh
-    ``(min_items, min_bytes, max_bytes)`` triple.
-    """
-    register_worker_state("pool.cutover_config", _build_cutover_config)
-    return worker_state("pool.cutover_config")  # type: ignore[return-value]
-
-
 def default_workers() -> int:
     """Worker count: ``REPRO_WORKERS`` env var, else cpu_count − 1 (min 1).
 
@@ -259,26 +203,12 @@ def default_workers() -> int:
 
 
 def _start_method() -> str:
-    """Pool start method: ``REPRO_POOL_START`` override, else forkserver/spawn.
+    """Pool start method: ``forkserver`` where available, else ``spawn``.
 
-    ``fork`` is accepted when explicitly requested (fastest on Linux), but
-    the default avoids it: forked children of a threaded parent deadlock, and
-    the serving path must stay safe under caller threads.
+    Never ``fork``: forked children of a threaded parent deadlock, and the
+    serving path must stay safe under caller threads.
     """
-    methods = mp.get_all_start_methods()
-    # Start-method knob: affects worker spawn mechanics, not reduction order;
-    # results are bitwise-equal across start methods.
-    # repro: allow[FP009] -- spawn mechanics only, reduction order unaffected
-    env = os.environ.get("REPRO_POOL_START")
-    if env:
-        if env in methods:
-            return env
-        warnings.warn(
-            f"ignoring unknown REPRO_POOL_START={env!r}; known: {methods}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return "forkserver" if "forkserver" in methods else "spawn"
+    return "forkserver" if "forkserver" in mp.get_all_start_methods() else "spawn"
 
 
 class WorkerPool:
@@ -292,9 +222,9 @@ class WorkerPool:
     serving layer dispatches is deterministic and side-effect-free.
     """
 
-    def __init__(self, workers: "int | None" = None, *, start_method: "str | None" = None) -> None:
+    def __init__(self, workers: "int | None" = None) -> None:
         self.workers = max(1, int(workers)) if workers is not None else default_workers()
-        self.start_method = start_method or _start_method()
+        self.start_method = _start_method()
         self._executor: "ProcessPoolExecutor | None" = None
         self._lock = threading.RLock()
         self.starts = 0
@@ -501,54 +431,13 @@ def pool_info() -> dict:
     }
 
 
-# -- zero-copy shared-memory payloads ------------------------------------------
-
-
-class SharedArray:
-    """One ndarray in a shared-memory segment (parent-side owner).
-
-    One copy in at construction; workers attach views with
-    :func:`attach_shared`, so the bytes never transit the IPC pipe.  The
-    owner must call :meth:`close` (or use the instance as a context manager)
-    after the consuming futures complete — the segment is unlinked there and
-    the bytes-in-flight gauge returns to zero.
-    """
-
-    def __init__(self, array: np.ndarray) -> None:
-        array = np.ascontiguousarray(array)
-        self.nbytes = int(array.nbytes)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, self.nbytes)
-        )
-        if self.nbytes:
-            view = _buffer_view(self._shm, array.dtype, array.shape)
-            view[...] = array
-            del view
-        #: picklable descriptor workers pass to :func:`attach_shared`
-        self.handle: tuple = (self._shm.name, array.dtype.str, array.shape)
-        if _OBS.enabled:
-            _OBS.gauge("repro_pool_shm_bytes_in_flight").inc(self.nbytes)
-
-    def close(self) -> None:
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        if _OBS.enabled:
-            _OBS.gauge("repro_pool_shm_bytes_in_flight").dec(self.nbytes)
-
-    def __enter__(self) -> "SharedArray":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+# -- persistent shared-memory arenas -------------------------------------------
+#
+# The serving engines dispatch through one process-global pair of
+# pool-lifetime arenas ("input" and "result"): the parent reserves capacity
+# (grown geometrically, so steady-state traffic reuses the same segment),
+# writes operands in, and workers write results back into the result arena —
+# the IPC pipe carries only tiny descriptors in both directions.
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -593,71 +482,6 @@ def _buffer_view(
     ).reshape(shape)
 
 
-class attach_shared:
-    """Worker-side context manager: ndarray view of a :class:`SharedArray`.
-
-    ``with attach_shared(handle) as arr:`` yields a zero-copy view; every
-    reference into the view must be dropped before the block exits (results
-    returned from workers are fresh scalars/arrays, never views).
-    """
-
-    def __init__(self, handle: tuple) -> None:
-        self._name, self._dtype, self._shape = handle
-        self._shm: "shared_memory.SharedMemory | None" = None
-        self._view: "np.ndarray | None" = None
-
-    def __enter__(self) -> np.ndarray:
-        self._shm = _attach_segment(self._name)
-        # deliberately NOT _buffer_view: the ``with ... as`` target outlives
-        # __exit__ by construction, so a held export would make every clean
-        # exit fail; escape detection is the refcount check below instead
-        self._view = np.ndarray(
-            self._shape, dtype=np.dtype(self._dtype), buffer=self._shm.buf
-        )
-        return self._view
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Deterministic release, no gc.collect() retries: at this point the
-        # only sanctioned references to the view are our own attribute, the
-        # caller's ``with ... as`` target, and getrefcount's argument (3
-        # total).  Anything beyond that escaped the block — aliased into a
-        # list, stashed on an object — and would dangle into unmapped memory
-        # once the segment closes, so surface it as a hard error.  (Skipped
-        # while an exception propagates: traceback frames hold extra
-        # references to the caller's locals.)
-        view, self._view = self._view, None
-        shm, self._shm = self._shm, None
-        leaked = (
-            exc_type is None
-            and view is not None
-            and sys.getrefcount(view) > 3
-        )
-        del view
-        if shm is not None:
-            try:
-                shm.close()
-            except BufferError:
-                leaked = True
-        if leaked:
-            raise RuntimeError(
-                f"shared segment {self._name!r} still has live ndarray "
-                "views at attach_shared exit; drop every view (and any "
-                "array aliasing it) before leaving the block, or the "
-                "segment mapping leaks"
-            ) from None
-
-
-# -- persistent shared-memory arenas -------------------------------------------
-#
-# The one-shot SharedArray path pays three fixed costs per dispatch: a segment
-# create + unlink syscall pair, a fresh attach in every worker task, and a
-# pickled result return.  The serving engines instead dispatch through one
-# process-global pair of pool-lifetime arenas ("input" and "result"): the
-# parent reserves capacity (grown geometrically, so steady-state traffic
-# reuses the same segment), writes operands in, and workers write results
-# back into the result arena — the IPC pipe carries only tiny descriptors in
-# both directions.
-
 #: arena segments never shrink below this (one page-ish floor keeps tiny
 #: dispatches from thrashing generations)
 _MIN_ARENA_BYTES = 1 << 16
@@ -691,26 +515,30 @@ class SharedArena:
         nbytes = max(1, int(nbytes))
         if self._shm is None or nbytes > self.capacity:
             new_cap = _pow2_at_least(max(nbytes, _MIN_ARENA_BYTES))
+            new = shared_memory.SharedMemory(create=True, size=new_cap)
             old, old_cap = self._shm, self.capacity
-            self._shm = shared_memory.SharedMemory(create=True, size=new_cap)
-            self.generation += 1
-            self.capacity = new_cap
             if old is not None:
                 # workers still attached to the old epoch release it on
-                # their next task; the parent mapping must be view-free here
-                try:
-                    old.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+                # their next task; the parent mapping must be view-free here.
+                # A failed regrow discards the new segment and leaves the
+                # arena (segment, generation, capacity, gauge) as it was.
                 try:
                     old.close()
                 except BufferError:
+                    new.close()
+                    new.unlink()
                     raise RuntimeError(
                         f"arena segment {old.name!r} (tag {self.tag!r}) "
                         "still has live ndarray views at regrow; the "
                         "dispatcher must del its arena views before the "
                         "next reserve()"
                     ) from None
+                try:
+                    old.unlink()
+                except FileNotFoundError:  # pragma: no cover - already gone
+                    pass
+            self._shm, self.capacity = new, new_cap
+            self.generation += 1
             if _OBS.enabled:
                 _OBS.counter("repro_pool_arena_grow_total", tag=self.tag).inc()
                 _OBS.gauge("repro_pool_shm_bytes_in_flight").inc(new_cap - old_cap)
@@ -855,6 +683,12 @@ def arena_view(handle: "tuple[str, int, str]", dtype, shape, offset: int = 0) ->
     fresh segment.  A stale attachment that still has live views raises a
     clear error instead of silently leaking the old segment.  Views handed
     out here must be dropped before the task returns.
+
+    Views of an ``"input"``-tagged handle are **read-only**: the parent
+    packed those operands before dispatch and every shard reads them
+    concurrently, so a worker write would change a sibling's reduction
+    inputs mid-flight — it raises ``ValueError`` instead.  Result-arena
+    views stay writable; shards write disjoint slices of them.
     """
     name, generation, tag = handle
     cache: dict = worker_state("pool.arena_attachments")  # type: ignore[assignment]
@@ -873,7 +707,10 @@ def arena_view(handle: "tuple[str, int, str]", dtype, shape, offset: int = 0) ->
             del cache[tag]
         entry = (name, generation, _attach_segment(name))
         cache[tag] = entry
-    return _buffer_view(entry[2], dtype, shape, offset=offset)
+    view = _buffer_view(entry[2], dtype, shape, offset=offset)
+    if tag == "input":
+        view.flags.writeable = False
+    return view
 
 
 # -- serial/parallel cutover ---------------------------------------------------
@@ -886,16 +723,13 @@ def parallel_cutover(n_items: int, total_bytes: int, workers: int) -> bool:
     (one memcpy of the payload into the reused input arena plus a ~100 µs
     pool round trip; no segment create/unlink, no pickled result return):
     both the item floor and the byte floor must clear, and the payload must
-    stay under the auto-materialisation cap.  The ``REPRO_PARALLEL_*``
-    overrides are parsed once per process (see :func:`reload_parallel_env`),
-    never per call.
+    stay under the auto-materialisation cap.
     """
     if _IN_WORKER or workers <= 1 or n_items < 2:
         return False
-    min_items, min_bytes, max_bytes = worker_state("pool.cutover_config")  # type: ignore[misc]
-    if total_bytes > max_bytes:
+    if total_bytes > MAX_AUTO_PARALLEL_BYTES:
         return False
-    return n_items >= min_items and total_bytes >= min_bytes
+    return n_items >= MIN_PARALLEL_ITEMS and total_bytes >= MIN_PARALLEL_BYTES
 
 
 def shard_plan(

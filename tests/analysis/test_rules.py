@@ -33,6 +33,7 @@ def test_registry_has_all_thirteen_rules():
 
     ids = [r.id for r in all_rules()]
     # sorted, deduplicated: syntactic FP001..FP008 then flow FP009..FP013
+    # (the retired write-through-view id excluded)
     assert ids == RULE_IDS + list(FLOW_RULE_IDS)
     for rule_id in ids:
         rule = get_rule(rule_id)

@@ -1,4 +1,4 @@
-"""Persistent worker pool: lifecycle, shm dispatch, cutover, env handling."""
+"""Persistent worker pool: lifecycle, arena dispatch, cutover, env handling."""
 
 from __future__ import annotations
 
@@ -14,17 +14,13 @@ from repro.util.pool import (
     MAX_AUTO_PARALLEL_BYTES,
     MIN_PARALLEL_BYTES,
     MIN_PARALLEL_ITEMS,
-    SharedArena,
-    SharedArray,
     arena_info,
     arena_pair,
     arena_view,
-    attach_shared,
     get_pool,
     parallel_cutover,
     pool_info,
     register_worker_state,
-    reload_parallel_env,
     shard_plan,
     shutdown_pool,
     worker_state,
@@ -50,6 +46,22 @@ def _probe_nested_dispatch(_: int) -> tuple:
     auto_plan = pool.shard_plan(1000, 1 << 30, None)
     nested = map_parallel(_square, range(6), workers=4)
     return (pool.in_worker(), auto_plan, nested)
+
+
+def _probe_arena_writes(handles: tuple) -> bool:
+    """Runs inside a pool worker: reports whether the input-arena view
+    rejected a write, and writes ``data[0] + data[3]`` into the result arena."""
+    in_handle, res_handle = handles
+    data = arena_view(in_handle, np.float64, (4,))
+    try:
+        data[0] = -1.0
+        rejected = False
+    except ValueError:
+        rejected = True
+    out_v = arena_view(res_handle, np.float64, (1,))
+    out_v[0] = data[0] + data[3]
+    del data, out_v
+    return rejected
 
 
 class TestDefaultWorkers:
@@ -176,40 +188,49 @@ class TestNestedDispatch:
 
 
 class TestSharedMemory:
-    def test_roundtrip_view(self):
-        arr = np.arange(32, dtype=np.float64).reshape(4, 8) * 1.5
-        with SharedArray(arr) as block:
-            with attach_shared(block.handle) as view:
-                assert view.dtype == np.float64
-                assert view.shape == (4, 8)
+    """Arena round trips: what a parent writes, a worker-side view reads."""
+
+    @staticmethod
+    def _roundtrip(arr: np.ndarray) -> None:
+        shutdown_pool()
+        try:
+            with arena_pair() as (inp, _res):
+                handle = inp.reserve(arr.nbytes)
+                inp.write(arr)
+                view = arena_view(handle, arr.dtype, arr.shape)
+                assert view.dtype == arr.dtype
+                assert view.shape == arr.shape
                 assert np.array_equal(view, arr)
+                del view
+        finally:
+            shutdown_pool()
+
+    def test_roundtrip_view(self):
+        self._roundtrip(np.arange(32, dtype=np.float64).reshape(4, 8) * 1.5)
 
     def test_integer_matrix_roundtrip(self):
-        arr = np.arange(12, dtype=np.int64).reshape(3, 4)
-        with SharedArray(arr) as block:
-            with attach_shared(block.handle) as view:
-                assert view.dtype == np.int64
-                assert np.array_equal(view, arr)
+        self._roundtrip(np.arange(12, dtype=np.int64).reshape(3, 4))
 
     def test_empty_array(self):
-        with SharedArray(np.zeros(0, dtype=np.float64)) as block:
-            with attach_shared(block.handle) as view:
-                assert view.size == 0
+        self._roundtrip(np.zeros(0, dtype=np.float64))
 
     def test_bytes_in_flight_gauge_returns_to_zero(self):
         registry = get_registry()
         was_enabled = registry.enabled
         registry.enable()
+        shutdown_pool()
         try:
             gauge = registry.gauge("repro_pool_shm_bytes_in_flight")
             base = gauge.value
-            block = SharedArray(np.ones(1024, dtype=np.float64))
-            assert gauge.value == base + 8192
-            block.close()
-            assert gauge.value == base
-            block.close()  # idempotent
+            with arena_pair() as (inp, _res):
+                inp.reserve(8192)
+                assert gauge.value == base + (1 << 16)
+                inp.close()
+                assert gauge.value == base
+                inp.close()  # idempotent
             assert gauge.value == base
         finally:
+            shutdown_pool()
             if not was_enabled:
                 registry.disable()
 
@@ -230,14 +251,6 @@ class TestSharedMemory:
 
 
 class TestCutover:
-    @pytest.fixture(autouse=True)
-    def _fresh_cutover_cache(self):
-        """Cutover config is cached per process; reparse around every test so
-        one test's monkeypatched environment never bleeds into the next."""
-        reload_parallel_env()
-        yield
-        reload_parallel_env()
-
     def test_single_item_always_serial(self):
         assert shard_plan(1, 1 << 30, 8) == (1, 1)
 
@@ -260,24 +273,7 @@ class TestCutover:
 
     def test_auto_respects_materialisation_cap(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert not parallel_cutover(1000, (1 << 31) + 1, 4)
-
-    def test_cutover_env_overrides(self, monkeypatch):
-        # the knobs are parsed once per process, not per call: an env edit
-        # only takes effect through an explicit reload
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ITEMS", "2")
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_BYTES", "16")
-        assert not parallel_cutover(2, 16, 4)  # cached defaults still active
-        assert reload_parallel_env() == (2, 16, MAX_AUTO_PARALLEL_BYTES)
-        assert parallel_cutover(2, 16, 4)
-
-    def test_malformed_cutover_env_warns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ITEMS", "lots")
-        # reload parses eagerly, so the warning fires here, not per dispatch
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_MIN_ITEMS"):
-            cfg = reload_parallel_env()
-        assert cfg == (MIN_PARALLEL_ITEMS, MIN_PARALLEL_BYTES, MAX_AUTO_PARALLEL_BYTES)
-        assert parallel_cutover(MIN_PARALLEL_ITEMS, MIN_PARALLEL_BYTES, 4)
+        assert not parallel_cutover(1000, MAX_AUTO_PARALLEL_BYTES + 1, 4)
 
 
 class TestWorkerState:
@@ -317,27 +313,6 @@ class TestWorkerState:
 
         assert register_worker_state("t_deco", build) is build
         assert worker_state("t_deco") == 7
-
-class TestAttachSharedRelease:
-    """attach_shared releases deterministically — no gc.collect() retries."""
-
-    def test_clean_exit_releases_without_error(self):
-        arr = np.arange(4, dtype=np.float64)
-        with SharedArray(arr) as block:
-            with attach_shared(block.handle) as view:
-                assert view.sum() == arr.sum()
-
-    def test_lingering_view_raises_clear_error(self):
-        arr = np.arange(16, dtype=np.float64)
-        block = SharedArray(arr)
-        leaked = []
-        try:
-            with pytest.raises(RuntimeError, match="live ndarray views"):
-                with attach_shared(block.handle) as view:
-                    leaked.append(view)  # escapes the scope: a caller bug
-            leaked.clear()  # repro: allow[FP012] -- plain Python list holding the escaped view, not a shm view
-        finally:
-            block.close()
 
 
 class TestArena:
@@ -433,3 +408,41 @@ class TestArena:
             del lingering
             healed = arena_view(h2, np.float64, (1,))  # swap now succeeds
             del healed
+
+    def test_failed_regrow_keeps_gauge_balanced(self):
+        registry = get_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        try:
+            gauge = registry.gauge("repro_pool_shm_bytes_in_flight")
+            base = gauge.value
+            with arena_pair() as (inp, _res):
+                handle = inp.reserve(8)
+                held = inp.view(np.float64, (1,))
+                with pytest.raises(RuntimeError, match="live ndarray views"):
+                    inp.reserve(1 << 20)
+                # the failed regrow left the arena as it was
+                assert inp.reserve(8) == handle
+                assert inp.capacity == 1 << 16
+                assert gauge.value == base + (1 << 16)
+                del held
+                assert inp.reserve(1 << 20)[1] == handle[1] + 1
+            shutdown_pool()
+            assert gauge.value == base
+        finally:
+            if not was_enabled:
+                registry.disable()
+
+    def test_worker_input_view_is_read_only_result_view_writable(self):
+        with arena_pair() as (inp, res):
+            in_handle = inp.reserve(32)
+            inp.write(np.array([1.5, 2.0, 3.0, 4.25]))
+            res_handle = res.reserve(8)
+            res.write(np.zeros(1))
+            [rejected] = get_pool(2).map(
+                _probe_arena_writes, [(in_handle, res_handle)], chunksize=1
+            )
+            assert rejected
+            # the rejected write left the operand intact: 1.5 + 4.25
+            assert res.read(np.float64, (1,)).tolist() == [5.75]
+            assert inp.read(np.float64, (4,)).tolist() == [1.5, 2.0, 3.0, 4.25]

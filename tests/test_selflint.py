@@ -3,7 +3,7 @@
 The acceptance contract for :mod:`repro.analysis`: ``repro-lint src tests
 examples`` exits 0 against the committed baseline, and exits non-zero the
 moment any FP001-FP008 violation is (re)introduced; with ``--flow`` the
-same holds for the whole-program FP009-FP013 rules and the serving-path
+same holds for the whole-program FP009-FP011, FP013 rules and the serving-path
 determinism certificates.  Keeping this as a
 tier-1 test makes the linter self-enforcing — a PR that adds a bare ``sum()``
 to a summation kernel fails CI even if the author never ran the CLI.
@@ -53,7 +53,7 @@ def test_introduced_violations_fail_the_gate(tmp_path):
 
 
 def test_flow_gate_is_clean():
-    """The whole-program pass (FP009-FP013) finds nothing unguarded, and
+    """The whole-program pass (FP009-FP011, FP013) finds nothing unguarded, and
     every serving-entrypoint certificate resolves clean."""
     from repro.analysis.flow import flow_certificates
 

@@ -1046,11 +1046,10 @@ class TestSigterm:
         env = {
             **os.environ,
             "PYTHONPATH": _REPO_SRC,
-            # force the pool + shm arenas to materialise on small traffic
             "REPRO_WORKERS": "2",
-            "REPRO_PARALLEL_MIN_ITEMS": "1",
-            "REPRO_PARALLEL_MIN_BYTES": "1",
         }
+        # an explicit --workers 2 parallelises every multi-item batch, so
+        # the pool + shm arenas materialise on small traffic
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.serve.cli",
