@@ -58,6 +58,7 @@ from repro.summation import get_algorithm
 from repro.trees import _ckernels
 from repro.trees.shapes import balanced
 from repro.util.pool import default_workers, pool_info
+from repro.util.tickblock import TickBlock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_adaptive.json"
@@ -213,15 +214,14 @@ def _seed_cp_sum_rows(matrix: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return hi, lo
 
 
-def _seed_profile_batch(batches) -> "list[StreamProfile]":
+def _seed_profile_batch(block) -> "list[StreamProfile]":
     """Frozen copy of ``profile_batch`` as it ran on the composite-precision
-    ladder (uniform-width streams only): five full-matrix NumPy passes for
-    the magnitude statistics, ~50 for the ladder, then the rank-merge chain
-    vectorised over items."""
-    n_items, n_ranks = len(batches), len(batches[0])
-    arrays = [np.asarray(c, dtype=np.float64).ravel() for chunks in batches for c in chunks]
-    width = arrays[0].size
-    matrix = np.concatenate(arrays).reshape(n_items * n_ranks, width)
+    ladder (uniform-width streams only), reading a tick block's rows: five
+    full-matrix NumPy passes for the magnitude statistics, ~50 for the
+    ladder, then the rank-merge chain vectorised over items."""
+    n_items, n_ranks = len(block), int(block.ranks[0])
+    matrix = np.concatenate(block.rows).reshape(n_items * n_ranks, -1)
+    width = matrix.shape[1]
     a = np.abs(matrix)
     row_max = a.max(axis=1)
     row_min = np.min(a, axis=1, initial=np.inf, where=(a > 0.0))
@@ -335,7 +335,7 @@ def bench_sketch_stream(repeats: int = 25) -> dict:
         "n_ranks": N_RANKS,
         "chunk_len": PR_CHUNK_LEN,
         "ladder_profile_us_per_item": per_item
-        * _best_of(lambda: _seed_profile_batch(batches), repeats),
+        * _best_of(lambda: _seed_profile_batch(TickBlock.of(batches)), repeats),
         "profile_batch_us_per_item": per_item
         * _best_of(lambda: profile_batch(batches), repeats),
     }

@@ -16,6 +16,7 @@ magnitudes of a set.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "UNIT_ROUNDOFF",
     "MANTISSA_BITS",
     "unit_roundoff",
+    "unit_roundoff_of",
     "exponent",
     "exponents",
     "ulp",
@@ -53,6 +55,22 @@ def unit_roundoff(dtype=np.float64) -> float:
         return UNIT_ROUNDOFF
     u = float(np.finfo(dt).eps) / 2.0
     return max(u, UNIT_ROUNDOFF)
+
+
+def unit_roundoff_of(dtypes) -> float:
+    """Unit roundoff of one reduction's input from the set of its chunk
+    dtypes (``None`` marks a non-array chunk): the promoted dtype's ``u``,
+    binary64's for non-array or empty input."""
+    if None in dtypes or not dtypes:
+        return UNIT_ROUNDOFF
+    if len(dtypes) == 1:
+        return _dtype_roundoff(next(iter(dtypes)))
+    return _dtype_roundoff(np.result_type(*dtypes))
+
+
+@lru_cache(maxsize=64)
+def _dtype_roundoff(dtype) -> float:
+    return unit_roundoff(dtype)
 
 
 def exponent(x: float) -> int:

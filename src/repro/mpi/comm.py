@@ -36,16 +36,17 @@ The engines are bitwise-equal by contract (fold rows match ``op.local``
 states; grouping merges into levels cannot change results because each
 slot is written once), and the collective-engine property tests pin that
 across algorithms, ragged chunk sizes and tree shapes.  ``reduce_batch``
-amortises packing, compilation and level sweeps across a whole stream of
-same-shape reductions — the heavy-traffic serving path.
+amortises compilation and level sweeps across a whole stream of
+same-shape reductions — the heavy-traffic serving path — and reads the
+operands in place through one tick block (:mod:`repro.util.tickblock`).
 
 PR needs a per-reduction pre-pass (the global max) and so has no vector
 engine, but it needs no tree walk either: its fold deposits are exact
 integers, so every reduction tree yields the same sums.  On ``"auto"`` it
 runs :meth:`PreroundedSum.sum_items
-<repro.summation.prerounded.PreroundedSum.sum_items>`, which packs whole
-collectives into row blocks, takes each row's max as its pre-pass and
-extracts all fold coefficients in one vectorised sweep per fold —
+<repro.summation.prerounded.PreroundedSum.sum_items>`, which reads each
+collective's tick-block row in place, takes each row's max as its pre-pass
+and extracts all fold coefficients in one vectorised sweep per fold —
 bitwise-equal to the object walk on any tree, for one collective or a
 whole ``reduce_batch`` group.
 """
@@ -66,8 +67,8 @@ from repro.trees import _ckernels
 from repro.trees.schedule import compile_tree
 from repro.trees.shapes import balanced, serial
 from repro.trees.tree import ReductionTree
-from repro.util.chunking import split_indices
 from repro.util.rng import SeedLike, resolve_rng
+from repro.util.tickblock import ScatteredRow, TickBlock
 
 __all__ = ["ReduceResult", "SimComm"]
 
@@ -114,12 +115,17 @@ class SimComm:
         self.n_ranks = int(n_ranks)
         self.topology = topology
         self._rng = resolve_rng(seed)
+        self._trees: "dict[str, ReductionTree]" = {}
 
     # -- data distribution ---------------------------------------------------
-    def scatter_array(self, data: np.ndarray) -> list[np.ndarray]:
-        """Block-scatter a global vector into per-rank chunks."""
-        data = np.asarray(data, dtype=np.float64).ravel()
-        return [data[s] for s in split_indices(data.size, self.n_ranks)]
+    def scatter_array(self, data: np.ndarray) -> ScatteredRow:
+        """Block-scatter a global vector into per-rank chunks.
+
+        The chunks are views of one float64 row, returned as a
+        :class:`~repro.util.tickblock.ScatteredRow` (a ``list`` that
+        remembers the row), so batched reductions read them in place.
+        """
+        return ScatteredRow(np.asarray(data, dtype=np.float64).ravel(), self.n_ranks)
 
     # -- collectives --------------------------------------------------------
     def max_allreduce(self, local_values: Sequence[float]) -> float:
@@ -203,26 +209,34 @@ class SimComm:
 
     def reduce_batch(
         self,
-        batches: Sequence[Sequence[np.ndarray]],
+        batches: "Sequence[Sequence[np.ndarray]] | TickBlock",
         op: ReductionOp,
         tree: "ReductionTree | str" = "topology",
         engine: str = "auto",
     ) -> list[ReduceResult]:
         """Reduce a stream of independent collectives sharing ``op`` + tree.
 
-        ``batches[i]`` is one reduction's per-rank chunk list.  On the vector
-        engine all ``B * n_ranks`` chunks are packed into one padded matrix,
-        the local phase is a single :meth:`VectorOps.fold` sweep, and the
-        rank tree runs once with a ``(B, n_ranks)`` batch axis broadcasting
-        through every level — amortising packing, compilation and kernel
-        dispatch across the whole stream.  PR streams take the exact batched
-        path instead (module docs).  Each element of the returned list is
-        bitwise-equal to ``self.reduce(batches[i], op, tree)``.
+        ``batches[i]`` is one reduction's per-rank chunk list, or
+        ``batches`` is a ready :class:`~repro.util.tickblock.TickBlock`
+        (what ``AdaptiveReducer.reduce_many`` passes, one
+        :meth:`~repro.util.tickblock.TickBlock.take` per algorithm group).
+        On the vector engine every item's rank states fold in one sweep
+        over the block's pointer table, and the rank tree runs once with a
+        ``(B, n_ranks)`` batch axis broadcasting through every level —
+        amortising schedule compilation and kernel dispatch across the
+        whole stream.  PR streams take the exact batched path instead
+        (module docs).  Each element of the returned list is bitwise-equal
+        to ``self.reduce(batches[i], op, tree)``.
         """
         tree = self._resolve_tree(tree)
-        for chunks in batches:
-            self._check_size(chunks)
-        if not batches:
+        if isinstance(batches, TickBlock):
+            bad = batches.ranks[batches.ranks != self.n_ranks]
+            if bad.size:
+                self._check_count(int(bad[0]))
+        else:
+            for chunks in batches:
+                self._check_size(chunks)
+        if not len(batches):
             return []
         path = self._engine(op, engine)
         if path == "object":
@@ -231,16 +245,20 @@ class SimComm:
             # dispatch per collective
             if _OBS.enabled:
                 _OBS.counter("repro_comm_batch_fallback_total").inc()
+            if isinstance(batches, TickBlock):
+                chunks, k = batches.chunks(), self.n_ranks
+                batches = [chunks[i : i + k] for i in range(0, len(chunks), k)]
             return [self.reduce(chunks, op, tree, engine="object") for chunks in batches]
         if _OBS.enabled:
             _OBS.counter("repro_comm_batch_calls_total").inc()
             _OBS.counter("repro_comm_dispatch_total", engine="batch").inc(
                 len(batches)
             )
+        block = TickBlock.of(batches)
         if path == "exact":
-            values = op.algorithm.sum_items(batches, op.context)
+            values = op.algorithm.sum_items(block, op.context)
         else:
-            values = self._vector_batch(batches, op, tree)
+            values = self._vector_batch(block, op, tree)
         cost = tree_cost(tree, self.topology) if self.topology else 0.0
         return [
             ReduceResult(
@@ -251,28 +269,22 @@ class SimComm:
 
     # -- engines ---------------------------------------------------------------
     def _vector_batch(
-        self,
-        batches: Sequence[Sequence[np.ndarray]],
-        op: ReductionOp,
-        tree: ReductionTree,
+        self, block: TickBlock, op: ReductionOp, tree: ReductionTree
     ) -> np.ndarray:
         """One fold sweep for every item's rank states, one tree walk with
         a ``(B, n_ranks)`` batch axis."""
         vops = op.vector_ops
-        flat: list = []
-        for chunks in batches:
-            flat.extend(chunks)
         if tree.kind == "balanced" and _ckernels.has_reduce_kernel(vops):
             # fused fast path: fold + balanced rank tree + result extraction
             # for the whole stream in ONE compiled call (bitwise-equal to the
             # fold/reduce_states path below; the engine property tests pin it)
             if _OBS.enabled:
                 _OBS.counter("repro_comm_batch_fused_total").inc()
-            return _ckernels.reduce_balanced_chunks(flat, self.n_ranks, vops)
-        states = op.local_states(flat)
-        states = tuple(c.reshape(len(batches), self.n_ranks) for c in states)
+            return _ckernels.reduce_block(block, vops)
+        states = op.local_states(block)
+        states = tuple(c.reshape(len(block), self.n_ranks) for c in states)
         root = compile_tree(tree).reduce_states(states, vops)
-        return np.asarray(vops.result(root), dtype=np.float64).reshape(len(batches))
+        return np.asarray(vops.result(root), dtype=np.float64).reshape(len(block))
 
     def _engine(self, op: ReductionOp, engine: str) -> str:
         """The path ``engine`` resolves to for ``op``: ``"vector"``,
@@ -330,9 +342,12 @@ class SimComm:
 
     # -- helpers ---------------------------------------------------------------
     def _check_size(self, seq: Sequence) -> None:
-        if len(seq) != self.n_ranks:
+        self._check_count(len(seq))
+
+    def _check_count(self, count: int) -> None:
+        if count != self.n_ranks:
             raise ValueError(
-                f"expected one entry per rank ({self.n_ranks}), got {len(seq)}"
+                f"expected one entry per rank ({self.n_ranks}), got {count}"
             )
 
     def _contextualize(self, op: ReductionOp, chunks: Sequence[np.ndarray]) -> ReductionOp:
@@ -350,12 +365,20 @@ class SimComm:
             if tree.n_leaves != self.n_ranks:
                 raise ValueError("tree leaf count != communicator size")
             return tree
-        if tree == "balanced":
-            return balanced(self.n_ranks)
-        if tree == "serial":
-            return serial(self.n_ranks)
-        if tree == "topology":
-            if self.topology is not None:
-                return topology_aware_tree(self.topology)
-            return balanced(self.n_ranks)
-        raise ValueError(f"unknown tree spec {tree!r}")
+        resolved = self._trees.get(tree)
+        if resolved is None:
+            # a communicator's named trees never change: build each once
+            # (a ReductionTree's schedule is read-only, so sharing is safe)
+            if tree == "balanced":
+                resolved = balanced(self.n_ranks)
+            elif tree == "serial":
+                resolved = serial(self.n_ranks)
+            elif tree == "topology":
+                if self.topology is not None:
+                    resolved = topology_aware_tree(self.topology)
+                else:
+                    resolved = balanced(self.n_ranks)
+            else:
+                raise ValueError(f"unknown tree spec {tree!r}")
+            self._trees[tree] = resolved
+        return resolved

@@ -19,6 +19,7 @@ import numpy as np
 from repro.summation.base import Accumulator, SumContext, SummationAlgorithm, VectorOps
 from repro.trees import _ckernels
 from repro.util.chunking import pack_ragged
+from repro.util.tickblock import TickBlock
 
 __all__ = ["ReductionOp", "make_reduction_op"]
 
@@ -81,17 +82,18 @@ class ReductionOp:
         return vops.fold(matrix, lengths)
 
     def local_states(self, chunks):
-        """Vectorised rank-local phase straight from a chunk list.
+        """Vectorised rank-local phase straight from a chunk list, or from
+        every chunk of a :class:`repro.util.tickblock.TickBlock`.
 
-        Same contract as :meth:`local_matrix` but the compiled kernel takes
-        short chunks packed back to back and long ones in place — the
-        padded matrix is never materialised.  The NumPy fallback pads
-        first.
+        Same contract as :meth:`local_matrix` but the compiled kernel reads
+        the chunks through the block's pointer table — the padded matrix is
+        never materialised.  The NumPy fallback pads first.
         """
         vops = self._require_vector_ops()
+        is_block = isinstance(chunks, TickBlock)
         if _ckernels.has_fold_kernel(vops):
-            return _ckernels.fold_chunks(chunks, vops)
-        matrix, lengths = pack_ragged(chunks)
+            return _ckernels.fold_block(chunks if is_block else TickBlock.of([chunks]), vops)
+        matrix, lengths = pack_ragged(chunks.chunks() if is_block else chunks)
         return vops.fold(matrix, lengths)
 
     def _require_vector_ops(self) -> VectorOps:

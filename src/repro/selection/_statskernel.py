@@ -11,10 +11,11 @@ sequential Sum2 chain ``hi, e = TwoSum(hi, v); lo = lo + e``, so a row's
 certifies) and ``hi + lo`` is the compensated sum the profiling sketch
 needs.  Asked for items, the kernel also runs each item's
 :meth:`repro.selection.profile.StreamProfile.merge` chain over its rank rows
-in rank order, so a whole uniform-width stream profiles in one call.
+in rank order, so a whole stream, ragged or not, profiles in one call.
 
 The compiled kernel is part of the single :mod:`repro.trees._ckernels`
-build, and its operands arrive through that module's packed row pointers.
+build, and its operands arrive through a tick block's pointer table
+(:mod:`repro.util.tickblock`), read in place.
 Without it (no compiler, or ``REPRO_NO_CKERNELS``), the NumPy fallback
 below replays the identical lane order and operation sequence with
 :func:`repro.fp.eft.two_sum_array`, so every statistic is **bitwise-equal**
@@ -46,32 +47,30 @@ SKETCH_COLUMNS = (
 _LANES = 8
 
 
-def sketch(chunks, sizes: np.ndarray, n_ranks: int, *, rows: bool, items: bool):
-    """Sketch planes of an item-major chunk list.
+def sketch(block, *, rows: bool, items: bool):
+    """Sketch planes of a tick block (:class:`repro.util.tickblock.TickBlock`).
 
-    ``chunks, sizes`` come from :func:`repro.trees._ckernels.chunk_sizes`;
-    item ``i``'s rank ``r`` chunk is ``chunks[i * n_ranks + r]``.  Returns
-    ``(row_planes, item_planes)``: ``(n_rows, 6)`` and ``(n_items, 6)``
-    float64 arrays in :data:`SKETCH_COLUMNS` order, or ``None`` for a plane
-    set not asked for.
+    Returns ``(row_planes, item_planes)``: ``(n_chunks, 6)`` and
+    ``(n_items, 6)`` float64 arrays in :data:`SKETCH_COLUMNS` order, or
+    ``None`` for a plane set not asked for.  Each item's plane merges its
+    own ``block.ranks[i]`` rows, so ragged streams sketch in one call.
     """
     if _ckernels.kernels_available():
-        return _ckernels.sketch_planes(chunks, sizes, n_ranks, rows, items)
-    row_planes = _rows_numpy(chunks, sizes)
-    item_planes = _items_numpy(row_planes, n_ranks) if items else None
+        return _ckernels.sketch_planes(block, rows, items)
+    row_planes = _rows_numpy(block)
+    item_planes = _items_numpy(row_planes, block.ranks) if items else None
     return (row_planes if rows else None), item_planes
 
 
-def _rows_numpy(chunks, sizes: np.ndarray) -> np.ndarray:
+def _rows_numpy(block) -> np.ndarray:
     """Fallback row sketch: one matrix sweep per distinct chunk width."""
+    chunks = block.chunks()
     out = np.empty((len(chunks), 6), dtype=np.float64)
-    for width in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == width)
-        flat = np.empty(idx.size * width, dtype=np.float64)
-        _ckernels.pack_chunks(
-            chunks if idx.size == len(chunks) else [chunks[i] for i in idx], flat
-        )
-        out[idx] = _rows_matrix(flat.reshape(idx.size, width))
+    for width in np.unique(block.lens).tolist():
+        idx = np.flatnonzero(block.lens == width)
+        matrix = np.empty((idx.size, width), dtype=np.float64)
+        np.concatenate([chunks[i] for i in idx.tolist()], out=matrix.reshape(-1))
+        out[idx] = _rows_matrix(matrix)
     return out
 
 
@@ -112,11 +111,22 @@ def _rows_matrix(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _items_numpy(row_planes: np.ndarray, n_ranks: int) -> np.ndarray:
-    """Fallback item chain: ``StreamProfile.merge`` over ranks, vectorised
-    across items (the kernel's per-item loop, lane for lane)."""
-    ranks = row_planes.reshape(-1, n_ranks, 6)
-    n_items = ranks.shape[0]
+def _items_numpy(row_planes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Fallback item chain: ``StreamProfile.merge`` over each item's ranks,
+    vectorised across the items that share a rank count (the kernel's
+    per-item loop, lane for lane)."""
+    first = np.zeros(ranks.size, dtype=np.int64)
+    np.cumsum(ranks[:-1], out=first[1:])
+    out = np.empty((ranks.size, 6), dtype=np.float64)
+    for k in np.unique(ranks).tolist():
+        items = np.flatnonzero(ranks == k)
+        out[items] = _merge_ranks(row_planes[first[items, None] + np.arange(k)])
+    return out
+
+
+def _merge_ranks(ranks: np.ndarray) -> np.ndarray:
+    """The rank-order merge chain of ``(n_items, n_ranks, 6)`` row planes."""
+    n_items, n_ranks, _ = ranks.shape
     mx = np.zeros(n_items)
     mn = np.full(n_items, math.inf)
     ah = np.zeros(n_items)

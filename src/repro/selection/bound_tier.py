@@ -42,12 +42,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.fp.properties import UNIT_ROUNDOFF, exponent, unit_roundoff
+from repro.fp.properties import UNIT_ROUNDOFF, exponent, unit_roundoff_of
 from repro.metrics.bounds import summation_error_bound
 from repro.metrics.properties import SetProfile
 from repro.selection._statskernel import sketch
 from repro.selection.policy import SelectionDecision
-from repro.trees._ckernels import chunk_sizes
+from repro.util.tickblock import TickBlock
 
 __all__ = [
     "BoundStats",
@@ -59,9 +59,6 @@ __all__ = [
 ]
 
 
-_ROUNDOFF_BY_DTYPE: "dict" = {}
-
-
 def item_unit_roundoff(chunks) -> float:
     """Unit roundoff of one reduction's input: the promoted dtype of its
     chunks (fp16 -> 2**-11, fp32 -> 2**-24, fp64 and non-arrays -> 2**-53).
@@ -71,22 +68,6 @@ def item_unit_roundoff(chunks) -> float:
     inputs are selected for at their own roundoff.
     """
     return unit_roundoff_of({getattr(c, "dtype", None) for c in chunks})
-
-
-def unit_roundoff_of(dtypes: set) -> float:
-    """:func:`item_unit_roundoff` from the set of an item's chunk dtypes
-    (``None`` marks a non-array chunk)."""
-    if None in dtypes or not dtypes:
-        return UNIT_ROUNDOFF
-    if len(dtypes) == 1:
-        dt = next(iter(dtypes))
-    else:
-        dt = np.result_type(*dtypes)
-    u = _ROUNDOFF_BY_DTYPE.get(dt)
-    if u is None:
-        u = unit_roundoff(dt)
-        _ROUNDOFF_BY_DTYPE[dt] = u
-    return u
 
 
 @dataclass(frozen=True)
@@ -141,15 +122,15 @@ def bound_stats_stream(batches, us: Sequence[float]) -> "list[BoundStats]":
         return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)]
     if n_ranks == 0:
         return [BoundStats(0, 0.0, math.inf, 0.0, 0.0, u) for u in us]
-    chunks, sizes = chunk_sizes([c for chunks in batches for c in chunks])
-    rows, _ = sketch(chunks, sizes, n_ranks, rows=True, items=False)
+    block = TickBlock.of(batches)
+    rows, _ = sketch(block, rows=True, items=False)
     planes = rows.T.copy()
     shape = (n_items, n_ranks)
     max_tot = planes[0].reshape(shape).max(axis=1)
     min_tot = planes[1].reshape(shape).min(axis=1)
     abs_tot = np.sum(planes[2].reshape(shape), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
     sum_tot = np.sum(planes[4].reshape(shape), axis=1)  # repro: allow[FP002] -- pairwise merge of the certified statistics pass
-    n_tot = sizes.reshape(shape).sum(axis=1).tolist()  # repro: allow[FP002] -- integer element counts, not an FP reduction
+    n_tot = block.lens.reshape(shape).sum(axis=1).tolist()  # repro: allow[FP002] -- integer element counts, not an FP reduction
     return [
         BoundStats(
             n=n_tot[i],

@@ -80,16 +80,18 @@ class CostModel:
         rng = np.random.default_rng(0)
         data = rng.uniform(-1.0, 1.0, size=n)
         ctx = SumContext.for_data(data)
-        timings: dict[str, float] = {}
-        for code in codes:
-            alg = get_algorithm(code)
+        algorithms = {code: get_algorithm(code) for code in codes}
+        for alg in algorithms.values():
             alg.sum_array(data, ctx)  # warm
-            best = float("inf")
-            for _ in range(repeats):
+        # round-robin: every repeat times each code once, so a burst of
+        # host noise lands on all codes of one round rather than on
+        # whichever code was running; each code keeps its best time
+        timings = dict.fromkeys(codes, float("inf"))
+        for _ in range(repeats):
+            for code, alg in algorithms.items():
                 t0 = time.perf_counter()
                 alg.sum_array(data, ctx)
-                best = min(best, time.perf_counter() - t0)
-            timings[code] = best
+                timings[code] = min(timings[code], time.perf_counter() - t0)
         st = timings.get("ST")
         if st is None or st == 0.0:  # repro: allow[FP001] -- zero measured std means exact
             raise RuntimeError("calibration needs the ST baseline")

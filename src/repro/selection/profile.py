@@ -13,8 +13,9 @@ lo)`` sums of ``|x|`` and ``x`` from the fused kernel in
 meaningful up to k ~ 1e30 instead of saturating at 1/(n·u)); sketches merge
 associatively, so profiling costs one extra allreduce of six doubles —
 exactly the "profile parameters of interest at runtime" tooling Sec. V.D
-calls for.  :func:`profile_batch` sketches a whole uniform-width stream,
-rank merges included, in one kernel call.
+calls for.  :func:`profile_batch` sketches a whole stream, rank merges
+included, in one kernel call over its tick block
+(:mod:`repro.util.tickblock`).
 
 Accuracy: ``dr`` is exact (it only needs the extreme exponents).  Each
 chunk's sums are eight lane-sequential Sum2 chains (Ogita–Rump–Oishi) of at
@@ -39,19 +40,11 @@ from repro.fp.properties import exponent
 from repro.metrics.properties import SetProfile
 from repro.obs import get_registry
 from repro.selection._statskernel import sketch
-from repro.trees._ckernels import chunk_sizes
+from repro.util.tickblock import TickBlock
 
 __all__ = ["StreamProfile", "profile_chunk", "profile_stream", "profile_batch"]
 
 _OBS = get_registry()
-
-
-def _record_profile_path(path: str, n_items: int) -> None:
-    """Count which profiling path a stream took (batched sweep vs ragged
-    per-item fallback) and how many items rode it."""
-    if _OBS.enabled:
-        _OBS.counter("repro_profile_batch_total", path=path).inc()
-        _OBS.counter("repro_profile_items_total", path=path).inc(n_items)
 
 
 @dataclass
@@ -69,9 +62,9 @@ class StreamProfile:
     # -- accumulation ----------------------------------------------------------
     def update(self, chunk: np.ndarray) -> None:
         """Fold a chunk in: its one-read kernel row, merged into the sketch."""
-        chunks, sizes = chunk_sizes([chunk])
-        rows, _ = sketch(chunks, sizes, 1, rows=True, items=False)
-        self.merge(StreamProfile(int(sizes[0]), *rows[0].tolist()))
+        block = TickBlock.of([[chunk]])
+        rows, _ = sketch(block, rows=True, items=False)
+        self.merge(StreamProfile(block.rows[0].size, *rows[0].tolist()))
 
     def merge(self, other: "StreamProfile") -> None:
         """Associative sketch merge (the allreduce combine)."""
@@ -130,39 +123,28 @@ def profile_chunk(chunk: np.ndarray) -> StreamProfile:
 def profile_stream(chunks: "list[np.ndarray]") -> StreamProfile:
     """Sketch a distributed set: every chunk's row merged in rank order (the
     allreduce), in one kernel call — bitwise-equal to ``update`` per chunk."""
-    if not len(chunks):
-        return StreamProfile()
-    chunks, sizes = chunk_sizes(list(chunks))
-    _, items = sketch(chunks, sizes, len(chunks), rows=False, items=True)
-    return StreamProfile(int(sizes.sum()), *items[0].tolist())  # repro: allow[FP002] -- integer element counts, not an FP reduction
+    block = TickBlock.of([chunks])
+    _, items = sketch(block, rows=False, items=True)
+    return StreamProfile(block.rows[0].size, *items[0].tolist())
 
 
-def profile_batch(batches) -> "list[StreamProfile] | None":
-    """Sketch a whole stream of same-shape distributed sets in bulk.
+def profile_batch(block) -> "list[StreamProfile]":
+    """Sketch a whole stream of distributed sets in one kernel call.
 
-    ``batches[i]`` is one reduction's per-rank chunk list.  When every chunk
-    across the stream has the same length (the serving-path common case)
-    one kernel call sketches every chunk and runs every item's rank-merge
-    chain, so each returned sketch is bitwise-equal to
-    ``AdaptiveReducer.profile`` on the same item.  Returns ``None`` for
-    ragged streams (callers fall back to the per-item loop).
+    ``block`` is a :class:`repro.util.tickblock.TickBlock`, or a stream of
+    per-rank chunk lists to build one from.  One kernel call sketches every
+    chunk and runs every item's rank-merge chain, ragged widths and rank
+    counts included, so each returned sketch is bitwise-equal to
+    ``AdaptiveReducer.profile`` on the same item.
     """
-    n_items = len(batches)
-    if n_items == 0:
+    block = TickBlock.of(block)
+    if not len(block):
         return []
-    n_ranks = len(batches[0])
-    if any(len(chunks) != n_ranks for chunks in batches):
-        _record_profile_path("ragged_fallback", n_items)
-        return None
-    if n_ranks == 0:
-        _record_profile_path("batched", n_items)
-        return [StreamProfile() for _ in range(n_items)]
-    chunks, sizes = chunk_sizes([c for chunks in batches for c in chunks])
-    width = int(sizes[0])
-    if not bool((sizes == width).all()):
-        _record_profile_path("ragged_fallback", n_items)
-        return None
-    _, items = sketch(chunks, sizes, n_ranks, rows=False, items=True)
-    n_total = n_ranks * width
-    _record_profile_path("batched", n_items)
-    return [StreamProfile(n_total, *row) for row in items.tolist()]
+    _, items = sketch(block, rows=False, items=True)
+    if _OBS.enabled:
+        _OBS.counter("repro_profile_batch_total", path="batched").inc()
+        _OBS.counter("repro_profile_items_total", path="batched").inc(len(block))
+    return [
+        StreamProfile(row.size, *planes)
+        for row, planes in zip(block.rows, items.tolist())
+    ]

@@ -10,8 +10,8 @@ Every reduction takes one route, whether it arrives as a single
 :meth:`AdaptiveReducer.reduce_many`, or a served request:
 
 1. **Profile** — every rank sketches its chunk in one kernel read; the
-   sketches merge in an (exactly associative) allreduce.  A uniform-width
-   stream sketches in one kernel call.
+   sketches merge in an (exactly associative) allreduce.  A whole stream
+   sketches in one kernel call over its tick block.
 2. **Select** — a policy (analytic model or calibrated grid classifier)
    picks the cheapest algorithm whose predicted variability meets the
    application's tolerance, queried on the item's own sketch.
@@ -35,7 +35,6 @@ number of selections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -46,21 +45,19 @@ from repro.mpi.comm import ReduceResult, SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.mpi.topology import tree_cost
 from repro.obs import get_registry
-from repro.selection.bound_tier import item_unit_roundoff, unit_roundoff_of
+from repro.selection.bound_tier import item_unit_roundoff
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
 from repro.selection.profile import StreamProfile, profile_batch, profile_stream
 from repro.summation.registry import all_algorithms, get_algorithm
 from repro.trees.tree import ReductionTree
 from repro.util.chunking import split_indices
 from repro.util.pool import arena_pair, arena_view, get_pool, shard_plan
+from repro.util.tickblock import TickBlock, TickLayout
 from repro.util.timing import Stopwatch
 
 __all__ = ["Policy", "AdaptiveResult", "AdaptiveReducer"]
 
 _OBS = get_registry()
-
-_DTYPE = attrgetter("dtype")
-_SIZE = attrgetter("size")
 
 
 class Policy(Protocol):
@@ -163,14 +160,19 @@ class AdaptiveReducer:
     ) -> "list[AdaptiveResult]":
         """Adaptively reduce a stream of independent reductions in bulk.
 
-        The serving path: uniform-width streams profile in one sketch-kernel
-        call (:func:`repro.selection.profile.profile_batch`, bitwise-equal
-        to per-item profiling; ragged streams fall back to the loop), each
-        item's policy query runs on its own sketch, and items choosing the
-        same algorithm execute together through
-        :meth:`SimComm.reduce_batch`, so packing, schedule compilation and
-        kernel dispatch are paid once per algorithm instead of once per
-        item.  PR groups take the same route: its fold deposits are exact
+        The serving path.  The stream becomes one tick block
+        (:mod:`repro.util.tickblock`): items scattered from one aligned
+        float64 row (:meth:`SimComm.scatter_array`, the daemon's binary
+        frames) are read in place, every other item is copied once.  The
+        whole block profiles in one sketch-kernel call
+        (:func:`repro.selection.profile.profile_batch`, bitwise-equal to
+        per-item profiling, ragged widths included), each item's policy
+        query runs on its own sketch, and items choosing the same algorithm
+        execute together through :meth:`SimComm.reduce_batch` on the
+        block's :meth:`~repro.util.tickblock.TickBlock.take` of the group,
+        so schedule compilation and kernel dispatch are paid once per
+        algorithm instead of once per item, and no operand is re-packed.
+        PR groups take the same route: its fold deposits are exact
         integers, so one vectorised pass over the whole group gives every
         item the value any reduction tree would.
 
@@ -197,17 +199,18 @@ class AdaptiveReducer:
             raise ValueError("threshold must be >= 0")
         if not batches:
             return []
-        us, payload_bytes = _stream_meta(batches)
-        pool_workers, n_shards = shard_plan(len(batches), payload_bytes, workers)
+        layout = TickLayout(batches)
+        pool_workers, n_shards = shard_plan(len(layout), 8 * layout.n_values, workers)
         if n_shards > 1:
             return self._reduce_many_parallel(
-                batches, t, tree, pool_workers, n_shards, us
+                layout, t, tree, pool_workers, n_shards
             )
+        block = layout.block()
         _, decisions, profile_elapsed, select_elapsed = self._sketch_and_select(
-            batches, t, us
+            block, t
         )
         results, groups, reduce_elapsed = self._grouped_reduce(
-            batches, decisions, tree
+            block, decisions, tree
         )
         n_items = len(batches)
         if _OBS.enabled:
@@ -229,26 +232,18 @@ class AdaptiveReducer:
             for rr, decision in zip(results, decisions)
         ]
 
-    def _sketch_and_select(
-        self,
-        batches: Sequence[Sequence[np.ndarray]],
-        threshold: float,
-        us: Sequence[float],
-    ) -> tuple:
-        """Steps 1+2 for a stream: ``(sketches, decisions, profile elapsed,
-        select elapsed)``, the profile time including the selection.
-        Shared by the serial serving path and the shard workers so both run
-        the exact same pipeline.  ``us`` carries each item's input-dtype
-        unit roundoff into the policy query."""
+    def _sketch_and_select(self, block: TickBlock, threshold: float) -> tuple:
+        """Steps 1+2 for a tick block: ``(sketches, decisions, profile
+        elapsed, select elapsed)``, the profile time including the
+        selection.  Shared by the serial serving path and the shard workers
+        so both run the exact same pipeline.  Each item's input-dtype unit
+        roundoff (``block.us``) goes into its policy query."""
         with Stopwatch() as sw_profile:
-            # uniform-width streams profile as one kernel call; the
-            # batched sketches are bitwise-equal to the per-item loop
-            sketches = profile_batch(batches)
-            if sketches is None:
-                sketches = [self.profile(chunks) for chunks in batches]
+            sketches = profile_batch(block)
             with Stopwatch() as sw_select:
                 decisions = [
-                    self._select(sk, threshold, u) for sk, u in zip(sketches, us)
+                    self._select(sk, threshold, u)
+                    for sk, u in zip(sketches, block.us)
                 ]
         return sketches, decisions, sw_profile.elapsed, sw_select.elapsed
 
@@ -274,107 +269,69 @@ class AdaptiveReducer:
 
     def _grouped_reduce(
         self,
-        batches: Sequence[Sequence[np.ndarray]],
+        block: TickBlock,
         decisions: "list[SelectionDecision]",
         tree: "ReductionTree | str",
     ) -> tuple:
-        """Step 3 for a stream: same-decision items execute together, one
-        :meth:`SimComm.reduce_batch` per algorithm (PR included: its exact
-        batched path takes each item's own max as its pre-pass).
+        """Step 3 for a tick block: same-decision items execute together,
+        one :meth:`SimComm.reduce_batch` per algorithm on the block's
+        :meth:`~repro.util.tickblock.TickBlock.take` of the group (PR
+        included: its exact batched path takes each item's own max as its
+        pre-pass).  No group re-packs an operand.
 
         Returns ``(per-item ReduceResults, {code: indices}, elapsed)``.
         """
         groups: "dict[str, list[int]]" = {}
         for i, decision in enumerate(decisions):
             groups.setdefault(decision.code, []).append(i)
-        results: "list[ReduceResult | None]" = [None] * len(batches)
+        results: "list[ReduceResult | None]" = [None] * len(block)
         with Stopwatch() as sw_reduce:
             for code, indices in groups.items():
                 op = make_reduction_op(get_algorithm(code))
-                group_results = self.comm.reduce_batch(
-                    [batches[i] for i in indices], op, tree
-                )
+                group_results = self.comm.reduce_batch(block.take(indices), op, tree)
                 for i, rr in zip(indices, group_results):
                     results[i] = rr
         return results, groups, sw_reduce.elapsed
 
     def _reduce_many_parallel(
         self,
-        batches: Sequence[Sequence[np.ndarray]],
+        layout: TickLayout,
         threshold: float,
         tree: "ReductionTree | str",
         pool_workers: int,
         n_shards: int,
-        us: Sequence[float],
     ) -> "list[AdaptiveResult]":
         """Shard the stream over the persistent pool (bitwise = serial path).
 
-        Operands pack once into the persistent **input arena** (lengths,
-        per-item rank counts, per-item unit roundoffs, then every chunk's
-        float64 bytes); workers slice zero-copy views out of their cached
-        attachment and run the same :meth:`_sketch_and_select` +
-        :meth:`_grouped_reduce` pipeline the serial path uses.  Results come
-        back through the **result arena** — value, decision-code index and
-        the 7 profile-sketch fields per item plus three phase timings per
-        shard — so the pickle pipe only carries ``None``.  The parent
-        rebuilds each :class:`StreamProfile` from the arena, re-selects
-        with the same :meth:`_select`, and checks its codes against the
-        workers' in one comparison, so a drift raises instead of passing
-        silently.  Chunks are normalised with the same
-        ``np.asarray(..., float64)`` coercion the serial pipeline applies,
-        so worker inputs are bit-identical to what the serial path would
-        profile and reduce.
+        Operands pack once into the persistent **input arena**
+        (:meth:`TickLayout.to_arena`); each worker rebuilds its shard's
+        tick block there as views (:meth:`TickBlock.from_arena`) and runs
+        the same :meth:`_sketch_and_select` + :meth:`_grouped_reduce`
+        pipeline the serial path uses.  Results come back through the
+        **result arena** — value, decision-code index and the 7
+        profile-sketch fields per item plus three phase timings per shard —
+        so the pickle pipe only carries ``None``.  The parent rebuilds each
+        :class:`StreamProfile` from the arena, re-selects with the same
+        :meth:`_select`, and checks its codes against the workers' in one
+        comparison, so a drift raises instead of passing silently.
         """
-        flats: "list[np.ndarray]" = []
-        lengths: "list[int]" = []
-        ranks: "list[int]" = []
-        for chunks in batches:
-            ranks.append(len(chunks))
-            for c in chunks:
-                # normalise without materialising: asarray of an f8 chunk —
-                # including a memoryview-backed slice of a socket receive
-                # buffer — is a view, and write_concat below is the single
-                # copy (straight into the shared input arena).  The old
-                # ascontiguousarray staging copy doubled every ingest.
-                a = np.asarray(c, dtype=np.float64)
-                if a.ndim != 1:
-                    a = a.ravel()
-                flats.append(a)
-                lengths.append(a.size)
-        n_items = len(batches)
-        n_chunks = len(flats)
-        total = int(sum(lengths))  # repro: allow[FP002] -- integer chunk-length count, not an FP reduction
+        n_items = len(layout)
+        us = layout.us
         shards = split_indices(n_items, n_shards)
         pool = get_pool(pool_workers)
         code_table = tuple(alg.code for alg in all_algorithms())
-        # input arena: [lengths i64 x n_chunks][ranks i64 x n_items]
-        # [u f64 x n_items][flat f64]
         # result arena: [values f64][code idx i64][sketch n i64]
         # [sketch f64 x6] per item (72 B), then
         # [profile_s, select_s, reduce_s] f64 per shard (24 B)
-        in_bytes = 8 * (n_chunks + 2 * n_items + total)
         res_bytes = 72 * n_items + 24 * len(shards)
         with arena_pair() as (arena_in, arena_res):
-            in_handle = arena_in.reserve(in_bytes)
+            in_handle, dims = layout.to_arena(arena_in)
             res_handle = arena_res.reserve(res_bytes)
-            arena_in.write(np.asarray(lengths, dtype=np.int64))
-            arena_in.write(
-                np.asarray(ranks, dtype=np.int64), offset=8 * n_chunks
-            )
-            arena_in.write(
-                np.asarray(us, dtype=np.float64),
-                offset=8 * (n_chunks + n_items),
-            )
-            arena_in.write_concat(
-                flats, total, np.float64, offset=8 * (n_chunks + 2 * n_items)
-            )
             payloads = [
                 (
                     in_handle,
+                    dims,
                     res_handle,
-                    n_items,
-                    n_chunks,
-                    total,
                     s.start,
                     s.stop,
                     shard_index,
@@ -460,32 +417,14 @@ def _observe_phases(
         _OBS.histogram(name).observe(total / n_items, count=n_items)
 
 
-def _stream_meta(batches: Sequence[Sequence[np.ndarray]]) -> tuple:
-    """One walk over a stream's chunks: ``(per-item unit roundoffs, total
-    float64 bytes the stream would ship to workers)``."""
-    us = []
-    n_values = 0
-    for chunks in batches:
-        try:
-            dtypes = set(map(_DTYPE, chunks))
-            n_values += sum(map(_SIZE, chunks))  # repro: allow[FP002] -- integer element counts, not an FP reduction
-        except AttributeError:  # non-array chunks
-            us.append(item_unit_roundoff(chunks))
-            n_values += sum(np.size(c) for c in chunks)  # repro: allow[FP002] -- integer element counts, not an FP reduction
-            continue
-        us.append(unit_roundoff_of(dtypes))
-    return us, 8 * n_values
-
-
 def _reduce_many_shard(payload: tuple) -> None:
     """Worker: run the serving pipeline on one shard, writing results
     straight into the shared result arena.
 
     Rebuilds the reducer from its picklable spec (communicator, policy,
-    threshold), slices zero-copy chunk views for items ``[start, stop)``
-    out of the cached input-arena attachment
-    (:func:`repro.util.pool.arena_view` — attach once per arena epoch, not
-    once per task), and writes values, decision-code indices, the 7
+    threshold) and the shard's tick block as views of the cached input-arena
+    attachment (:meth:`TickBlock.from_arena` — attach once per arena epoch,
+    not once per task), and writes values, decision-code indices, the 7
     profile-sketch fields per item and the shard's phase timings into the
     result arena, so nothing but ``None`` returns through the pickle pipe.
     Every arena view is dropped before returning: a lingering view would
@@ -493,10 +432,8 @@ def _reduce_many_shard(payload: tuple) -> None:
     """
     (
         in_handle,
+        dims,
         res_handle,
-        n_items,
-        n_chunks,
-        total,
         start,
         stop,
         shard_index,
@@ -506,30 +443,16 @@ def _reduce_many_shard(payload: tuple) -> None:
         tree,
         code_table,
     ) = payload
-    lengths = arena_view(in_handle, np.int64, (n_chunks,))
-    ranks = arena_view(in_handle, np.int64, (n_items,), offset=8 * n_chunks)
-    us_all = arena_view(
-        in_handle, np.float64, (n_items,), offset=8 * (n_chunks + n_items)
-    )
-    flat = arena_view(
-        in_handle, np.float64, (total,), offset=8 * (n_chunks + 2 * n_items)
-    )
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    chunk_base = np.concatenate(([0], np.cumsum(ranks)))
-    batches = []
-    for i in range(start, stop):
-        c0, c1 = int(chunk_base[i]), int(chunk_base[i + 1])
-        batches.append(
-            [flat[int(offsets[j]) : int(offsets[j + 1])] for j in range(c0, c1)]
-        )
-    us = [float(us_all[i]) for i in range(start, stop)]
+    n_items = dims[0]
+    block = TickBlock.from_arena(in_handle, dims, start, stop)
     reducer = AdaptiveReducer(comm, policy, threshold=threshold)
     sketches, decisions, profile_elapsed, select_elapsed = (
-        reducer._sketch_and_select(batches, threshold, us)
+        reducer._sketch_and_select(block, threshold)
     )
     results, _groups, reduce_elapsed = reducer._grouped_reduce(
-        batches, decisions, tree
+        block, decisions, tree
     )
+    del block
     code_index = {code: idx for idx, code in enumerate(code_table)}
     span = slice(start, stop)
     values_v = arena_view(res_handle, np.float64, (n_items,))
@@ -555,5 +478,4 @@ def _reduce_many_shard(payload: tuple) -> None:
     ]
     stats_v[:] = (profile_elapsed, select_elapsed, reduce_elapsed)
     del values_v, codes_v, skn_v, skf_v, stats_v
-    del batches, flat, lengths, ranks, us_all
     return None

@@ -59,7 +59,11 @@ _OBS = get_registry()
 
 
 def _item_nbytes(item: Any) -> int:
-    """Payload bytes of one queued item (a per-rank chunk sequence)."""
+    """Payload bytes of one queued item (a per-rank chunk sequence; a
+    scattered row's bytes without a walk over its chunks)."""
+    row = getattr(item, "row", None)
+    if row is not None:
+        return int(row.nbytes)
     try:
         return sum(int(getattr(c, "nbytes", 0)) for c in item)
     except TypeError:  # not iterable; opaque item

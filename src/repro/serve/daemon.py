@@ -81,8 +81,8 @@ from repro.serve.protocol import (
 )
 from repro.summation.registry import get_algorithm
 from repro.trees.evaluate import evaluate_ensemble
-from repro.util.chunking import split_indices
 from repro.util.pool import shutdown_pool
+from repro.util.tickblock import ScatteredRow
 
 __all__ = ["ReproServeDaemon"]
 
@@ -407,16 +407,16 @@ class ReproServeDaemon:
                 codec=codec,
             ).observe(seconds)
 
-    def _scatter_view(self, arr: np.ndarray) -> "list[np.ndarray]":
+    def _scatter_view(self, arr: np.ndarray) -> ScatteredRow:
         """Block-scatter without ``SimComm.scatter_array``'s f8 coercion.
 
         Frame payload slices stay zero-copy views in their wire dtype, so
         precision-aware selection sees fp16/fp32 inputs at their own unit
-        roundoff instead of silently upcast copies.
+        roundoff instead of silently upcast copies.  The views come as a
+        :class:`~repro.util.tickblock.ScatteredRow`, so ``reduce_many``
+        reads an f8 row in place and copies an fp16/fp32 row once.
         """
-        return [
-            arr[s] for s in split_indices(arr.size, self.reducer.comm.n_ranks)
-        ]
+        return ScatteredRow(arr, self.reducer.comm.n_ranks)
 
     def _parse_item(self, obj, *, what: str):
         """One reduction item -> (chunks, threshold, deadline_s)."""

@@ -35,9 +35,9 @@ Two variants are provided:
   it is exercised by the ablation bench, not by the headline experiments.
 
 :meth:`PreroundedSum.sum_items` (over :func:`_fold_items`) is the batched
-form of the two-pass algorithm that the simulated collectives run: whole
-sums packed into row blocks, each row's max as its pre-pass, and one
-vectorised extraction sweep per fold for the whole block.
+form of the two-pass algorithm that the simulated collectives run: each
+sum's row of a tick block read in place, each row's max as its pre-pass,
+and one vectorised extraction sweep per fold for a whole block of rows.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.fp.properties import exponent
 from repro.summation.base import Accumulator, SumContext, SummationAlgorithm
+from repro.util.tickblock import TickBlock
 
 __all__ = [
     "PreroundedAccumulator",
@@ -72,33 +73,35 @@ _MAX_POW2 = 1023
 
 
 def _fold_items(
-    items: Sequence[Sequence[np.ndarray]],
+    rows: Sequence[np.ndarray],
     folds: int,
     fold_width: int,
     bin_exponent: Optional[int] = None,
 ) -> list[tuple[int, list[int]]]:
     """Bin exponent and exact fold-coefficient sums of many independent sums.
 
-    ``items[i]`` holds one sum's operands as a sequence of chunks (say a
-    collective's per-rank data).  With ``bin_exponent=None`` each item is
-    binned at the exponent of its own largest magnitude, which is exactly
-    what a max-allreduce over its chunks yields (the PR pre-pass).
-    Otherwise every item shares the given bin and an operand beyond it
-    raises ``ValueError``, as does any non-finite operand.
+    ``rows[i]`` holds one sum's operands as a contiguous 1-D float64 array
+    (a tick block's row, :mod:`repro.util.tickblock`); rows are read in
+    place and never written.  With ``bin_exponent=None`` each row is binned
+    at the exponent of its own largest magnitude, which is exactly what a
+    max-allreduce over its chunks yields (the PR pre-pass).  Otherwise
+    every row shares the given bin and an operand beyond it raises
+    ``ValueError``, as does any non-finite operand.
 
-    Short items are packed one per row into zero-padded blocks of at most
+    Short rows are folded together in zero-padded blocks of at most
     ``_SCRATCH`` elements, shortest first so rows of a block have similar
-    widths; longer items stream through one-row blocks.  Each block's folds
-    come out of one vectorised sweep (:func:`_fold_block`).  The fold sums
-    are exact integers, so how an item's operands are split into chunks,
-    rows or blocks cannot change them: every reduction tree over the chunks
-    yields the same sums, and each equals what
-    :meth:`PreroundedAccumulator.add_array` deposits for the same bin.
+    widths; longer rows stream through one-row blocks of ``_SCRATCH``-value
+    pieces.  Each block's folds come out of one vectorised sweep
+    (:func:`_fold_block`).  The fold sums are exact integers, so how a
+    row's operands are split into chunks, pieces or blocks cannot change
+    them: every reduction tree over the chunks yields the same sums, and
+    each equals what :meth:`PreroundedAccumulator.add_array` deposits for
+    the same bin.
     """
-    sizes = [sum([a.size for a in map(np.asarray, chunks)]) for chunks in items]  # repro: allow[FP002] -- integer element counts
-    exps = [0 if bin_exponent is None else bin_exponent] * len(items)
-    sums = [[0] * folds for _ in items]
-    scratch = np.empty((3, min(_SCRATCH, len(items) * max(sizes, default=0))))
+    sizes = [row.size for row in rows]
+    exps = [0 if bin_exponent is None else bin_exponent] * len(rows)
+    sums = [[0] * folds for _ in rows]
+    scratch = np.empty((3, min(_SCRATCH, len(rows) * max(sizes, default=0))))
 
     short = sorted(
         (i for i, n in enumerate(sizes) if 0 < n <= _SCRATCH), key=sizes.__getitem__
@@ -108,75 +111,64 @@ def _fold_items(
         stop = start + 1
         while stop < len(short) and (stop + 1 - start) * sizes[short[stop]] <= _SCRATCH:
             stop += 1
-        rows = short[start:stop]
-        width = sizes[rows[-1]]
-        block = scratch[0, : len(rows) * width].reshape(len(rows), width)
-        for row, i in zip(block, rows):
-            np.concatenate(items[i], axis=None, out=row[: sizes[i]])
-            row[sizes[i] :] = 0.0
+        group = short[start:stop]
         block_exps, block_sums = _fold_block(
-            block, scratch, folds, fold_width, bin_exponent
+            [rows[i] for i in group], sizes[group[-1]], scratch, folds, fold_width,
+            bin_exponent,
         )
-        for i, e, row_sums in zip(rows, block_exps.tolist(), block_sums.T.tolist()):
+        for i, e, row_sums in zip(group, block_exps.tolist(), block_sums.T.tolist()):
             exps[i] = e
             sums[i] = row_sums
         start = stop
 
     for i in (i for i, n in enumerate(sizes) if n > _SCRATCH):
+        pieces = [rows[i][a : a + _SCRATCH] for a in range(0, sizes[i], _SCRATCH)]
         if bin_exponent is None:
-            m = max(float(_row_max(_load(scratch, p), scratch)[0]) for p in _pieces(items[i]))
+            m = max(float(_row_max([p], p.size, scratch)[0]) for p in pieces)
             exps[i] = exponent(m) if m > 0.0 else 0
-        for piece in _pieces(items[i]):
+        for piece in pieces:
             _, block_sums = _fold_block(
-                _load(scratch, piece), scratch, folds, fold_width, exps[i]
+                [piece], piece.size, scratch, folds, fold_width, exps[i]
             )
             for j in range(folds):
                 sums[i][j] += int(block_sums[j, 0])
     return list(zip(exps, sums))
 
 
-def _pieces(chunks: Sequence[np.ndarray]):
-    """An item's operands as consecutive slices of at most ``_SCRATCH``."""
-    for chunk in chunks:
-        flat = np.ravel(chunk)
-        for start in range(0, flat.size, _SCRATCH):
-            yield flat[start : start + _SCRATCH]
-
-
-def _load(scratch: np.ndarray, piece: np.ndarray) -> np.ndarray:
-    """Copy one piece into a one-row block at the front of the scratch."""
-    block = scratch[0, : piece.size].reshape(1, piece.size)
-    np.copyto(block[0], piece)
-    return block
-
-
-def _row_max(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Largest magnitude of every row; raises on a non-finite operand."""
-    rows, width = block.shape
-    m = np.abs(block, out=scratch[1, : rows * width].reshape(rows, width)).max(axis=1)
+def _row_max(srcs: Sequence[np.ndarray], width: int, scratch: np.ndarray) -> np.ndarray:
+    """Largest magnitude of every source row; raises on a non-finite operand."""
+    mags = scratch[1, : len(srcs) * width].reshape(len(srcs), width)
+    for mag, src in zip(mags, srcs):
+        np.abs(src, out=mag[: src.size])
+        mag[src.size :] = 0.0
+    m = mags.max(axis=1)
     if not np.isfinite(m).all():
         raise ValueError("cannot accumulate non-finite values")
     return m
 
 
 def _fold_block(
-    block: np.ndarray,
+    srcs: Sequence[np.ndarray],
+    width: int,
     scratch: np.ndarray,
     folds: int,
     fold_width: int,
     bin_exponent: Optional[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bin exponent and fold sums of every row of a packed block.
+    """Bin exponent and fold sums of a block of source rows.
 
-    Returns ``(exps, sums)`` with ``sums[j, r]`` the int64 sum of row
-    ``r``'s fold-``j`` coefficients.  Each fold is one sweep over the whole
-    block: ``q = rint(r * 2**-g)`` and ``r -= q * 2**g`` with ``g`` the
-    row's fold grid, exactly :meth:`PreroundedAccumulator.add`'s
-    decomposition.  ``block`` (a view of ``scratch[0]``) is consumed: it
-    ends up holding residuals; ``scratch[1:]`` is overwritten.
+    ``srcs`` are 1-D float64 rows of at most ``width`` values, zero-padded
+    to ``width`` in the block.  Returns ``(exps, sums)`` with ``sums[j, r]``
+    the int64 sum of row ``r``'s fold-``j`` coefficients.  Each fold is one
+    sweep over the whole block: ``q = rint(r * 2**-g)`` and ``r -= q * 2**g``
+    with ``g`` the row's fold grid, exactly
+    :meth:`PreroundedAccumulator.add`'s decomposition.  The first fold reads
+    the sources in place and writes its residual into ``scratch[0]``, so
+    the sources are never written and never copied; ``scratch`` is
+    overwritten.
     """
-    rows, width = block.shape
-    m = _row_max(block, scratch)
+    rows = len(srcs)
+    m = _row_max(srcs, width, scratch)
     if bin_exponent is None:
         exps = np.where(m > 0.0, np.frexp(m)[1] - 1, 0)
     else:
@@ -194,16 +186,25 @@ def _fold_block(
         # the same rounding ldexp does, and a multiply is cheaper
         scale, down, up = np.multiply, np.ldexp(1.0, -g), np.ldexp(1.0, g)
     at_top = exps == _MAX_POW2
+    r = scratch[0, : rows * width].reshape(rows, width)
     y = scratch[1, : rows * width].reshape(rows, width)
     q = scratch[2, : rows * width].view(np.int64).reshape(rows, width)
     sums = np.empty((folds, rows), dtype=np.int64)
     for j in range(folds):
-        scale(block, down[j], out=y)
+        if j == 0:
+            for k, src in enumerate(srcs):
+                scale(src, down[0, k], out=y[k, : src.size])
+                y[k, src.size :] = 0.0
+        else:
+            scale(r, down[j], out=y)
         np.rint(y, out=y)
         np.copyto(q, y, casting="unsafe")  # exact: |q| < 2**42
         np.add.reduce(q, axis=1, out=sums[j])
         if j + 1 < folds:  # the last residual is the pre-rounding: dropped
-            _subtract_fold(block, y, up[j], scale, at_top if j == 0 else None)
+            if j == 0:
+                _subtract_fold(r, y, up[0], scale, at_top, srcs)
+            else:
+                _subtract_fold(r, y, up[j], scale, None)
     return exps, sums
 
 
@@ -215,9 +216,16 @@ def _check_capacity(largest: float, bin_exponent: int) -> None:
 
 
 def _subtract_fold(
-    r: np.ndarray, q: np.ndarray, up, scale, top: Optional[np.ndarray]
+    r: np.ndarray,
+    q: np.ndarray,
+    up,
+    scale,
+    top: Optional[np.ndarray],
+    srcs: Optional[Sequence[np.ndarray]] = None,
 ) -> None:
-    """``r -= q * 2**g`` row by row, in place and exactly.
+    """``r -= q * 2**g`` row by row, exactly; with ``srcs``, ``r = src -
+    q * 2**g`` instead (the first fold's residual of rows read in place,
+    zero past each source's end).
 
     ``q`` holds one fold's coefficients as doubles and is overwritten;
     ``scale(q, up)`` forms ``q * 2**g`` (``np.ldexp`` with exponents or
@@ -226,13 +234,21 @@ def _subtract_fold(
     which is not a double: there it is subtracted as two halves, each exact
     at this grid.
     """
-    if top is not None and top.any():
+    split = top is not None and bool(top.any())
+    if split:
         q[top] *= 0.5
-        scale(q, up, out=q)
-        r[top] -= q[top]
-    else:
-        scale(q, up, out=q)
-    r -= q
+    scale(q, up, out=q)
+    if srcs is None:
+        if split:
+            r[top] -= q[top]
+        r -= q
+        return
+    for k, src in enumerate(srcs):
+        n = src.size
+        np.subtract(src, q[k, :n], out=r[k, :n])
+        if split and top[k]:
+            r[k, :n] -= q[k, :n]
+        r[k, n:] = 0.0
 
 
 class PreroundedAccumulator(Accumulator):
@@ -474,7 +490,9 @@ class PreroundedSum(SummationAlgorithm):
     ) -> list[float]:
         """PR values of many independent sums in one batched pass.
 
-        ``items[i]`` is one sum's operands as a sequence of chunks.  Without
+        ``items[i]`` is one sum's operands as a sequence of chunks, or
+        ``items`` is a :class:`repro.util.tickblock.TickBlock` whose rows are
+        read in place.  Without
         ``context.max_abs`` each item is binned at its own largest magnitude
         (its "pre" pass); with it, every item shares that bin.  Each value
         is bitwise-equal to folding the chunks into accumulators and merging
@@ -483,8 +501,9 @@ class PreroundedSum(SummationAlgorithm):
         bin_exponent = None
         if context is not None and context.max_abs is not None:
             bin_exponent = self.bin_exponent_for(context)
+        rows = TickBlock.of(items).rows
         values = []
-        for e, folds in _fold_items(items, self.folds, self.fold_width, bin_exponent):
+        for e, folds in _fold_items(rows, self.folds, self.fold_width, bin_exponent):
             acc = PreroundedAccumulator(e, self.folds, self.fold_width)
             acc._folds = folds
             values.append(acc.result())

@@ -31,7 +31,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -45,10 +44,8 @@ __all__ = [
     "sweep_matrix",
     "sweep_indexed",
     "fold_matrix",
-    "fold_chunks",
-    "reduce_balanced_chunks",
-    "chunk_sizes",
-    "pack_chunks",
+    "fold_block",
+    "reduce_block",
     "sketch_planes",
     "kernels_available",
 ]
@@ -913,8 +910,9 @@ int reduce_balanced_dd(const double *const *restrict rows,
  * per row: max, min_nonzero, abs_hi, abs_lo, sum_hi, sum_lo.
  *
  * row_out (may be NULL) receives every row; item_out (may be NULL)
- * receives each item's StreamProfile.merge chain over its n_ranks rows
- * from the empty sketch, in rank order.
+ * receives each item's StreamProfile.merge chain over its ranks[it] rows
+ * from the empty sketch, in rank order (items are consecutive runs of
+ * rows, so ragged rank counts and widths sketch in one call).
  */
 
 #define SKETCH_LANES 8
@@ -992,14 +990,14 @@ static void sketch_row(const double *restrict row, int64_t n,
 }
 
 int sketch_rows(const double *const *restrict rows,
-                const int64_t *restrict len, int64_t n_items,
-                int64_t n_ranks, double *restrict row_out,
+                const int64_t *restrict len, const int64_t *restrict ranks,
+                int64_t n_items, double *restrict row_out,
                 double *restrict item_out)
 {
+    int64_t idx = 0;
     for (int64_t it = 0; it < n_items; it++) {
         double MX = 0.0, MN = INFINITY, AH = 0.0, AL = 0.0, SH = 0.0, SL = 0.0;
-        for (int64_t r = 0; r < n_ranks; r++) {
-            int64_t idx = it * n_ranks + r;
+        for (int64_t r = 0; r < ranks[it]; r++, idx++) {
             double o[6];
             sketch_row(rows[idx], len[idx], o);
             if (row_out)
@@ -1187,7 +1185,7 @@ def _compile_library() -> Optional[ctypes.CDLL]:
     lib.sketch_rows.argtypes = [
         ctypes.POINTER(ctypes.c_void_p),  # item-major per-chunk pointers
         ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
+        ctypes.POINTER(ctypes.c_int64),  # per-item rank counts
         ctypes.c_int64,
         ctypes.c_void_p,  # row planes (NULL: not wanted)
         ctypes.c_void_p,  # item planes (NULL: not wanted)
@@ -1341,183 +1339,73 @@ def fold_matrix(matrix: np.ndarray, lengths: np.ndarray, vops) -> tuple:
     return _call_fold(vops, row_ptrs, lengths, width)
 
 
-#: Element budget of one packed kernel block (512 KiB of float64), the
-#: fixed-scratch idiom of ``prerounded._fold_items``: a block holds ~10
-#: serving items of 48 x 128 values, so one copy and one kernel call serve
-#: them all, and the block stays cache-resident.
-_PACK_BUDGET = 1 << 16
+def fold_block(block, vops) -> tuple:
+    """Rank-local states of every chunk of a tick block in one kernel call.
 
-#: Mean chunk length from which chunks are read in place: a per-chunk
-#: pointer lookup (~2 us) then costs no more than copying the chunk.
-_INPLACE_LEN = 2048
-
-_SIZE = attrgetter("size")
-
-
-def chunk_sizes(chunks) -> tuple:
-    """``(chunks, sizes)``: the chunk list with each chunk's element count
-    as an int64 vector.  Chunks without a ``size`` (lists, scalars) come
-    back normalised to 1-D float64 arrays."""
-    try:
-        sizes = np.fromiter(map(_SIZE, chunks), dtype=np.int64, count=len(chunks))
-    except AttributeError:
-        chunks = [np.asarray(c, dtype=np.float64).ravel() for c in chunks]
-        sizes = np.fromiter(map(_SIZE, chunks), dtype=np.int64, count=len(chunks))
-    return chunks, sizes
-
-
-def pack_chunks(chunks, flat: np.ndarray) -> None:
-    """Copy ``chunks`` back to back into the float64 block ``flat``."""
-    try:
-        np.concatenate(chunks, out=flat)
-    except (TypeError, ValueError):
-        # dtypes the same-kind cast refuses, multi-d or 0-d chunks
-        np.concatenate(
-            [np.asarray(c, dtype=np.float64).ravel() for c in chunks], out=flat
-        )
-
-
-def _row_blocks(chunks, sizes: np.ndarray, group: int):
-    """Kernel pointer tables over ``chunks`` in blocks of whole units.
-
-    A unit is ``group`` consecutive chunks (one item's ranks).  Yields
-    ``(u0, u1, row_ptrs, lengths)`` for units ``[u0, u1)``.  Short chunks
-    (the serving case) are copied, consecutive units together, into one
-    scratch block of at most ``_PACK_BUDGET`` elements, and their row
-    pointers are ``base + 8 * offset``: one ``ctypes`` lookup per block,
-    not per chunk.  Long chunks, and any unit over the budget, are read in
-    place through per-chunk pointers.  The buffers behind a yielded table
-    stay alive until the next step.
+    ``block`` is a :class:`repro.util.tickblock.TickBlock`; its chunks are
+    read in place through the block's pointer table.  Counterpart of
+    ``pack_ragged`` + :func:`fold_matrix` without the padded matrix;
+    requires ``has_fold_kernel(vops)``.
     """
-    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    unit_offsets = offsets[::group]
-    n_units = unit_offsets.size - 1
-    if n_units == 0:
-        return
-    if int(offsets[-1]) >= _INPLACE_LEN * len(chunks):
-        ptrs, arrays = _in_place(chunks)
-        yield 0, n_units, ptrs, sizes
-        return
-    scratch = None
-    u0 = 0
-    while u0 < n_units:
-        u1 = int(
-            np.searchsorted(
-                unit_offsets, unit_offsets[u0] + _PACK_BUDGET, side="right"
-            )
-        ) - 1
-        c0 = u0 * group
-        if u1 == u0:  # one unit over the budget
-            u1 = u0 + 1
-            ptrs, arrays = _in_place(chunks[c0 : u1 * group])
-            yield u0, u1, ptrs, sizes[c0 : u1 * group]
-        else:
-            c1 = u1 * group
-            start = int(offsets[c0])
-            if scratch is None:
-                scratch = np.empty(min(_PACK_BUDGET, int(offsets[-1]) - start))
-            flat = scratch[: int(offsets[c1]) - start]
-            pack_chunks(chunks[c0:c1], flat)
-            ptrs = ((offsets[c0:c1] - start) * 8 + flat.ctypes.data).view(np.uintp)
-            yield u0, u1, ptrs, sizes[c0:c1]
-        u0 = u1
+    return _call_fold(vops, block.ptrs, block.lens, block.max_len)
 
 
-def _in_place(chunks) -> tuple:
-    """``(row_ptrs, arrays)``: pointers to the chunks themselves (normalised
-    to contiguous float64 where needed); keep ``arrays`` alive while the
-    pointers are in use."""
-    arrays = [
-        np.ascontiguousarray(np.asarray(c, dtype=np.float64).ravel()) for c in chunks
-    ]
-    return np.array([a.ctypes.data for a in arrays], dtype=np.uintp), arrays
+def reduce_block(block, vops, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Balanced rank-tree values of every item of a tick block in one
+    fused kernel call.
 
-
-def fold_chunks(chunks, vops) -> tuple:
-    """Rank-local states straight from a list of 1-D chunks.
-
-    Counterpart of ``pack_ragged`` + :func:`fold_matrix` without the padded
-    matrix: chunks are copied back to back into budgeted scratch blocks
-    (long chunks are read in place) and folded one block per kernel call.
-    Requires ``has_fold_kernel(vops)``.
-    """
-    _, n_components = _FOLD_FUNCTIONS[vops.ckernel]
-    chunks, sizes = chunk_sizes(chunks)
-    outs = tuple(np.empty(len(chunks), dtype=np.float64) for _ in range(n_components))
-    for r0, r1, ptrs, lens in _row_blocks(chunks, sizes, 1):
-        _call_fold(vops, ptrs, lens, int(lens.max()), tuple(o[r0:r1] for o in outs))
-    return outs
-
-
-def reduce_balanced_chunks(
-    chunks, n_ranks: int, vops, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Balanced rank-tree values of whole items in fused kernel calls.
-
-    ``chunks`` is an item-major flat list: ``n_items`` consecutive groups of
-    ``n_ranks`` 1-D chunks each (item ``i``'s rank ``r`` chunk at index
-    ``i * n_ranks + r``).  Each item folds its rank chunks to accumulator
-    states and collapses them through the balanced reduction tree inside the
-    kernel; items are packed into budgeted scratch blocks, one kernel call
-    per block.  Bitwise-equal to :func:`fold_chunks` +
-    ``compile_tree(balanced(n_ranks)).reduce_states`` + ``vops.result``;
+    Every item must have the same rank count.  Each item folds its rank
+    chunks to accumulator states and collapses them through the balanced
+    reduction tree inside the kernel.  Bitwise-equal to :func:`fold_block`
+    + ``compile_tree(balanced(n_ranks)).reduce_states`` + ``vops.result``;
     requires ``has_reduce_kernel(vops)``.  ``out`` (when given) must be a
-    contiguous float64 vector of ``n_items`` — e.g. a result-arena view, so
-    values land in shared memory with no extra copy.
+    contiguous float64 vector of ``len(block)``.
     """
-    if n_ranks <= 0:
-        raise ValueError("n_ranks must be positive")
-    if len(chunks) % n_ranks:
-        raise ValueError(
-            f"chunk count {len(chunks)} is not a multiple of n_ranks {n_ranks}"
-        )
-    n_items = len(chunks) // n_ranks
+    n_items = len(block)
     if out is None:
         out = np.empty(n_items, dtype=np.float64)
     elif out.dtype != np.float64 or not out.flags.c_contiguous or out.size != n_items:
         raise ValueError("out must be a contiguous float64 vector of n_items")
     if n_items == 0:
         return out
+    n_ranks = int(block.ranks[0])
+    if n_ranks <= 0 or (block.ranks != n_ranks).any():
+        raise ValueError("every item needs the same positive rank count")
     lib = _get_lib()
     assert lib is not None, "compiled kernels not available"
     fn = getattr(lib, _REDUCE_FUNCTIONS[vops.ckernel])
-    chunks, sizes = chunk_sizes(chunks)
-    for u0, u1, ptrs, lens in _row_blocks(chunks, sizes, n_ranks):
-        status = fn(
-            ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-            lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            u1 - u0,
-            n_ranks,
-            int(lens.max()),
-            out[u0:u1].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        )
-        if status != 0:  # pragma: no cover - allocation failure
-            raise MemoryError("reduce_balanced scratch allocation failed")
+    status = fn(
+        block.ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
+        block.lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+        n_items,
+        n_ranks,
+        block.max_len,
+        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+    )
+    if status != 0:  # pragma: no cover - allocation failure
+        raise MemoryError("reduce_balanced scratch allocation failed")
     return out
 
 
-def sketch_planes(chunks, sizes: np.ndarray, n_ranks: int, rows: bool, items: bool):
-    """Compiled compensated sketch of an item-major chunk list.
+def sketch_planes(block, rows: bool, items: bool):
+    """Compiled compensated sketch of every chunk of a tick block.
 
-    Returns ``(row_planes, item_planes)``: ``(n_rows, 6)`` and
+    Returns ``(row_planes, item_planes)``: ``(n_chunks, 6)`` and
     ``(n_items, 6)`` float64 arrays (or ``None`` when not asked for) with
     columns ``max, min_nonzero, abs_hi, abs_lo, sum_hi, sum_lo`` — see the
-    ``sketch_rows`` C comment for the lane order.  ``sizes`` comes from
-    :func:`chunk_sizes`; requires :func:`kernels_available`.
+    ``sketch_rows`` C comment for the lane order.  Ragged widths and rank
+    counts sketch in the same call; requires :func:`kernels_available`.
     """
     lib = _get_lib()
     assert lib is not None, "compiled kernels not available"
-    n_items = len(chunks) // n_ranks
-    row_out = np.empty((len(chunks), 6)) if rows else None
-    item_out = np.empty((n_items, 6)) if items else None
-    for u0, u1, ptrs, lens in _row_blocks(chunks, sizes, n_ranks):
-        lib.sketch_rows(
-            ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-            lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            u1 - u0,
-            n_ranks,
-            None if row_out is None else row_out[u0 * n_ranks :].ctypes.data,
-            None if item_out is None else item_out[u0:].ctypes.data,
-        )
+    row_out = np.empty((block.lens.size, 6)) if rows else None
+    item_out = np.empty((len(block), 6)) if items else None
+    lib.sketch_rows(
+        block.ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
+        block.lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+        block.ranks.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+        len(block),
+        None if row_out is None else row_out.ctypes.data,
+        None if item_out is None else item_out.ctypes.data,
+    )
     return row_out, item_out

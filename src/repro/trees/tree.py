@@ -39,8 +39,9 @@ class ReductionTree:
     n_leaves:
         Number of operands (leaves).
     schedule:
-        ``(n_leaves - 1, 2)`` int64 array of merge steps (see module docs).
-        For ``n_leaves == 1`` the schedule is empty and the root is leaf 0.
+        ``(n_leaves - 1, 2)`` read-only int64 array of merge steps (see
+        module docs).  For ``n_leaves == 1`` the schedule is empty and the
+        root is leaf 0.
     kind:
         ``"balanced"``, ``"serial"`` or ``"custom"`` — a hint that unlocks
         fast evaluation paths; the schedule is always authoritative.
@@ -57,6 +58,10 @@ class ReductionTree:
         expected = (max(self.n_leaves - 1, 0), 2)
         if sched.shape != expected:
             raise ValueError(f"schedule shape {sched.shape} != {expected}")
+        # a read-only view: trees are shared (a communicator caches its
+        # resolved trees and hands them out on every ReduceResult)
+        sched = sched.view()
+        sched.flags.writeable = False
         object.__setattr__(self, "schedule", sched)
 
     # -- structural queries --------------------------------------------------

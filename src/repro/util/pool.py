@@ -568,24 +568,6 @@ class SharedArena:
         view[...] = array
         del view
 
-    def write_concat(
-        self, arrays: "Sequence[np.ndarray]", total: int, dtype, offset: int = 0
-    ) -> None:
-        """Concatenate 1-D ``arrays`` straight into the segment at ``offset``.
-
-        This is the zero-intermediate ingest path for packed dispatch: each
-        source array — typically a ``memoryview``-backed slice of a socket
-        receive buffer — is copied exactly once, directly into shared
-        memory (``np.concatenate(out=...)``), with no staging allocation.
-        """
-        if not arrays:
-            return
-        view = self.view(dtype, (int(total),), offset=offset)
-        try:
-            np.concatenate(arrays, out=view)
-        finally:
-            del view
-
     def read(self, dtype, shape, offset: int = 0) -> np.ndarray:
         """Copy a region out of the segment (the view-free result path)."""
         view = self.view(dtype, shape, offset=offset)

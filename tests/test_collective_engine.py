@@ -29,6 +29,7 @@ from repro.summation.prerounded import PreroundedAccumulator
 from repro.trees import _ckernels
 from repro.trees.shapes import balanced, random_shape, serial
 from repro.util.chunking import pack_ragged
+from repro.util.tickblock import TickBlock
 
 #: every algorithm exposing VectorOps (the vector-capable collective ops)
 VOPS_CODES = ("ST", "K", "KBN", "CP", "PW", "DD")
@@ -159,7 +160,7 @@ class TestLocalPhase:
         if not _ckernels.has_fold_kernel(vops):
             pytest.skip("compiled fold kernels unavailable")
         chunks = _ragged_chunks(11, seed=37)
-        got = _ckernels.fold_chunks(chunks, vops)
+        got = _ckernels.fold_block(TickBlock.of([chunks]), vops)
         matrix, lengths = pack_ragged(chunks)
         want = vops.fold(matrix, lengths)
         for g, w in zip(got, want):
@@ -404,9 +405,21 @@ class TestBatchedProfiling:
                 else:
                     assert _bits_equal(a, b), field
 
-    def test_profile_batch_ragged_returns_none(self):
-        batches = [[np.arange(3.0), np.arange(5.0)]] * 2
-        assert profile_batch(batches) is None
+    def test_profile_batch_ragged_bitwise_equals_sequential(self):
+        """Ragged widths and rank counts sketch in the same one call."""
+        rng = np.random.default_rng(9)
+        batches = [
+            [np.arange(3.0), np.arange(5.0)],
+            [rng.standard_normal(7), np.empty(0), rng.standard_normal(64)],
+            [rng.standard_normal(1)],
+            [],
+        ]
+        got = profile_batch(batches)
+        for sketch, chunks in zip(got, batches):
+            ref = AdaptiveReducer(SimComm(max(len(chunks), 1))).profile(chunks)
+            for field in _PROFILE_FIELDS:
+                a, b = getattr(sketch, field), getattr(ref, field)
+                assert a == b if field == "n" else _bits_equal(a, b), field
 
     def test_profile_batch_empty_and_zero_rank(self):
         assert profile_batch([]) == []

@@ -127,6 +127,19 @@ class TestSimCommBasics:
         with pytest.raises(ValueError, match="one entry per rank"):
             comm.reduce([np.ones(3)], make_reduction_op(get_algorithm("ST")))
 
+    def test_resolved_trees_are_cached_and_read_only(self, topo):
+        comm = SimComm(topology=topo)
+        chunks = comm.scatter_array(np.ones(48))
+        op = make_reduction_op(get_algorithm("K"))
+        for spec in ("balanced", "serial", "topology"):
+            first = comm.reduce(chunks, op, tree=spec).tree
+            batch = comm.reduce_batch([chunks, chunks], op, tree=spec)
+            assert all(r.tree is first for r in batch)
+            with pytest.raises(ValueError, match="read-only"):
+                first.schedule[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            serial(5).schedule[:] = 0
+
     def test_tree_specs(self, topo):
         comm = SimComm(topology=topo)
         chunks = comm.scatter_array(np.ones(48))

@@ -476,7 +476,7 @@ class TestServingReconciliation:
         assert counter_total(snap, "repro_comm_batch_fallback_total") == 0
         assert counter_total(snap, "repro_comm_batch_calls_total") == 1
 
-    def test_ragged_stream_counts_fallback(self, global_obs):
+    def test_ragged_stream_profiles_in_one_batch(self, global_obs):
         rng = np.random.default_rng(5)
         comm = SimComm(3)
         reducer = AdaptiveReducer(comm, threshold=1e-13)
@@ -486,10 +486,8 @@ class TestServingReconciliation:
         ]
         reducer.reduce_many(batches, tree="balanced")
         snap = global_obs.snapshot()
-        assert (
-            _sample_value(snap, "repro_profile_batch_total", path="ragged_fallback")
-            == 1
-        )
+        assert _sample_value(snap, "repro_profile_batch_total", path="batched") == 1
+        assert _sample_value(snap, "repro_profile_items_total", path="batched") == 2
         assert counter_total(snap, "repro_comm_dispatch_total") == 2
 
     def test_single_reduce_instruments_histograms(self, global_obs):

@@ -705,6 +705,63 @@ class TestDaemonEndpoints:
             _serial_hex(v) for v in streams
         ]
 
+    def test_reduce_many_copies_no_operand_of_an_f8_frame(self, global_obs):
+        """The tick block reads a binary f8 frame's rows in place: the copy
+        counter stays at 0 for ST, K, CP and PR items alike.  Inputs that
+        cannot be read in place (JSON chunk lists, fp32 frames) are copied
+        exactly once per operand."""
+        from repro.generators import generate_sum_set
+        from repro.generators.conditioned import zero_sum_set
+        from repro.serve.frames import (
+            FRAME_CONTENT_TYPE,
+            KIND_REQUEST,
+            KIND_RESPONSE,
+            encode_frame,
+            parse_frame,
+        )
+
+        mat = np.stack(
+            [generate_sum_set(512, k, 8, seed=1).values for k in (1e2, 1e4, 1e6)]
+            + [zero_sum_set(512, 8, seed=2)]
+        )
+        comm = SimComm(RANKS)
+        json_body = json.dumps(
+            {"items": [{"chunks": [c.tolist() for c in comm.scatter_array(v)]} for v in mat]}
+        ).encode()
+
+        def frame(arr):
+            header = {"dtype": arr.dtype.str, "shape": list(arr.shape)}
+            return encode_frame(header, arr, kind=KIND_REQUEST)
+
+        def copied() -> int:
+            return _counter_sum(global_obs, "repro_tick_copied_bytes_total")
+
+        async def go(d):
+            async with KeepAliveClient(d.host, d.port) as client:
+                r = await client.request(
+                    "POST", "/v1/reduce_many", frame(mat),
+                    content_type=FRAME_CONTENT_TYPE,
+                )
+                assert r.status == 200
+                header, _ = parse_frame(bytes(r.body), kind=KIND_RESPONSE)
+                after_f8 = copied()
+                r = await client.request("POST", "/v1/reduce_many", json_body)
+                assert r.status == 200
+                after_json = copied()
+                r = await client.request(
+                    "POST", "/v1/reduce_many",
+                    frame(mat.astype("<f4")),  # repro: allow[FP005] -- an fp32 frame is the copy-path input under test
+                    content_type=FRAME_CONTENT_TYPE,
+                )
+                assert r.status == 200
+                return header, after_f8, after_json, copied()
+
+        header, after_f8, after_json, after_f4 = self._run(go)
+        assert {res["algorithm"] for res in header["results"]} == {"ST", "K", "CP", "PR"}
+        assert after_f8 == 0
+        assert after_json == 8 * mat.size
+        assert after_f4 - after_json == 8 * mat.size
+
     def test_reduce_many_empty_items(self):
         async def go(d):
             return await http_request(

@@ -33,6 +33,7 @@ from repro.trees import _ckernels
 from repro.trees.schedule import compile_tree
 from repro.trees.shapes import balanced
 from repro.util.chunking import pack_ragged
+from repro.util.tickblock import TickBlock
 
 needs_kernels = pytest.mark.skipif(
     not _ckernels.kernels_available(), reason="no C compiler / kernels gated"
@@ -60,10 +61,9 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def _numpy_planes(chunks, n_ranks: int):
-    chunks, sizes = _ckernels.chunk_sizes(chunks)
-    rows = _statskernel._rows_numpy(chunks, sizes)
-    return rows, _statskernel._items_numpy(rows, n_ranks)
+def _numpy_planes(block):
+    rows = _statskernel._rows_numpy(block)
+    return rows, _statskernel._items_numpy(rows, block.ranks)
 
 
 def _use_fallback(monkeypatch) -> None:
@@ -88,26 +88,22 @@ class TestKernelFallbackParity:
     def test_c_sketch_bitwise_equals_numpy(
         self, seed, width, n_ranks, n_items, special_share
     ):
-        batches = _stream(seed, n_items, n_ranks, width, special_share)
-        flat = [c for chunks in batches for c in chunks]
-        chunks, sizes = _ckernels.chunk_sizes(flat)
-        c_rows, c_items = _ckernels.sketch_planes(chunks, sizes, n_ranks, True, True)
-        np_rows, np_items = _numpy_planes(flat, n_ranks)
+        block = TickBlock.of(_stream(seed, n_items, n_ranks, width, special_share))
+        c_rows, c_items = _ckernels.sketch_planes(block, True, True)
+        np_rows, np_items = _numpy_planes(block)
         assert np.array_equal(_bits(c_rows), _bits(np_rows))
         assert np.array_equal(_bits(c_items), _bits(np_items))
 
     @needs_kernels
     def test_ragged_rows_and_long_chunks(self):
-        """Mixed widths within one stream, and an item over the packing
-        budget (read in place), agree bitwise with the fallback."""
+        """Mixed widths and rank counts within one stream, and a long chunk,
+        agree bitwise with the fallback."""
         rng = np.random.default_rng(11)
-        widths = [0, 5, 8, 61, 200, 3, _ckernels._PACK_BUDGET + 13]
+        widths = [0, 5, 8, 61, 200, 3, (1 << 16) + 13]
         flat = [rng.standard_normal(w) * 1e3 for w in widths]
-        flat += [f[::-1].copy() for f in flat]
-        n_ranks = len(widths)
-        chunks, sizes = _ckernels.chunk_sizes(flat)
-        c_rows, c_items = _ckernels.sketch_planes(chunks, sizes, n_ranks, True, True)
-        np_rows, np_items = _numpy_planes(flat, n_ranks)
+        block = TickBlock.of([flat, [f[::-1].copy() for f in flat], flat[2:5], []])
+        c_rows, c_items = _ckernels.sketch_planes(block, True, True)
+        np_rows, np_items = _numpy_planes(block)
         assert np.array_equal(_bits(c_rows), _bits(np_rows))
         assert np.array_equal(_bits(c_items), _bits(np_items))
 
@@ -132,13 +128,12 @@ class TestKernelFallbackParity:
 
 
 def _packing_streams():
-    """Item-major chunk lists (with their rank count) that cross the
-    packing budget, hold one item over it, read long chunks in place, or
-    carry non-float64 and non-array chunks."""
+    """Item-major chunk lists (with their rank count): many items, one item
+    with a long chunk, long chunks, or non-float64 and non-array chunks."""
     rng = np.random.default_rng(23)
     many = [rng.standard_normal(300) for _ in range(40 * 6)]
     over = [rng.standard_normal(100) for _ in range(48)]
-    over += [rng.standard_normal(_ckernels._PACK_BUDGET + 470)]
+    over += [rng.standard_normal((1 << 16) + 470)]
     over += [rng.standard_normal(10) for _ in range(47)]
     long = [rng.standard_normal(5000) for _ in range(2 * 4)]
     mixed = [
@@ -152,8 +147,8 @@ def _packing_streams():
 
 @needs_kernels
 class TestPackedRowPointers:
-    """The packed fold/reduce kernels agree bitwise with the NumPy fold
-    whatever block layout the chunk list takes."""
+    """The fold/reduce kernels over a tick block's pointer table agree
+    bitwise with the NumPy fold whatever the chunk list holds."""
 
     @pytest.mark.parametrize("case", ["many", "over", "long", "mixed"])
     @pytest.mark.parametrize("code", ["ST", "K", "CP", "DD"])
@@ -162,19 +157,22 @@ class TestPackedRowPointers:
         vops = get_algorithm(code).vector_ops
         matrix, lengths = pack_ragged(chunks)
         want = vops.fold(matrix, lengths)
-        for g, w in zip(_ckernels.fold_chunks(chunks, vops), want):
-            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
         n_items = len(chunks) // n_ranks
+        block = TickBlock.of(
+            [chunks[i * n_ranks : (i + 1) * n_ranks] for i in range(n_items)]
+        )
+        for g, w in zip(_ckernels.fold_block(block, vops), want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
         states = tuple(c.reshape(n_items, n_ranks) for c in want)
         root = compile_tree(balanced(n_ranks)).reduce_states(states, vops)
         ref = np.asarray(vops.result(root), dtype=np.float64).reshape(n_items)
-        got = _ckernels.reduce_balanced_chunks(chunks, n_ranks, vops)
+        got = _ckernels.reduce_block(block, vops)
         assert got.tobytes() == ref.tobytes()
 
     def test_empty_chunk_lists(self):
         vops = get_algorithm("K").vector_ops
-        assert all(s.size == 0 for s in _ckernels.fold_chunks([], vops))
-        assert _ckernels.reduce_balanced_chunks([], 3, vops).size == 0
+        assert all(s.size == 0 for s in _ckernels.fold_block(TickBlock.of([[]]), vops))
+        assert _ckernels.reduce_block(TickBlock.of([]), vops).size == 0
 
 
 #: bound-tier statistics of a fixed stream, as the previous plain-sum stats
