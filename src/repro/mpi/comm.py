@@ -23,11 +23,12 @@ Every collective accepts ``engine``:
 * ``"object"`` — the reference path: one accumulator per rank
   (``op.local``) and one Python ``op.combine`` per tree node.
 * ``"vector"`` — the compiled fast path: all rank-local states in one
-  :meth:`~repro.summation.base.VectorOps.fold` sweep over a zero-padded
-  ``(R, M)`` chunk matrix, then the rank tree executed as a compiled level
-  schedule (:mod:`repro.trees.schedule`, structural-key cached) with one
-  batched ``merge_at`` per dependency level.  Requires the op's algorithm
-  to expose VectorOps; raises otherwise.
+  :meth:`~repro.summation.base.VectorOps.fold` sweep over the tick block's
+  pointer table, then the rank tree executed as a compiled level schedule
+  (:mod:`repro.trees.schedule`, structural-key cached) with one batched
+  ``merge_at`` per dependency level; a balanced tree takes one fused
+  compiled call for both.  Requires the op's algorithm to expose
+  VectorOps; raises otherwise.
 * ``"auto"`` (default) — ``"vector"`` when the op supports it; else the
   exact batched path when the algorithm offers one (PR, see below); else
   ``"object"``.
@@ -35,10 +36,11 @@ Every collective accepts ``engine``:
 The engines are bitwise-equal by contract (fold rows match ``op.local``
 states; grouping merges into levels cannot change results because each
 slot is written once), and the collective-engine property tests pin that
-across algorithms, ragged chunk sizes and tree shapes.  ``reduce_batch``
-amortises compilation and level sweeps across a whole stream of
-same-shape reductions — the heavy-traffic serving path — and reads the
-operands in place through one tick block (:mod:`repro.util.tickblock`).
+across algorithms, ragged chunk sizes and tree shapes.  Both non-object
+engines read operands through a tick block (:mod:`repro.util.tickblock`):
+a single collective is a one-item block, and ``reduce_batch`` amortises
+compilation and level sweeps across a whole stream of same-shape
+reductions — the heavy-traffic serving path.
 
 PR needs a per-reduction pre-pass (the global max) and so has no vector
 engine, but it needs no tree walk either: its fold deposits are exact
@@ -122,8 +124,9 @@ class SimComm:
         """Block-scatter a global vector into per-rank chunks.
 
         The chunks are views of one float64 row, returned as a
-        :class:`~repro.util.tickblock.ScatteredRow` (a ``list`` that
-        remembers the row), so batched reductions read them in place.
+        :class:`~repro.util.tickblock.ScatteredRow` (a read-only sequence
+        of the per-rank views that keeps the row), so reductions read them
+        in place.
         """
         return ScatteredRow(np.asarray(data, dtype=np.float64).ravel(), self.n_ranks)
 
@@ -254,11 +257,7 @@ class SimComm:
             _OBS.counter("repro_comm_dispatch_total", engine="batch").inc(
                 len(batches)
             )
-        block = TickBlock.of(batches)
-        if path == "exact":
-            values = op.algorithm.sum_items(block, op.context)
-        else:
-            values = self._vector_batch(block, op, tree)
+        values = self._execute_block(path, TickBlock.of(batches), op, tree)
         cost = tree_cost(tree, self.topology) if self.topology else 0.0
         return [
             ReduceResult(
@@ -311,14 +310,23 @@ class SimComm:
         op: ReductionOp,
         tree: ReductionTree,
     ) -> float:
-        """Run one collective on a resolved path, counting the dispatch."""
+        """Run one collective on a resolved path, counting the dispatch: the
+        object walk, or a one-item tick block through :meth:`reduce_batch`'s
+        executor."""
         if _OBS.enabled:
             _OBS.counter("repro_comm_dispatch_total", engine=path).inc()
+        if path == "object":
+            return self._execute_object(chunks, op, tree)
+        return float(self._execute_block(path, TickBlock.of([chunks]), op, tree)[0])
+
+    def _execute_block(
+        self, path: str, block: TickBlock, op: ReductionOp, tree: ReductionTree
+    ) -> "Sequence[float]":
+        """The value of every item of a tick block on the ``"vector"`` or
+        ``"exact"`` path."""
         if path == "exact":
-            return op.algorithm.sum_items([chunks], op.context)[0]
-        if path == "vector":
-            return self._execute_vector(chunks, op, tree)
-        return self._execute_object(chunks, op, tree)
+            return op.algorithm.sum_items(block, op.context)
+        return self._vector_batch(block, op, tree)
 
     def _execute_object(
         self, chunks: Sequence[np.ndarray], op: ReductionOp, tree: ReductionTree
@@ -330,15 +338,6 @@ class SimComm:
         for a, b, out in tree.iter_steps():
             slots[out] = op.combine(slots[a], slots[b])
         return op.finalize(slots[tree.root_slot])
-
-    def _execute_vector(
-        self, chunks: Sequence[np.ndarray], op: ReductionOp, tree: ReductionTree
-    ) -> float:
-        """Compiled path: one fold sweep + one level-scheduled tree walk."""
-        vops = op.vector_ops
-        states = op.local_states(chunks)
-        root = compile_tree(tree).reduce_states(states, vops)
-        return float(np.asarray(vops.result(root), dtype=np.float64))
 
     # -- helpers ---------------------------------------------------------------
     def _check_size(self, seq: Sequence) -> None:

@@ -70,30 +70,19 @@ class ReductionOp:
         acc.add_array(np.asarray(chunk, dtype=np.float64))
         return acc
 
-    def local_matrix(self, matrix: np.ndarray, lengths: np.ndarray):
-        """Vectorised rank-local phase: all rank states from a padded
-        ``(R, M)`` chunk matrix in one sweep, each row bitwise-equal to
-        :meth:`local` on the corresponding chunk (see
-        :meth:`repro.summation.base.VectorOps.fold`).  Routes through the
-        fused compiled kernel when the algebra ships one."""
-        vops = self._require_vector_ops()
-        if _ckernels.has_fold_kernel(vops):
-            return _ckernels.fold_matrix(matrix, lengths, vops)
-        return vops.fold(matrix, lengths)
+    def local_states(self, block: TickBlock):
+        """Vectorised rank-local phase: the states of every chunk of a
+        :class:`repro.util.tickblock.TickBlock` in one sweep, each row
+        bitwise-equal to :meth:`local` on the corresponding chunk (see
+        :meth:`repro.summation.base.VectorOps.fold`).
 
-    def local_states(self, chunks):
-        """Vectorised rank-local phase straight from a chunk list, or from
-        every chunk of a :class:`repro.util.tickblock.TickBlock`.
-
-        Same contract as :meth:`local_matrix` but the compiled kernel reads
-        the chunks through the block's pointer table — the padded matrix is
-        never materialised.  The NumPy fallback pads first.
+        The compiled kernel reads the chunks through the block's pointer
+        table; the NumPy fallback pads them into a matrix first.
         """
         vops = self._require_vector_ops()
-        is_block = isinstance(chunks, TickBlock)
         if _ckernels.has_fold_kernel(vops):
-            return _ckernels.fold_block(chunks if is_block else TickBlock.of([chunks]), vops)
-        matrix, lengths = pack_ragged(chunks.chunks() if is_block else chunks)
+            return _ckernels.fold_block(block, vops)
+        matrix, lengths = pack_ragged(block.chunks())
         return vops.fold(matrix, lengths)
 
     def _require_vector_ops(self) -> VectorOps:

@@ -217,7 +217,7 @@ class AnalyticPolicy:
         below every algorithm's floor the best available one is still
         returned, flagged by predicted > threshold).
         """
-        if threshold < 0:
+        if not threshold >= 0:  # also rejects NaN
             raise ValueError("threshold must be >= 0")
         shape = self.shape if shape is None else shape
         predictions = {

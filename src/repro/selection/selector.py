@@ -35,6 +35,7 @@ number of selections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.mpi.comm import ReduceResult, SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.mpi.topology import tree_cost
 from repro.obs import get_registry
-from repro.selection.bound_tier import item_unit_roundoff
+from repro.selection._statskernel import SKETCH_COLUMNS
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
 from repro.selection.profile import StreamProfile, profile_batch, profile_stream
 from repro.summation.registry import all_algorithms, get_algorithm
@@ -58,6 +59,15 @@ from repro.util.timing import Stopwatch
 __all__ = ["Policy", "AdaptiveResult", "AdaptiveReducer"]
 
 _OBS = get_registry()
+
+#: One item's record in the parallel path's result arena: its value, its
+#: decision-code index and its profile sketch (``n``, then the six float
+#: fields in :data:`SKETCH_COLUMNS` order).  The arena holds one record per
+#: item, then one ``(profile, select, reduce)`` seconds row per shard
+#: (:func:`_result_views`).
+_RESULT = np.dtype(
+    [("value", "<f8"), ("code", "<i8"), ("n", "<i8"), ("sketch", "<f8", (6,))]
+)
 
 
 class Policy(Protocol):
@@ -88,11 +98,9 @@ class AdaptiveReducer:
         *,
         threshold: float = 1e-13,
     ) -> None:
-        if threshold < 0:
-            raise ValueError("threshold must be >= 0")
         self.comm = comm
         self.policy = policy if policy is not None else AnalyticPolicy()
-        self.threshold = threshold
+        self.threshold = _checked(threshold)
 
     def profile(self, chunks: Sequence[np.ndarray]) -> StreamProfile:
         """Step 1: sketch + allreduce-merge."""
@@ -106,46 +114,35 @@ class AdaptiveReducer:
         tree: "ReductionTree | str" = "topology",
         nondeterministic: bool = False,
     ) -> AdaptiveResult:
-        """Adaptively reduce distributed data to one double.
+        """Adaptively reduce distributed data to one double: the one-item
+        case of :meth:`reduce_many` on its serial path.
 
         ``nondeterministic=True`` routes through the arrival-order reduce,
         modelling a production run whose tree the application cannot pin.
+        Arrival-order trees have unknown (chain-heavy) shapes, so the
+        selection profiles the tree-shape parameter conservatively, as the
+        paper's list of profiled quantities (n, k, dr, tree shape)
+        prescribes.
         """
-        t = self.threshold if threshold is None else threshold
-        if t < 0:
-            raise ValueError("threshold must be >= 0")
-        u = item_unit_roundoff(chunks)
-        # arrival-order trees have unknown (chain-heavy) shapes: profile the
-        # tree-shape parameter conservatively, as the paper's list of
-        # profiled quantities (n, k, dr, tree shape) prescribes
-        shape = (
-            "unknown"
-            if nondeterministic
-            and getattr(self.policy, "supports_shape_hint", False)
-            else None
+        if not nondeterministic:
+            return self.reduce_many([chunks], threshold=threshold, tree=tree, workers=1)[0]
+        t = _checked(self.threshold if threshold is None else threshold)
+        _, (decision,), profile_elapsed, select_elapsed = self._sketch_and_select(
+            TickBlock.of([chunks]), t, shape="unknown"
         )
-        with Stopwatch() as sw_profile:
-            sketch = self.profile(chunks)
-            with Stopwatch() as sw_select:
-                decision = self._select(sketch, t, u, shape=shape)
         op = make_reduction_op(get_algorithm(decision.code))
         with Stopwatch() as sw_reduce:
-            if nondeterministic:
-                result = self.comm.reduce_nondeterministic(chunks, op)
-            else:
-                result = self.comm.reduce(chunks, op, tree)
+            result = self.comm.reduce_nondeterministic(chunks, op)
         if _OBS.enabled:
             _OBS.counter(
                 "repro_selector_selections_total", algorithm=decision.code
             ).inc()
-            _observe_phases(
-                1, sw_profile.elapsed, sw_select.elapsed, sw_reduce.elapsed
-            )
+            _observe_phases(1, profile_elapsed, select_elapsed, sw_reduce.elapsed)
         return AdaptiveResult(
             value=result.value,
             decision=decision,
             reduce_result=result,
-            profile_seconds=sw_profile.elapsed,
+            profile_seconds=profile_elapsed,
             reduce_seconds=sw_reduce.elapsed,
         )
 
@@ -194,9 +191,7 @@ class AdaptiveReducer:
         with the same decision; ``profile_seconds``/``reduce_seconds`` are
         the *amortised* per-item costs (phase total / number of items).
         """
-        t = self.threshold if threshold is None else threshold
-        if t < 0:
-            raise ValueError("threshold must be >= 0")
+        t = _checked(self.threshold if threshold is None else threshold)
         if not batches:
             return []
         layout = TickLayout(batches)
@@ -232,17 +227,20 @@ class AdaptiveReducer:
             for rr, decision in zip(results, decisions)
         ]
 
-    def _sketch_and_select(self, block: TickBlock, threshold: float) -> tuple:
+    def _sketch_and_select(
+        self, block: TickBlock, threshold: float, *, shape: "str | None" = None
+    ) -> tuple:
         """Steps 1+2 for a tick block: ``(sketches, decisions, profile
         elapsed, select elapsed)``, the profile time including the
-        selection.  Shared by the serial serving path and the shard workers
-        so both run the exact same pipeline.  Each item's input-dtype unit
-        roundoff (``block.us``) goes into its policy query."""
+        selection.  Shared by every route (serial, shard workers and the
+        arrival-order :meth:`reduce`) so all run the exact same pipeline.
+        Each item's input-dtype unit roundoff (``block.us``) and the
+        tree-shape hint ``shape`` go into its policy query."""
         with Stopwatch() as sw_profile:
             sketches = profile_batch(block)
             with Stopwatch() as sw_select:
                 decisions = [
-                    self._select(sk, threshold, u)
+                    self._select(sk, threshold, u, shape=shape)
                     for sk, u in zip(sketches, block.us)
                 ]
         return sketches, decisions, sw_profile.elapsed, sw_select.elapsed
@@ -258,12 +256,12 @@ class AdaptiveReducer:
         """Step 2 for one item: the policy query on its own sketch.
 
         ``u`` is the item's input-dtype unit roundoff, forwarded to
-        precision-aware policies; ``shape`` is a tree-shape hint for
-        policies that take one."""
+        precision-aware policies; ``shape`` is a tree-shape hint, forwarded
+        to policies that take one."""
         kwargs = {}
         if getattr(self.policy, "supports_unit_roundoff", False):
             kwargs["u"] = u
-        if shape is not None:
+        if shape is not None and getattr(self.policy, "supports_shape_hint", False):
             kwargs["shape"] = shape
         return self.policy.select(sketch.as_set_profile(), threshold, **kwargs)
 
@@ -308,9 +306,9 @@ class AdaptiveReducer:
         tick block there as views (:meth:`TickBlock.from_arena`) and runs
         the same :meth:`_sketch_and_select` + :meth:`_grouped_reduce`
         pipeline the serial path uses.  Results come back through the
-        **result arena** — value, decision-code index and the 7
-        profile-sketch fields per item plus three phase timings per shard —
-        so the pickle pipe only carries ``None``.  The parent rebuilds each
+        **result arena** — one :data:`_RESULT` record per item plus three
+        phase timings per shard (:func:`_result_views`) — so the pickle
+        pipe only carries ``None``.  The parent rebuilds each
         :class:`StreamProfile` from the arena, re-selects with the same
         :meth:`_select`, and checks its codes against the workers' in one
         comparison, so a drift raises instead of passing silently.
@@ -320,13 +318,11 @@ class AdaptiveReducer:
         shards = split_indices(n_items, n_shards)
         pool = get_pool(pool_workers)
         code_table = tuple(alg.code for alg in all_algorithms())
-        # result arena: [values f64][code idx i64][sketch n i64]
-        # [sketch f64 x6] per item (72 B), then
-        # [profile_s, select_s, reduce_s] f64 per shard (24 B)
-        res_bytes = 72 * n_items + 24 * len(shards)
         with arena_pair() as (arena_in, arena_res):
             in_handle, dims = layout.to_arena(arena_in)
-            res_handle = arena_res.reserve(res_bytes)
+            res_handle = arena_res.reserve(
+                _RESULT.itemsize * n_items + 8 * 3 * len(shards)
+            )
             payloads = [
                 (
                     in_handle,
@@ -335,6 +331,7 @@ class AdaptiveReducer:
                     s.start,
                     s.stop,
                     shard_index,
+                    len(shards),
                     self.comm,
                     self.policy,
                     threshold,
@@ -344,18 +341,13 @@ class AdaptiveReducer:
                 for shard_index, s in enumerate(shards)
             ]
             pool.map(_reduce_many_shard, payloads, chunksize=1, path="reduce_many")
-            values = arena_res.read(np.float64, (n_items,))
-            code_idx = arena_res.read(np.int64, (n_items,), offset=8 * n_items)
-            sk_n = arena_res.read(np.int64, (n_items,), offset=16 * n_items)
-            sk_f = arena_res.read(np.float64, (n_items, 6), offset=24 * n_items)
-            timings = arena_res.read(
-                np.float64, (len(shards), 3), offset=72 * n_items
-            )
+            records, timings = _result_views(arena_res.read, n_items, len(shards))
+        values, code_idx = records["value"], records["code"]
         decisions = [
-            self._select(
-                StreamProfile(int(sk_n[i]), *sk_f[i].tolist()), threshold, us[i]
+            self._select(StreamProfile(n, *sketch), threshold, u)
+            for n, sketch, u in zip(
+                records["n"].tolist(), records["sketch"].tolist(), us
             )
-            for i in range(n_items)
         ]
         code_index = {code: idx for idx, code in enumerate(code_table)}
         parent_idx = np.array([code_index[d.code] for d in decisions], dtype=np.int64)
@@ -403,6 +395,24 @@ class AdaptiveReducer:
         return results
 
 
+def _checked(threshold: float) -> float:
+    """``threshold`` if it is a valid tolerance (``>= 0``; NaN is not)."""
+    if not threshold >= 0:  # also rejects NaN
+        raise ValueError("threshold must be >= 0")
+    return threshold
+
+
+def _result_views(view, n_items: int, n_shards: int) -> tuple:
+    """The result arena's ``(records, timings)``: ``n_items``
+    :data:`_RESULT` records, then ``(n_shards, 3)`` phase seconds.
+    ``view(dtype, shape, offset=)`` is the parent's ``arena.read`` or a
+    worker's ``arena_view`` of the arena's handle."""
+    return (
+        view(_RESULT, (n_items,)),
+        view(np.float64, (n_shards, 3), offset=_RESULT.itemsize * n_items),
+    )
+
+
 def _observe_phases(
     n_items: int, profile_s: float, select_s: float, reduce_s: float
 ) -> None:
@@ -424,9 +434,9 @@ def _reduce_many_shard(payload: tuple) -> None:
     Rebuilds the reducer from its picklable spec (communicator, policy,
     threshold) and the shard's tick block as views of the cached input-arena
     attachment (:meth:`TickBlock.from_arena` — attach once per arena epoch,
-    not once per task), and writes values, decision-code indices, the 7
-    profile-sketch fields per item and the shard's phase timings into the
-    result arena, so nothing but ``None`` returns through the pickle pipe.
+    not once per task), and writes its items' :data:`_RESULT` records and
+    its phase timings into the result arena, so nothing but ``None``
+    returns through the pickle pipe.
     Every arena view is dropped before returning: a lingering view would
     block the attachment swap on the next arena regrow epoch.
     """
@@ -437,6 +447,7 @@ def _reduce_many_shard(payload: tuple) -> None:
         start,
         stop,
         shard_index,
+        n_shards,
         comm,
         policy,
         threshold,
@@ -454,28 +465,14 @@ def _reduce_many_shard(payload: tuple) -> None:
     )
     del block
     code_index = {code: idx for idx, code in enumerate(code_table)}
-    span = slice(start, stop)
-    values_v = arena_view(res_handle, np.float64, (n_items,))
-    codes_v = arena_view(res_handle, np.int64, (n_items,), offset=8 * n_items)
-    skn_v = arena_view(res_handle, np.int64, (n_items,), offset=16 * n_items)
-    skf_v = arena_view(res_handle, np.float64, (n_items, 6), offset=24 * n_items)
-    stats_v = arena_view(
-        res_handle, np.float64, (3,), offset=72 * n_items + 24 * shard_index
+    records, timings = _result_views(
+        partial(arena_view, res_handle), n_items, n_shards
     )
-    values_v[span] = [rr.value for rr in results]
-    codes_v[span] = [code_index[d.code] for d in decisions]
-    skn_v[span] = [sk.n for sk in sketches]
-    skf_v[span] = [
-        [
-            sk.max_abs,
-            sk.min_abs_nonzero,
-            sk.abs_sum_hi,
-            sk.abs_sum_lo,
-            sk.sum_hi,
-            sk.sum_lo,
-        ]
-        for sk in sketches
-    ]
-    stats_v[:] = (profile_elapsed, select_elapsed, reduce_elapsed)
-    del values_v, codes_v, skn_v, skf_v, stats_v
+    mine = records[start:stop]
+    mine["value"] = [rr.value for rr in results]
+    mine["code"] = [code_index[d.code] for d in decisions]
+    mine["n"] = [sk.n for sk in sketches]
+    mine["sketch"] = [[getattr(sk, f) for f in SKETCH_COLUMNS] for sk in sketches]
+    timings[shard_index] = (profile_elapsed, select_elapsed, reduce_elapsed)
+    del records, timings, mine
     return None

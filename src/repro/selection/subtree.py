@@ -100,7 +100,7 @@ class HierarchicalReducer:
         combine: str = "PR",
         threshold: float = 1e-13,
     ) -> None:
-        if threshold < 0:
+        if not threshold >= 0:  # also rejects NaN
             raise ValueError("threshold must be >= 0")
         alg = get_algorithm(combine)
         if not alg.deterministic:

@@ -43,7 +43,6 @@ __all__ = [
     "has_reduce_kernel",
     "sweep_matrix",
     "sweep_indexed",
-    "fold_matrix",
     "fold_block",
     "reduce_block",
     "sketch_planes",
@@ -1293,61 +1292,34 @@ def sweep_indexed(
     return out
 
 
-def _call_fold(
-    vops,
-    row_ptrs: np.ndarray,
-    lengths: np.ndarray,
-    max_len: int,
-    outs: Optional[tuple] = None,
-) -> tuple:
-    """Shared fold-kernel dispatch: per-row pointers in, state tuple out
-    (written into ``outs`` when given, one ``len(lengths)`` view each)."""
+def fold_block(block, vops) -> tuple:
+    """Rank-local states of every chunk of a tick block in one kernel call.
+
+    ``block`` is a :class:`repro.util.tickblock.TickBlock`; its chunks are
+    read in place through the block's pointer table.  The compiled
+    counterpart of :meth:`repro.summation.base.VectorOps.fold`: returns the
+    component tuple of ``(n_chunks,)`` arrays, each row bitwise-equal to the
+    algorithm's accumulator fed that chunk.  Requires
+    ``has_fold_kernel(vops)``.
+    """
     lib = _get_lib()
     assert lib is not None, "compiled kernels not available"
     name, n_components = _FOLD_FUNCTIONS[vops.ckernel]
-    if outs is None:
-        outs = tuple(
-            np.empty(lengths.size, dtype=np.float64) for _ in range(n_components)
-        )
-    fn = getattr(lib, name)
-    status = fn(
-        row_ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
+    lengths = block.lens
+    outs = tuple(
+        np.empty(lengths.size, dtype=np.float64) for _ in range(n_components)
+    )
+    status = getattr(lib, name)(
+        block.ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
         lengths.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
         int(lengths.size),
-        max_len,
+        block.max_len,
         outs[0].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
         outs[-1].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
     )
     if status != 0:  # pragma: no cover - allocation failure
         raise MemoryError(f"{name} scratch allocation failed")
     return outs
-
-
-def fold_matrix(matrix: np.ndarray, lengths: np.ndarray, vops) -> tuple:
-    """Rank-local states of every row of a zero-padded ``(R, width)`` matrix.
-
-    The compiled counterpart of :meth:`repro.summation.base.VectorOps.fold`:
-    returns the component tuple of ``(R,)`` arrays, each row bitwise-equal
-    to the algorithm's accumulator fed the unpadded chunk.  Requires
-    ``has_fold_kernel(vops)``.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    n_rows, width = matrix.shape
-    base = matrix.ctypes.data
-    row_ptrs = np.arange(n_rows, dtype=np.uintp) * np.uintp(width * 8) + np.uintp(base)
-    return _call_fold(vops, row_ptrs, lengths, width)
-
-
-def fold_block(block, vops) -> tuple:
-    """Rank-local states of every chunk of a tick block in one kernel call.
-
-    ``block`` is a :class:`repro.util.tickblock.TickBlock`; its chunks are
-    read in place through the block's pointer table.  Counterpart of
-    ``pack_ragged`` + :func:`fold_matrix` without the padded matrix;
-    requires ``has_fold_kernel(vops)``.
-    """
-    return _call_fold(vops, block.ptrs, block.lens, block.max_len)
 
 
 def reduce_block(block, vops, out: Optional[np.ndarray] = None) -> np.ndarray:

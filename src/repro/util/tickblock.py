@@ -1,11 +1,13 @@
-"""The tick block: one ``reduce_many`` call's operands behind one pointer table.
+"""The tick block: one call's operands behind one pointer table.
 
-Every kernel of the batched serving path reads its operands through a
-:class:`TickBlock`: the compensated sketch, the fused ST/K/CP rank-tree
-reduce, the rank-local folds and the PR fold.  Per chunk the block holds a
-``uintp`` data pointer and an ``int64`` length.  Per item it holds the rank
-count, the input dtype's unit roundoff and one contiguous float64 *row*
-with the item's chunks back to back.  A reduce group is
+Every kernel of the collective engines reads its operands through a
+:class:`TickBlock` -- one per ``reduce_many`` tick or ``reduce_batch``
+stream, a one-item block for a single collective: the compensated sketch,
+the fused ST/K/CP rank-tree reduce, the rank-local folds and the PR fold.
+Per chunk the block holds a ``uintp`` data pointer and an ``int64``
+length.  Per item it holds the rank count, the input dtype's unit
+roundoff and one contiguous float64 *row* with the item's chunks back to
+back.  A reduce group is
 :meth:`TickBlock.take` of an index array: the table is gathered, the
 operands stay where they are.
 
@@ -17,7 +19,7 @@ over the stream that sizes it without touching operand bytes:
   and the serving daemon's frame scatter return) is read where it lies: one
   address lookup per item plus the cached split offsets.
 * **one copy** -- every other item is copied once: plain lists, fp16/fp32
-  rows, mutated or foreign sequences, unaligned data.
+  rows, foreign sequences, unaligned data.
   :meth:`TickLayout.block` copies them into the block's own buffer;
   :meth:`TickLayout.to_arena` copies every item straight into the parallel
   path's shared input arena, and :meth:`TickBlock.from_arena` rebuilds a
@@ -29,6 +31,7 @@ Bytes copied are counted on ``repro_tick_copied_bytes_total{reason}``:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import attrgetter
 
@@ -58,45 +61,36 @@ def _split(n: int, parts: int) -> tuple:
     return slices, lens
 
 
-class ScatteredRow(list):
-    """Per-rank block-scatter views of one 1-D row that remember the row.
+class ScatteredRow(Sequence):
+    """The block scatter of one 1-D row over ``parts`` ranks, read-only.
 
-    To every caller this is the plain list of ``row[s]`` chunk views;
-    :class:`TickLayout` reads the whole row through one pointer instead of
-    one per chunk.  Any change to the list itself forgets the row (``row``
-    becomes ``None``), so a mutated list takes the copy path.  Writes *into*
-    the views change the row as well and need nothing.  Copies and pickles
-    are plain lists.
+    To every caller this is the sequence of per-rank chunk views
+    ``row[s]`` (``len()`` is the rank count; ``self[r]`` makes rank ``r``'s
+    view on access); :class:`TickLayout` reads the whole row through one
+    pointer instead of one per chunk.  Writes *into* the views change the
+    row as well and need nothing.
     """
 
-    __slots__ = ("row",)
+    __slots__ = ("row", "parts")
 
     def __init__(self, row: np.ndarray, parts: int) -> None:
         if row.ndim != 1:
             raise ValueError("a scattered row must be 1-D")
-        super().__init__(map(row.__getitem__, _split(row.size, parts)[0]))
+        _split(row.size, parts)  # validates ``parts``, warms the cache
         self.row = row
+        self.parts = parts
 
-    def __reduce__(self):
-        return list, (list(self),)
+    def __len__(self) -> int:
+        return self.parts
 
+    def __getitem__(self, r):
+        slices = _split(self.row.size, self.parts)[0]
+        if isinstance(r, slice):
+            return [self.row[s] for s in slices[r]]
+        return self.row[slices[r]]
 
-def _forgetting(name: str):
-    method = getattr(list, name)
-
-    def forget(self, *args, **kwargs):
-        self.row = None
-        return method(self, *args, **kwargs)
-
-    forget.__name__ = name
-    return forget
-
-
-for _name in (
-    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-    "insert", "pop", "remove", "clear", "sort", "reverse",
-):
-    setattr(ScatteredRow, _name, _forgetting(_name))
+    def __iter__(self):
+        return map(self.row.__getitem__, _split(self.row.size, self.parts)[0])
 
 
 def _bounds(lengths: np.ndarray) -> np.ndarray:
@@ -133,9 +127,9 @@ class TickLayout:
     def __init__(self, batches) -> None:
         sources, direct, sizes, ranks, lens, us = [], [], [], [], [], []
         for item in batches:
-            row = item.row if type(item) is ScatteredRow else None
-            if row is not None:
-                n_each = _split(row.size, len(item))[1]
+            if type(item) is ScatteredRow:
+                row = item.row
+                n_each = _split(row.size, item.parts)[1]
                 sources.append(row)
                 direct.append(
                     row.dtype == _F8 and row.flags.c_contiguous and row.flags.aligned

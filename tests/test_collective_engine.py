@@ -130,11 +130,12 @@ class TestVectorEngineBitwise:
 class TestLocalPhase:
     @pytest.mark.parametrize("code", VOPS_CODES)
     def test_fold_matrix_rows_equal_object_accumulators(self, code):
+        """Each row of the block fold equals the object accumulator of its
+        chunk."""
         alg = get_algorithm(code)
         op = make_reduction_op(alg)
         chunks = _ragged_chunks(10, seed=23)
-        matrix, lengths = pack_ragged(chunks)
-        states = op.local_matrix(matrix, lengths)
+        states = op.local_states(TickBlock.of([chunks]))
         values = np.asarray(alg.vector_ops.result(states), dtype=np.float64)
         for r, chunk in enumerate(chunks):
             acc = alg.make_accumulator(None)
@@ -147,7 +148,7 @@ class TestLocalPhase:
         alg = get_algorithm(code)
         op = make_reduction_op(alg)
         chunks = _ragged_chunks(9, seed=29)
-        states = op.local_states(chunks)
+        states = op.local_states(TickBlock.of([chunks]))
         matrix, lengths = pack_ragged(chunks)
         ref = alg.vector_ops.fold(matrix, lengths)
         assert len(states) == len(ref)
@@ -166,10 +167,10 @@ class TestLocalPhase:
         for g, w in zip(got, want):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
-    def test_local_matrix_without_vops_raises(self):
+    def test_local_states_without_vops_raises(self):
         op = make_reduction_op(get_algorithm("PR"))
         with pytest.raises(TypeError):
-            op.local_matrix(np.zeros((1, 1)), np.array([1]))
+            op.local_states(TickBlock.of([[np.zeros(1)]]))
 
 
 class TestEngineSelection:

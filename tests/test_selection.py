@@ -18,6 +18,7 @@ from repro.selection import (
     CostModel,
     GridCell,
     GridClassifier,
+    HierarchicalReducer,
     StreamProfile,
     VariabilityModel,
     bound_stats_stream,
@@ -268,6 +269,33 @@ class TestAdaptiveReducer:
         red = AdaptiveReducer(comm)
         with pytest.raises(ValueError):
             red.reduce(comm.scatter_array(np.ones(64)), threshold=-1e-13)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda comm, chunks: AdaptiveReducer(comm, threshold=math.nan),
+            lambda comm, chunks: AdaptiveReducer(comm).reduce(chunks, threshold=math.nan),
+            lambda comm, chunks: AdaptiveReducer(comm).reduce(
+                chunks, threshold=math.nan, nondeterministic=True
+            ),
+            lambda comm, chunks: AdaptiveReducer(comm).reduce_many(
+                [chunks], threshold=math.nan
+            ),
+            lambda comm, chunks: AnalyticPolicy().select(
+                profile_stream(chunks).as_set_profile(), math.nan
+            ),
+            lambda comm, chunks: HierarchicalReducer(threshold=math.nan),
+        ],
+        ids=[
+            "constructor", "reduce", "reduce_nondeterministic", "reduce_many",
+            "policy_select", "hierarchical",
+        ],
+    )
+    def test_nan_threshold_rejected(self, comm, entry):
+        """Regression: a NaN threshold passed every ``threshold < 0`` check
+        and silently selected PR."""
+        with pytest.raises(ValueError, match="threshold"):
+            entry(comm, comm.scatter_array(np.ones(64)))
 
 
 class _ProbeChecked:

@@ -61,9 +61,6 @@ def _layouts() -> dict:
     """Item streams of every input layout, keyed by name."""
     comm = SimComm(RANKS)
     vs = [_values(seed, 96) for seed in range(8)]
-    mutated = [comm.scatter_array(v) for v in vs]
-    for item in mutated:
-        item[1] = item[1] * 3.0
     return {
         "scattered_f8": [comm.scatter_array(v) for v in vs],
         "plain_lists": [[c.copy() for c in comm.scatter_array(v)] for v in vs],
@@ -76,7 +73,6 @@ def _layouts() -> dict:
             comm.scatter_array(vs[2][:4]),
             comm.scatter_array(np.empty(0)),
         ],
-        "mutated_scatter": mutated,
         "unaligned": [ScatteredRow(_unaligned(v), RANKS) for v in vs],
     }
 
@@ -212,34 +208,55 @@ class TestConstructors:
 
 
 class TestScatteredRow:
-    def test_is_a_list_of_views_of_the_row(self):
+    def test_is_a_sequence_of_views_of_the_row(self):
         row = np.arange(20.0)
         chunks = SimComm(RANKS).scatter_array(row)
-        assert isinstance(chunks, list) and isinstance(chunks, ScatteredRow)
+        assert isinstance(chunks, ScatteredRow) and not isinstance(chunks, list)
         assert len(chunks) == RANKS
-        assert np.array_equal(np.concatenate(chunks), row)
-        assert all(np.shares_memory(c, chunks.row) for c in chunks if c.size)
+        views = list(chunks)
+        assert np.array_equal(np.concatenate(views), row)
+        assert all(np.shares_memory(c, chunks.row) for c in views if c.size)
+        assert [c.tobytes() for c in views] == [chunks[r].tobytes() for r in range(RANKS)]
+
+    def test_item_assignment_raises(self):
+        chunks = SimComm(RANKS).scatter_array(np.arange(20.0))
+        with pytest.raises(TypeError):
+            chunks[1] = np.ones(3)
+
+    def test_pickle_keeps_row_and_rank_count(self):
+        chunks = SimComm(RANKS).scatter_array(_values(3, 20))
+        other = pickle.loads(pickle.dumps(chunks))
+        assert type(other) is ScatteredRow
+        assert other.row.tobytes() == chunks.row.tobytes()
+        assert len(other) == RANKS
+
+    def test_a_scatter_is_read_in_place(self):
+        chunks = SimComm(RANKS).scatter_array(np.arange(20.0))
+        assert TickLayout([chunks]).direct == [True]
+
+
+class TestSingleReduceCopies:
+    """``AdaptiveReducer.reduce`` runs on one tick block: a plain list is
+    copied once, an f8 scatter not at all."""
 
     @pytest.mark.parametrize(
-        "mutate",
+        "make, nbytes",
         [
-            lambda c: c.__setitem__(0, c[0] * 2.0),
-            lambda c: c.append(np.ones(2)),
-            lambda c: c.reverse(),
-            lambda c: c.sort(key=len),
-            lambda c: c.pop(),
-            lambda c: c.__delitem__(slice(0, 1)),
-            lambda c: c.extend([]),
+            (lambda comm, v: [c.copy() for c in comm.scatter_array(v)], 8 * 1024),
+            (lambda comm, v: comm.scatter_array(v), 0),
         ],
+        ids=["plain_list", "scattered_f8"],
     )
-    def test_mutating_the_list_forgets_the_row(self, mutate):
-        chunks = SimComm(RANKS).scatter_array(np.arange(20.0))
-        mutate(chunks)
-        assert chunks.row is None
-        assert TickLayout([chunks]).direct == [False]
-
-    def test_copies_and_pickles_are_plain_lists(self):
-        chunks = SimComm(RANKS).scatter_array(np.arange(20.0))
-        for other in (chunks.copy(), pickle.loads(pickle.dumps(chunks)), chunks[:]):
-            assert type(other) is list
-            assert np.array_equal(np.concatenate(other), np.arange(20.0))
+    def test_pack_bytes(self, make, nbytes):
+        comm = SimComm(8)
+        chunks = make(comm, _values(1, 8 * 128))
+        reg = get_registry()
+        reg.reset()
+        reg.enable()
+        try:
+            AdaptiveReducer(comm, threshold=THRESHOLD).reduce(chunks)
+            samples = reg.snapshot()["counters"].get("repro_tick_copied_bytes_total", [])
+        finally:
+            reg.disable()
+            reg.reset()
+        assert sum(x["value"] for x in samples if x["labels"] == {"reason": "pack"}) == nbytes
