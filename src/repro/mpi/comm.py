@@ -179,7 +179,7 @@ class SimComm:
 
     def reduce_nondeterministic(
         self,
-        chunks: Sequence[np.ndarray],
+        chunks: "Sequence[np.ndarray] | TickBlock",
         op: ReductionOp,
         *,
         jitter: float = 0.25,
@@ -191,9 +191,15 @@ class SimComm:
 
         Each call draws fresh arrival times from the communicator's RNG
         stream, so repeated calls model repeated application runs on a busy
-        machine.
+        machine.  ``chunks`` may be a one-item
+        :class:`~repro.util.tickblock.TickBlock`, read in place.
         """
-        self._check_size(chunks)
+        if isinstance(chunks, TickBlock):
+            if len(chunks) != 1:
+                raise ValueError("an arrival-order reduce takes one item")
+            self._check_count(int(chunks.ranks[0]))
+        else:
+            self._check_size(chunks)
         path = self._engine(op, engine)
         schedule = sample_arrival_times(
             self.n_ranks,
@@ -273,7 +279,7 @@ class SimComm:
         """One fold sweep for every item's rank states, one tree walk with
         a ``(B, n_ranks)`` batch axis."""
         vops = op.vector_ops
-        if tree.kind == "balanced" and _ckernels.has_reduce_kernel(vops):
+        if tree.kind == "balanced" and _ckernels.has_kernel(vops, "reduce"):
             # fused fast path: fold + balanced rank tree + result extraction
             # for the whole stream in ONE compiled call (bitwise-equal to the
             # fold/reduce_states path below; the engine property tests pin it)
@@ -306,18 +312,20 @@ class SimComm:
     def _execute(
         self,
         path: str,
-        chunks: Sequence[np.ndarray],
+        chunks: "Sequence[np.ndarray] | TickBlock",
         op: ReductionOp,
         tree: ReductionTree,
     ) -> float:
-        """Run one collective on a resolved path, counting the dispatch: the
-        object walk, or a one-item tick block through :meth:`reduce_batch`'s
-        executor."""
+        """Run one collective (a chunk list or a one-item tick block) on a
+        resolved path, counting the dispatch: the object walk, or a one-item
+        tick block through :meth:`reduce_batch`'s executor."""
         if _OBS.enabled:
             _OBS.counter("repro_comm_dispatch_total", engine=path).inc()
+        one_item = isinstance(chunks, TickBlock)
         if path == "object":
-            return self._execute_object(chunks, op, tree)
-        return float(self._execute_block(path, TickBlock.of([chunks]), op, tree)[0])
+            return self._execute_object(chunks.chunks() if one_item else chunks, op, tree)
+        block = chunks if one_item else TickBlock.of([chunks])
+        return float(self._execute_block(path, block, op, tree)[0])
 
     def _execute_block(
         self, path: str, block: TickBlock, op: ReductionOp, tree: ReductionTree

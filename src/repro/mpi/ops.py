@@ -80,7 +80,7 @@ class ReductionOp:
         table; the NumPy fallback pads them into a matrix first.
         """
         vops = self._require_vector_ops()
-        if _ckernels.has_fold_kernel(vops):
+        if _ckernels.has_kernel(vops, "fold"):
             return _ckernels.fold_block(block, vops)
         matrix, lengths = pack_ragged(block.chunks())
         return vops.fold(matrix, lengths)

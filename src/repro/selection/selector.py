@@ -127,12 +127,13 @@ class AdaptiveReducer:
         if not nondeterministic:
             return self.reduce_many([chunks], threshold=threshold, tree=tree, workers=1)[0]
         t = _checked(self.threshold if threshold is None else threshold)
+        block = TickBlock.of([chunks])
         _, (decision,), profile_elapsed, select_elapsed = self._sketch_and_select(
-            TickBlock.of([chunks]), t, shape="unknown"
+            block, t, shape="unknown"
         )
         op = make_reduction_op(get_algorithm(decision.code))
         with Stopwatch() as sw_reduce:
-            result = self.comm.reduce_nondeterministic(chunks, op)
+            result = self.comm.reduce_nondeterministic(block, op)
         if _OBS.enabled:
             _OBS.counter(
                 "repro_selector_selections_total", algorithm=decision.code

@@ -58,14 +58,16 @@ __all__ = [
     "PreroundedSum",
 ]
 
-#: Block size for int64-safe fold-coefficient reduction: |q| < 2**42, so
-#: 2**20 terms stay below 2**62.
-_BLOCK = 1 << 20
-
-#: Elements per scratch buffer of :func:`_fold_items`.  A buffer's rows sum
-#: in int64, so it must not exceed ``_BLOCK``; the fixed budget keeps the
-#: working set cache-sized and peak memory flat in the batch size.
+#: Elements per scratch buffer of :func:`_fold_items`; the fixed budget
+#: keeps the working set cache-sized and peak memory flat in the batch size.
 _SCRATCH = 1 << 16
+
+
+def _int64_span(fold_width: int) -> int:
+    """Most fold coefficients one int64 sum may hold: each is at most
+    ``2**(fold_width + 1)`` in magnitude, so ``2**(61 - fold_width)`` of
+    them stay within ``2**62``."""
+    return 1 << (61 - fold_width)
 
 #: Largest binary exponent of a double: 2**k and 2**-k are both doubles
 #: exactly when |k| <= _MAX_POW2.
@@ -88,23 +90,26 @@ def _fold_items(
     every row shares the given bin and an operand beyond it raises
     ``ValueError``, as does any non-finite operand.
 
-    Short rows are folded together in zero-padded blocks of at most
-    ``_SCRATCH`` elements, shortest first so rows of a block have similar
-    widths; longer rows stream through one-row blocks of ``_SCRATCH``-value
-    pieces.  Each block's folds come out of one vectorised sweep
+    Rows of at most one span (``_SCRATCH`` values, fewer at wide fold
+    widths: :func:`_int64_span`) are folded together in zero-padded blocks
+    of at most ``_SCRATCH`` elements, shortest first so rows of a block
+    have similar widths; longer rows stream through one-row blocks of
+    span-value pieces, so no row's int64 fold sum can overflow.  Each
+    block's folds come out of one vectorised sweep
     (:func:`_fold_block`).  The fold sums are exact integers, so how a
     row's operands are split into chunks, pieces or blocks cannot change
     them: every reduction tree over the chunks yields the same sums, and
     each equals what :meth:`PreroundedAccumulator.add_array` deposits for
     the same bin.
     """
+    span = min(_SCRATCH, _int64_span(fold_width))
     sizes = [row.size for row in rows]
     exps = [0 if bin_exponent is None else bin_exponent] * len(rows)
     sums = [[0] * folds for _ in rows]
     scratch = np.empty((3, min(_SCRATCH, len(rows) * max(sizes, default=0))))
 
     short = sorted(
-        (i for i, n in enumerate(sizes) if 0 < n <= _SCRATCH), key=sizes.__getitem__
+        (i for i, n in enumerate(sizes) if 0 < n <= span), key=sizes.__getitem__
     )
     start = 0
     while start < len(short):
@@ -121,8 +126,8 @@ def _fold_items(
             sums[i] = row_sums
         start = stop
 
-    for i in (i for i, n in enumerate(sizes) if n > _SCRATCH):
-        pieces = [rows[i][a : a + _SCRATCH] for a in range(0, sizes[i], _SCRATCH)]
+    for i in (i for i, n in enumerate(sizes) if n > span):
+        pieces = [rows[i][a : a + span] for a in range(0, sizes[i], span)]
         if bin_exponent is None:
             m = max(float(_row_max([p], p.size, scratch)[0]) for p in pieces)
             exps[i] = exponent(m) if m > 0.0 else 0
@@ -198,7 +203,7 @@ def _fold_block(
         else:
             scale(r, down[j], out=y)
         np.rint(y, out=y)
-        np.copyto(q, y, casting="unsafe")  # exact: |q| < 2**42
+        np.copyto(q, y, casting="unsafe")  # exact: |q| <= 2**(fold_width + 1)
         np.add.reduce(q, axis=1, out=sums[j])
         if j + 1 < folds:  # the last residual is the pre-rounding: dropped
             if j == 0:
@@ -311,13 +316,14 @@ class PreroundedAccumulator(Accumulator):
         _check_capacity(float(np.max(np.abs(x))), self.E)
         r = x.copy()
         top = np.array([self.E == _MAX_POW2])
+        span = _int64_span(self.W)
         for j in range(self.K):
             g = self.E - (j + 1) * self.W
             q = np.rint(np.ldexp(r, -g))
             qi = q.astype(np.int64)
             total = 0
-            for start in range(0, qi.size, _BLOCK):
-                total += int(np.add.reduce(qi[start : start + _BLOCK]))
+            for start in range(0, qi.size, span):
+                total += int(np.add.reduce(qi[start : start + span]))
             self._folds[j] += total
             _subtract_fold(r[None], q[None], g, np.ldexp, top if j == 0 else None)
         self.count += x.size

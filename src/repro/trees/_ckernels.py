@@ -1,14 +1,23 @@
-"""Optional compiled balanced-sweep kernels (ctypes + cc, NumPy fallback).
+"""Optional compiled kernels (ctypes + cc, NumPy fallback).
 
-The 2-D balanced matrix sweep in :mod:`repro.trees.evaluate` is limited by
-NumPy's one-temporary-per-ufunc execution model: every level of the tree
-reads and writes full ensemble-sized intermediates, so the sweep runs at
-memory bandwidth while the arithmetic itself is a handful of flops per
-element.  A fused C kernel evaluates each tree's whole level schedule out of
-an L1-resident scratch buffer — including the leaf gather, so the permuted
-operand matrix is never materialised at all.
+Every C kernel of the library comes from this one build.  Each
+accumulator algebra (ST, K, KBN, CP, DD) has three: a balanced sweep (the
+2-D ensemble sweep of :mod:`repro.trees.evaluate`), a rank-local fold and
+a fused fold + balanced rank tree + result reduce (the collective engines
+of :mod:`repro.mpi`).  The selection sketch
+(:mod:`repro.selection._statskernel`) is the fourth family.
 
-The kernels are **bitwise-identical** to the NumPy level sweep: they apply
+Each algebra is written once, as three C pieces: MERGE (the VectorOps
+``merge`` of two states), FOLD (one chunk's accumulator state) and RESULT
+(a state's value).  The ``ALGEBRA`` template expands them into the
+algebra's three kernels, so no recurrence is written twice and the
+balanced level loop is written once.  In NumPy the ensemble sweep is
+bandwidth-bound (one full-size temporary per ufunc per level); the C sweep
+runs each tree's whole level schedule out of an L1-resident scratch
+buffer, leaf gather included, so the permuted operand matrix is never
+materialised.
+
+The kernels are **bitwise-identical** to their NumPy fallbacks: they apply
 the exact same IEEE-754 double operations in the exact same order (compiled
 with ``-ffp-contract=off`` so no FMA contraction can perturb a rounding),
 and the engine property tests pin them against the generic node-walk just
@@ -39,8 +48,6 @@ from repro.obs import get_registry
 
 __all__ = [
     "has_kernel",
-    "has_fold_kernel",
-    "has_reduce_kernel",
     "sweep_matrix",
     "sweep_indexed",
     "fold_block",
@@ -49,211 +56,89 @@ __all__ = [
     "kernels_available",
 ]
 
-#: One function per accumulator algebra.  ``idx == NULL`` means matrix mode
-#: (row r's leaves are ``data[r*n : (r+1)*n]``); otherwise ``data`` is the
-#: base operand vector and row r's leaves are ``data[idx[r*n + j]]``.
-#: Every function mirrors the level loop of ``balanced_ensemble_vops``:
-#: pair adjacent nodes, carry an odd trailing node up unchanged.
+#: Every kernel is generated from its algebra's one MERGE / FOLD / RESULT
+#: definition by the ``ALGEBRA`` template (see the C comments).
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define LEAF(j) (idx ? data[idx[(size_t)r * (size_t)n + (size_t)(j)]] \
-                     : data[(size_t)r * (size_t)n + (size_t)(j)])
-
-int balanced_sweep_st(const double *data, const int64_t *idx,
-                      int64_t n_rows, int64_t n, double *out)
-{
-    int64_t h = (n + 1) / 2;
-    double *s = (double *)malloc((size_t)h * sizeof(double));
-    if (!s) return 1;
-    for (int64_t r = 0; r < n_rows; r++) {
-        int64_t even = n - (n & 1), hw = even / 2;
-        for (int64_t i = 0; i < hw; i++)
-            s[i] = LEAF(2 * i) + LEAF(2 * i + 1);
-        int64_t w = hw;
-        if (n & 1) { s[w] = LEAF(n - 1); w++; }
-        while (w > 1) {
-            int64_t e2 = w - (w & 1), h2 = e2 / 2;
-            for (int64_t i = 0; i < h2; i++)
-                s[i] = s[2 * i] + s[2 * i + 1];
-            if (w & 1) s[h2] = s[w - 1];
-            w = h2 + (w & 1);
-        }
-        out[r] = s[0];
-    }
-    free(s);
-    return 0;
-}
-
-int balanced_sweep_kahan(const double *data, const int64_t *idx,
-                         int64_t n_rows, int64_t n, double *out)
-{
-    int64_t h = (n + 1) / 2;
-    double *s = (double *)malloc((size_t)h * sizeof(double));
-    double *c = (double *)malloc((size_t)h * sizeof(double));
-    if (!s || !c) { free(s); free(c); return 1; }
-    for (int64_t r = 0; r < n_rows; r++) {
-        int64_t even = n - (n & 1), hw = even / 2;
-        for (int64_t i = 0; i < hw; i++) {
-            double a = LEAF(2 * i), b = LEAF(2 * i + 1);
-            double t = a + b;
-            s[i] = t;
-            c[i] = (t - a) - b;
-        }
-        int64_t w = hw;
-        if (n & 1) { s[w] = LEAF(n - 1); c[w] = 0.0; w++; }
-        while (w > 1) {
-            int64_t e2 = w - (w & 1), h2 = e2 / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double a0 = s[2 * i], b0 = s[2 * i + 1];
-                double a1 = c[2 * i], b1 = c[2 * i + 1];
-                double y = b0 - (a1 + b1);
-                double t = a0 + y;
-                s[i] = t;
-                c[i] = (t - a0) - y;
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[r] = s[0];
-    }
-    free(s); free(c);
-    return 0;
-}
-
-int balanced_sweep_kbn(const double *data, const int64_t *idx,
-                       int64_t n_rows, int64_t n, double *out)
-{
-    int64_t h = (n + 1) / 2;
-    double *s = (double *)malloc((size_t)h * sizeof(double));
-    double *c = (double *)malloc((size_t)h * sizeof(double));
-    if (!s || !c) { free(s); free(c); return 1; }
-    for (int64_t r = 0; r < n_rows; r++) {
-        int64_t even = n - (n & 1), hw = even / 2;
-        for (int64_t i = 0; i < hw; i++) {
-            double a = LEAF(2 * i), b = LEAF(2 * i + 1);
-            double t = a + b;
-            double comp = (fabs(a) >= fabs(b)) ? (a - t) + b : (b - t) + a;
-            s[i] = t;
-            c[i] = comp + 0.0;
-        }
-        int64_t w = hw;
-        if (n & 1) { s[w] = LEAF(n - 1); c[w] = 0.0; w++; }
-        while (w > 1) {
-            int64_t e2 = w - (w & 1), h2 = e2 / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double a0 = s[2 * i], b0 = s[2 * i + 1];
-                double a1 = c[2 * i], b1 = c[2 * i + 1];
-                double t = a0 + b0;
-                double comp = (fabs(a0) >= fabs(b0)) ? (a0 - t) + b0
-                                                     : (b0 - t) + a0;
-                s[i] = t;
-                c[i] = (a1 + comp) + b1;
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[r] = s[0] + c[0];
-    }
-    free(s); free(c);
-    return 0;
-}
-
-int balanced_sweep_cp(const double *data, const int64_t *idx,
-                      int64_t n_rows, int64_t n, double *out)
-{
-    int64_t h = (n + 1) / 2;
-    double *s = (double *)malloc((size_t)h * sizeof(double));
-    double *c = (double *)malloc((size_t)h * sizeof(double));
-    if (!s || !c) { free(s); free(c); return 1; }
-    for (int64_t r = 0; r < n_rows; r++) {
-        int64_t even = n - (n & 1), hw = even / 2;
-        for (int64_t i = 0; i < hw; i++) {
-            double a = LEAF(2 * i), b = LEAF(2 * i + 1);
-            double sum = a + b;
-            double bb = sum - a;
-            double delta = (a - (sum - bb)) + (b - bb);
-            s[i] = sum;
-            c[i] = delta + 0.0;
-        }
-        int64_t w = hw;
-        if (n & 1) { s[w] = LEAF(n - 1); c[w] = 0.0; w++; }
-        while (w > 1) {
-            int64_t e2 = w - (w & 1), h2 = e2 / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double a0 = s[2 * i], b0 = s[2 * i + 1];
-                double a1 = c[2 * i], b1 = c[2 * i + 1];
-                double sum = a0 + b0;
-                double bb = sum - a0;
-                double delta = (a0 - (sum - bb)) + (b0 - bb);
-                s[i] = sum;
-                c[i] = a1 + b1 + delta;
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[r] = s[0] + c[0];
-    }
-    free(s); free(c);
-    return 0;
-}
-
-int balanced_sweep_dd(const double *data, const int64_t *idx,
-                      int64_t n_rows, int64_t n, double *out)
-{
-    int64_t h = (n + 1) / 2;
-    double *s = (double *)malloc((size_t)h * sizeof(double));
-    double *c = (double *)malloc((size_t)h * sizeof(double));
-    if (!s || !c) { free(s); free(c); return 1; }
-    for (int64_t r = 0; r < n_rows; r++) {
-        int64_t even = n - (n & 1), hw = even / 2;
-        for (int64_t i = 0; i < hw; i++) {
-            double hi1 = LEAF(2 * i), hi2 = LEAF(2 * i + 1);
-            double sum = hi1 + hi2;
-            double bb = sum - hi1;
-            double e = (hi1 - (sum - bb)) + (hi2 - bb);
-            e = e + 0.0 + 0.0;
-            double s2 = sum + e;
-            s[i] = s2;
-            c[i] = e - (s2 - sum);
-        }
-        int64_t w = hw;
-        if (n & 1) { s[w] = LEAF(n - 1); c[w] = 0.0; w++; }
-        while (w > 1) {
-            int64_t e2 = w - (w & 1), h2 = e2 / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double hi1 = s[2 * i], hi2 = s[2 * i + 1];
-                double lo1 = c[2 * i], lo2 = c[2 * i + 1];
-                double sum = hi1 + hi2;
-                double bb = sum - hi1;
-                double e = (hi1 - (sum - bb)) + (hi2 - bb);
-                e = e + lo1 + lo2;
-                double s2 = sum + e;
-                s[i] = s2;
-                c[i] = e - (s2 - sum);
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[r] = s[0] + c[0];
-    }
-    free(s); free(c);
-    return 0;
-}
-
-/* -- rank-local fold kernels (the collective fast path) ---------------------
+/* -- the accumulator algebras ------------------------------------------------
  *
- * One state per chunk: rows[r] points at chunk r's len[r] doubles (rows of
- * a packed matrix or the caller's original chunk buffers in place — no
- * copy).  Each kernel replays the matching accumulator's ``add_array``
- * op-for-op from the zero state (per-row power-of-two zero padding, the
- * TwoSum carry fold, then the algorithm's scalar merge-in recurrence), so
- * out components are bitwise-equal to
- * ``make_accumulator(); add_array(chunk)``.  ``max_len`` bounds the scratch
- * allocation (>= every len[r]).
+ * Each algebra is written once, as three pieces over a (sum, carry) state:
+ *
+ *   MERGE(a0, a1, b0, b1, &s, &c)  the VectorOps ``merge`` of the left
+ *       state (a0, a1) and the right state (b0, b1);
+ *   FOLD(row, n, buf, cap, &s, &c)  one chunk's accumulator state, bitwise
+ *       ``make_accumulator(); add_array(chunk)`` from the zero state;
+ *   RESULT(s, c)  the state's value.
+ *
+ * ST keeps one component: its MERGE and FOLD never write the carry.  A
+ * leaf is the state (x, 0.0), and for every algebra MERGE((x, 0), (y, 0))
+ * is bitwise the leaf-pair formula the NumPy sweep applies (b - (0+0) == b,
+ * (0+comp)+0 == comp+0, (0+0)+delta == delta+0, e+0+0 unchanged), so the
+ * sweeps need no leaf-level formula of their own.
+ */
+
+static inline void st_merge(double a0, double a1, double b0, double b1,
+                            double *s, double *c)
+{
+    (void)a1; (void)b1; (void)c;
+    *s = a0 + b0;
+}
+
+static inline void kahan_merge(double a0, double a1, double b0, double b1,
+                               double *s, double *c)
+{
+    double y = b0 - (a1 + b1);
+    double t = a0 + y;
+    *s = t;
+    *c = (t - a0) - y;
+}
+
+static inline void kbn_merge(double a0, double a1, double b0, double b1,
+                             double *s, double *c)
+{
+    double t = a0 + b0;
+    double comp = (fabs(a0) >= fabs(b0)) ? (a0 - t) + b0 : (b0 - t) + a0;
+    *s = t;
+    *c = (a1 + comp) + b1;
+}
+
+static inline void cp_merge(double a0, double a1, double b0, double b1,
+                            double *s, double *c)
+{
+    double sum = a0 + b0;
+    double bb = sum - a0;
+    double delta = (a0 - (sum - bb)) + (b0 - bb);
+    *s = sum;
+    *c = a1 + b1 + delta;
+}
+
+static inline void dd_merge(double a0, double a1, double b0, double b1,
+                            double *s, double *c)
+{
+    double sum = a0 + b0;
+    double bb = sum - a0;
+    double e = (a0 - (sum - bb)) + (b0 - bb);
+    e = e + a1 + b1;
+    double s2 = sum + e;
+    *s = s2;
+    *c = e - (s2 - sum);
+}
+
+static inline double result_s(double s, double c) { (void)c; return s; }
+static inline double result_sc(double s, double c) { return s + c; }
+
+/* -- rank-local row folds (the collective fast path) ------------------------
+ *
+ * A chunk's fold replays the matching accumulator's ``add_array``
+ * op-for-op: per-row power-of-two zero padding, then the algorithm's block
+ * fold (the TwoSum carry fold, whose levels are CP's MERGE; Kahan's
+ * flat-error fold; or the pairwise dd_add fold, whose levels are DD's
+ * MERGE).  The FOLD pieces below merge the block into the zero state.  ``buf`` is a caller scratch of four non-overlapping quarters
+ * of ``cap`` doubles each (cap >= half the row's power-of-two width).
  */
 
 static int64_t pow2_ceil(int64_t n)
@@ -263,22 +148,16 @@ static int64_t pow2_ceil(int64_t n)
     return p;
 }
 
-/* One carry-fold level: pair adjacent (sum, carry) nodes from (s, c) into
- * (so, co).  Out-of-place with restrict operands so the compiler can SIMD
+/* One carry-fold level (CP's MERGE): pair adjacent (sum, carry) nodes from
+ * (s, c) into (so, co).  Out-of-place with restrict operands so the compiler can SIMD
  * the TwoSum lanes (every lane is an independent, bit-exact IEEE chain).
  */
 static void carry_fold_level(const double *restrict s, const double *restrict c,
                              double *restrict so, double *restrict co,
                              int64_t h2)
 {
-    for (int64_t i = 0; i < h2; i++) {
-        double a = s[2 * i], b = s[2 * i + 1];
-        double sum = a + b;
-        double bb = sum - a;
-        double err = (a - (sum - bb)) + (b - bb);
-        co[i] = (c[2 * i] + c[2 * i + 1]) + err;
-        so[i] = sum;
-    }
+    for (int64_t i = 0; i < h2; i++)
+        cp_merge(s[2 * i], c[2 * i], s[2 * i + 1], c[2 * i + 1], &so[i], &co[i]);
 }
 
 /* First fold level fused with the row load: operand j is row[j] for j < n,
@@ -301,12 +180,7 @@ static void carry_fold_row(const double *restrict row, int64_t n,
         return;
     }
     if (n == 2) {               /* single level, no scratch */
-        double a = row[0], b = row[1];
-        double sum = a + b;
-        double bb = sum - a;
-        double err = (a - (sum - bb)) + (b - bb);
-        *out_s = sum;
-        *out_c = 0.0 + err;
+        cp_merge(row[0], 0.0, row[1], 0.0, out_s, out_c);
         return;
     }
     /* Levels 1+2 fused: each output slot consumes a quad of leaves, so the
@@ -316,37 +190,18 @@ static void carry_fold_row(const double *restrict row, int64_t n,
      * the same values the unfused zero-fill stores. */
     int64_t h2 = pow2_ceil(n) / 4, q = n / 4;
     for (int64_t i = 0; i < q; i++) {
-        double a0 = row[4 * i], a1 = row[4 * i + 1];
-        double a2 = row[4 * i + 2], a3 = row[4 * i + 3];
-        double s1 = a0 + a1;
-        double b1 = s1 - a0;
-        double c1 = 0.0 + ((a0 - (s1 - b1)) + (a1 - b1));
-        double s2 = a2 + a3;
-        double b2 = s2 - a2;
-        double c2 = 0.0 + ((a2 - (s2 - b2)) + (a3 - b2));
-        double sum = s1 + s2;
-        double bb = sum - s1;
-        double err = (s1 - (sum - bb)) + (s2 - bb);
-        sa[i] = sum;
-        ca[i] = (c1 + c2) + err;
+        double s1, c1, s2, c2;
+        cp_merge(row[4 * i], 0.0, row[4 * i + 1], 0.0, &s1, &c1);
+        cp_merge(row[4 * i + 2], 0.0, row[4 * i + 3], 0.0, &s2, &c2);
+        cp_merge(s1, c1, s2, c2, &sa[i], &ca[i]);
     }
     int64_t w = q;
     if (n & 3) {                /* boundary quad: 1-3 real leaves + pads */
         int64_t rem = n & 3;
-        double a0 = row[4 * q];
-        double a1 = rem > 1 ? row[4 * q + 1] : 0.0;
-        double a2 = rem > 2 ? row[4 * q + 2] : 0.0;
-        double s1 = a0 + a1;
-        double b1 = s1 - a0;
-        double c1 = 0.0 + ((a0 - (s1 - b1)) + (a1 - b1));
-        double s2 = a2 + 0.0;
-        double b2 = s2 - a2;
-        double c2 = 0.0 + ((a2 - (s2 - b2)) + (0.0 - b2));
-        double sum = s1 + s2;
-        double bb = sum - s1;
-        double err = (s1 - (sum - bb)) + (s2 - bb);
-        sa[w] = sum;
-        ca[w] = (c1 + c2) + err;
+        double s1, c1, s2, c2;
+        cp_merge(row[4 * q], 0.0, rem > 1 ? row[4 * q + 1] : 0.0, 0.0, &s1, &c1);
+        cp_merge(rem > 2 ? row[4 * q + 2] : 0.0, 0.0, 0.0, 0.0, &s2, &c2);
+        cp_merge(s1, c1, s2, c2, &sa[w], &ca[w]);
         w++;
     }
     for (int64_t i = w; i < h2; i++) { sa[i] = 0.0; ca[i] = 0.0; }
@@ -362,65 +217,6 @@ static void carry_fold_row(const double *restrict row, int64_t n,
     }
     *out_s = s[0];
     *out_c = c[0];
-}
-
-int fold_st(const double *const *restrict rows, const int64_t *restrict len,
-            int64_t n_rows, int64_t max_len, double *restrict out0,
-            double *restrict out1)
-{
-    (void)out1; (void)max_len;
-    for (int64_t r = 0; r < n_rows; r++) {
-        const double *row = rows[r];
-        double acc = 0.0;
-        for (int64_t j = 0; j < len[r]; j++)
-            acc = acc + row[j];
-        out0[r] = acc;
-    }
-    return 0;
-}
-
-/* Shared scratch for the ping-pong carry fold: one allocation, four
- * non-overlapping quarters (cap each). */
-static double *fold_scratch(int64_t cap)
-{
-    return (double *)malloc((size_t)(4 * cap) * sizeof(double));
-}
-
-/* -- per-algebra zero-state merge-in: block (s_blk, e_blk) -> accumulator
- * state, replaying ``make_accumulator(); add_array(chunk)`` from (0, 0).
- * Shared between the fold kernels and the fused shard kernels so both
- * paths run the identical op sequence. */
-
-static void kahan_state_from_block(double s_blk, double e_blk,
-                                   double *out_s, double *out_c)
-{
-    double y = s_blk - 0.0;          /* add(s_blk) from (0, 0) */
-    double t = 0.0 + y;
-    double cc = (t - 0.0) - y;
-    y = e_blk - cc;                  /* add(e_blk) */
-    double t2 = t + y;
-    *out_s = t2;
-    *out_c = (t2 - t) - y;
-}
-
-static void kbn_state_from_block(double s_blk, double e_blk,
-                                 double *out_s, double *out_c)
-{
-    double t = 0.0 + s_blk;          /* add(s_blk) from (0, 0) */
-    double comp = (fabs(0.0) >= fabs(s_blk)) ? (0.0 - t) + s_blk
-                                             : (s_blk - t) + 0.0;
-    *out_s = t;
-    *out_c = (0.0 + comp) + e_blk;   /* then c += float(e_blk) */
-}
-
-static void cp_state_from_block(double s_blk, double e_blk,
-                                double *out_s, double *out_c)
-{
-    double sum = 0.0 + s_blk;        /* two_sum(0.0, s_blk) */
-    double bb = sum - 0.0;
-    double delta = (0.0 - (sum - bb)) + (s_blk - bb);
-    *out_s = sum;
-    *out_c = 0.0 + (delta + e_blk);
 }
 
 /* NumPy's pairwise summation (umath pairwise_sum_DOUBLE), reproduced
@@ -552,72 +348,12 @@ static void kahan_fold_row(const double *restrict row, int64_t n,
     *out_e = err_total;
 }
 
-int fold_kahan(const double *const *restrict rows, const int64_t *restrict len,
-               int64_t n_rows, int64_t max_len, double *restrict out0,
-               double *restrict out1)
-{
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    if (!buf) return 1;
-    for (int64_t r = 0; r < n_rows; r++) {
-        double s_blk, e_blk;
-        kahan_fold_row(rows[r], len[r], buf, buf + cap, buf + 2 * cap,
-                       buf + 3 * cap, &s_blk, &e_blk);
-        kahan_state_from_block(s_blk, e_blk, &out0[r], &out1[r]);
-    }
-    free(buf);
-    return 0;
-}
-
-int fold_kbn(const double *const *restrict rows, const int64_t *restrict len,
-             int64_t n_rows, int64_t max_len, double *restrict out0,
-             double *restrict out1)
-{
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    if (!buf) return 1;
-    for (int64_t r = 0; r < n_rows; r++) {
-        double s_blk, e_blk;
-        carry_fold_row(rows[r], len[r], buf, buf + cap, buf + 2 * cap,
-                       buf + 3 * cap, &s_blk, &e_blk);
-        kbn_state_from_block(s_blk, e_blk, &out0[r], &out1[r]);
-    }
-    free(buf);
-    return 0;
-}
-
-int fold_cp(const double *const *restrict rows, const int64_t *restrict len,
-            int64_t n_rows, int64_t max_len, double *restrict out0,
-            double *restrict out1)
-{
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    if (!buf) return 1;
-    for (int64_t r = 0; r < n_rows; r++) {
-        double s_blk, e_blk;
-        carry_fold_row(rows[r], len[r], buf, buf + cap, buf + 2 * cap,
-                       buf + 3 * cap, &s_blk, &e_blk);
-        cp_state_from_block(s_blk, e_blk, &out0[r], &out1[r]);
-    }
-    free(buf);
-    return 0;
-}
-
-/* One pairwise dd_add level out-of-place (see fold_dd). */
+/* One pairwise dd_add level (DD's MERGE) out-of-place. */
 static void dd_fold_level(const double *restrict s, const double *restrict c,
                           double *restrict so, double *restrict co, int64_t h2)
 {
-    for (int64_t i = 0; i < h2; i++) {
-        double hi1 = s[2 * i], hi2 = s[2 * i + 1];
-        double lo1 = c[2 * i], lo2 = c[2 * i + 1];
-        double sum = hi1 + hi2;
-        double bb = sum - hi1;
-        double e = (hi1 - (sum - bb)) + (hi2 - bb);
-        e = e + lo1 + lo2;
-        double s2 = sum + e;
-        so[i] = s2;
-        co[i] = e - (s2 - sum);
-    }
+    for (int64_t i = 0; i < h2; i++)
+        dd_merge(s[2 * i], c[2 * i], s[2 * i + 1], c[2 * i + 1], &so[i], &co[i]);
 }
 
 /* One row's DD accumulator state (pairwise dd_add fold + normalized +
@@ -634,26 +370,11 @@ static void dd_fold_row(const double *restrict row, int64_t n,
     } else {
         /* fused level 1: leaf lo components are exact zeros */
         int64_t h = pow2_ceil(n) / 2, full = n / 2;
-        for (int64_t i = 0; i < full; i++) {
-            double hi1 = row[2 * i], hi2 = row[2 * i + 1];
-            double sum = hi1 + hi2;
-            double bb = sum - hi1;
-            double e = (hi1 - (sum - bb)) + (hi2 - bb);
-            e = e + 0.0 + 0.0;
-            double s2 = sum + e;
-            sa[i] = s2;
-            ca[i] = e - (s2 - sum);
-        }
+        for (int64_t i = 0; i < full; i++)
+            dd_merge(row[2 * i], 0.0, row[2 * i + 1], 0.0, &sa[i], &ca[i]);
         int64_t w = full;
         if (n & 1) {
-            double hi1 = row[n - 1];
-            double sum = hi1 + 0.0;
-            double bb = sum - hi1;
-            double e = (hi1 - (sum - bb)) + (0.0 - bb);
-            e = e + 0.0 + 0.0;
-            double s2 = sum + e;
-            sa[w] = s2;
-            ca[w] = e - (s2 - sum);
+            dd_merge(row[n - 1], 0.0, 0.0, 0.0, &sa[w], &ca[w]);
             w++;
         }
         for (int64_t i = w; i < h; i++) { sa[i] = 0.0; ca[i] = 0.0; }
@@ -683,220 +404,165 @@ static void dd_fold_row(const double *restrict row, int64_t n,
     *out_c = e2 - (s2 - s0);
 }
 
-int fold_dd(const double *const *restrict rows, const int64_t *restrict len,
-            int64_t n_rows, int64_t max_len, double *restrict out0,
-            double *restrict out1)
+/* -- the FOLD pieces: one chunk -> its accumulator state ------------------- */
+
+static inline void st_fold(const double *restrict row, int64_t n,
+                           double *restrict buf, int64_t cap,
+                           double *s, double *c)
 {
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    if (!buf) return 1;
-    for (int64_t r = 0; r < n_rows; r++)
-        dd_fold_row(rows[r], len[r], buf, buf + cap, buf + 2 * cap,
-                    buf + 3 * cap, &out0[r], &out1[r]);
-    free(buf);
-    return 0;
+    (void)buf; (void)cap; (void)c;
+    double acc = 0.0;
+    for (int64_t j = 0; j < n; j++)
+        acc = acc + row[j];
+    *s = acc;
 }
 
-/* -- fused shard kernels: one call per shard of whole items ------------------
+static inline void kahan_fold(const double *restrict row, int64_t n,
+                              double *restrict buf, int64_t cap,
+                              double *s, double *c)
+{
+    double s_blk, e_blk;
+    kahan_fold_row(row, n, buf, buf + cap, buf + 2 * cap, buf + 3 * cap,
+                   &s_blk, &e_blk);
+    double y = s_blk - 0.0;          /* add(s_blk) from (0, 0) */
+    double t = 0.0 + y;
+    double cc = (t - 0.0) - y;
+    y = e_blk - cc;                  /* add(e_blk) */
+    double t2 = t + y;
+    *s = t2;
+    *c = (t2 - t) - y;
+}
+
+static inline void kbn_fold(const double *restrict row, int64_t n,
+                            double *restrict buf, int64_t cap,
+                            double *s, double *c)
+{
+    double s_blk, e_blk;
+    carry_fold_row(row, n, buf, buf + cap, buf + 2 * cap, buf + 3 * cap,
+                   &s_blk, &e_blk);
+    kbn_merge(0.0, 0.0, s_blk, e_blk, s, c);  /* add(s_blk); c += e_blk */
+}
+
+static inline void cp_fold(const double *restrict row, int64_t n,
+                           double *restrict buf, int64_t cap,
+                           double *s, double *c)
+{
+    double s_blk, e_blk;
+    carry_fold_row(row, n, buf, buf + cap, buf + 2 * cap, buf + 3 * cap,
+                   &s_blk, &e_blk);
+    double sum = 0.0 + s_blk;        /* two_sum(0.0, s_blk) */
+    double bb = sum - 0.0;
+    double delta = (0.0 - (sum - bb)) + (s_blk - bb);
+    *s = sum;
+    *c = 0.0 + (delta + e_blk);
+}
+
+static inline void dd_fold(const double *restrict row, int64_t n,
+                           double *restrict buf, int64_t cap,
+                           double *s, double *c)
+{
+    dd_fold_row(row, n, buf, buf + cap, buf + 2 * cap, buf + 3 * cap, s, c);
+}
+
+/* -- the kernels: three per algebra, all from its three pieces ---------------
  *
- * Item-major pointer tables: item i's rank-r chunk is rows[i*n_ranks + r]
- * with len[i*n_ranks + r] doubles.  Each item is served end-to-end inside
- * the kernel: every rank chunk folds to its accumulator state (the exact
- * fold_* op sequence), the rank states collapse through the balanced
- * reduction tree (pair adjacent states in rank order, an odd trailing
- * state rides up unchanged — the `shapes.balanced` level schedule), and
- * the algebra's result extraction lands the item's value in out[i].  The
- * state-merge recurrences are the VectorOps ``merge`` formulas, identical
- * to the upper level loops of the balanced_sweep_* kernels, so out is
- * bitwise-equal to fold + compile_tree(balanced).reduce_states + result.
+ * balanced_sweep_<alg>(data, idx, n_rows, n, out): the balanced-tree value
+ *     of every row.  ``idx == NULL`` means matrix mode (row r's leaves are
+ *     ``data[r*n : (r+1)*n]``); otherwise ``data`` is the base operand
+ *     vector and row r's leaves are ``data[idx[r*n + j]]``.
+ * fold_<alg>(rows, len, n_rows, max_len, out0, out1): the accumulator
+ *     state of every chunk; rows[r] points at chunk r's len[r] doubles (a
+ *     tick block's pointer table, read in place).
+ * reduce_balanced_<alg>(rows, len, n_items, n_ranks, max_len, out): every
+ *     item end-to-end; item i's rank-r chunk is rows[i*n_ranks + r].  Each
+ *     rank chunk folds to its state, the states collapse through the
+ *     balanced rank tree and out[i] is the root's value — bitwise fold +
+ *     compile_tree(balanced).reduce_states + result.
+ *
+ * ``max_len`` bounds the fold scratch (>= every len[r]).  The level loop
+ * is the ``shapes.balanced`` schedule: pair adjacent nodes in place, carry
+ * an odd trailing node up unchanged.  Scratch is calloc'd, so ST's carry
+ * plane, which nothing writes, still reads as zeros.
  */
 
-int reduce_balanced_st(const double *const *restrict rows,
-                       const int64_t *restrict len, int64_t n_items,
-                       int64_t n_ranks, int64_t max_len, double *restrict out)
+#define LEAF(j) (idx ? data[idx[(size_t)r * (size_t)n + (size_t)(j)]] \
+                     : data[(size_t)r * (size_t)n + (size_t)(j)])
+
+static int64_t fold_cap(int64_t max_len)
 {
-    (void)max_len;
-    double *s = (double *)malloc((size_t)n_ranks * sizeof(double));
-    if (!s) return 1;
-    for (int64_t it = 0; it < n_items; it++) {
-        const double *const *item = rows + it * n_ranks;
-        const int64_t *ilen = len + it * n_ranks;
-        for (int64_t r = 0; r < n_ranks; r++) {
-            const double *row = item[r];
-            double acc = 0.0;
-            for (int64_t j = 0; j < ilen[r]; j++)
-                acc = acc + row[j];
-            s[r] = acc;
-        }
-        int64_t w = n_ranks;
-        while (w > 1) {
-            int64_t h2 = w / 2;
-            for (int64_t i = 0; i < h2; i++)
-                s[i] = s[2 * i] + s[2 * i + 1];
-            if (w & 1) s[h2] = s[w - 1];
-            w = h2 + (w & 1);
-        }
-        out[it] = s[0];
-    }
-    free(s);
-    return 0;
+    return pow2_ceil(max_len > 1 ? max_len : 2) / 2;
 }
 
-int reduce_balanced_kahan(const double *const *restrict rows,
-                          const int64_t *restrict len, int64_t n_items,
-                          int64_t n_ranks, int64_t max_len,
-                          double *restrict out)
-{
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    double *s = (double *)malloc((size_t)(2 * n_ranks) * sizeof(double));
-    if (!buf || !s) { free(buf); free(s); return 1; }
-    double *c = s + n_ranks;
-    for (int64_t it = 0; it < n_items; it++) {
-        const double *const *item = rows + it * n_ranks;
-        const int64_t *ilen = len + it * n_ranks;
-        for (int64_t r = 0; r < n_ranks; r++) {
-            double s_blk, e_blk;
-            kahan_fold_row(item[r], ilen[r], buf, buf + cap, buf + 2 * cap,
-                           buf + 3 * cap, &s_blk, &e_blk);
-            kahan_state_from_block(s_blk, e_blk, &s[r], &c[r]);
-        }
-        int64_t w = n_ranks;
-        while (w > 1) {
-            int64_t h2 = w / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double a0 = s[2 * i], b0 = s[2 * i + 1];
-                double a1 = c[2 * i], b1 = c[2 * i + 1];
-                double y = b0 - (a1 + b1);
-                double t = a0 + y;
-                s[i] = t;
-                c[i] = (t - a0) - y;
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[it] = s[0];
-    }
-    free(buf); free(s);
-    return 0;
+#define ALGEBRA(name, MERGE, FOLD, RESULT)                                   \
+static inline double root_##name(double *s, double *c, int64_t w)            \
+{                                                                            \
+    while (w > 1) {                                                          \
+        int64_t h2 = w / 2;                                                  \
+        for (int64_t i = 0; i < h2; i++)                                     \
+            MERGE(s[2 * i], c[2 * i], s[2 * i + 1], c[2 * i + 1],            \
+                  &s[i], &c[i]);                                             \
+        if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }                   \
+        w = h2 + (w & 1);                                                    \
+    }                                                                        \
+    return RESULT(s[0], c[0]);                                               \
+}                                                                            \
+                                                                             \
+int balanced_sweep_##name(const double *data, const int64_t *idx,            \
+                          int64_t n_rows, int64_t n, double *out)            \
+{                                                                            \
+    int64_t h = (n + 1) / 2;                                                 \
+    double *s = (double *)calloc((size_t)(2 * h), sizeof(double));           \
+    if (!s) return 1;                                                        \
+    double *c = s + h;                                                       \
+    for (int64_t r = 0; r < n_rows; r++) {                                   \
+        int64_t w = n / 2;                                                   \
+        for (int64_t i = 0; i < w; i++)                                      \
+            MERGE(LEAF(2 * i), 0.0, LEAF(2 * i + 1), 0.0, &s[i], &c[i]);     \
+        if (n & 1) { s[w] = LEAF(n - 1); c[w] = 0.0; w++; }                  \
+        out[r] = root_##name(s, c, w);                                       \
+    }                                                                        \
+    free(s);                                                                 \
+    return 0;                                                                \
+}                                                                            \
+                                                                             \
+int fold_##name(const double *const *restrict rows,                          \
+                const int64_t *restrict len, int64_t n_rows,                 \
+                int64_t max_len, double *restrict out0, double *out1)        \
+{                                                                            \
+    int64_t cap = fold_cap(max_len);                                         \
+    double *buf = (double *)malloc((size_t)(4 * cap) * sizeof(double));      \
+    if (!buf) return 1;                                                      \
+    for (int64_t r = 0; r < n_rows; r++)                                     \
+        FOLD(rows[r], len[r], buf, cap, &out0[r], &out1[r]);                 \
+    free(buf);                                                               \
+    return 0;                                                                \
+}                                                                            \
+                                                                             \
+int reduce_balanced_##name(const double *const *restrict rows,               \
+                           const int64_t *restrict len, int64_t n_items,     \
+                           int64_t n_ranks, int64_t max_len,                 \
+                           double *restrict out)                             \
+{                                                                            \
+    int64_t cap = fold_cap(max_len);                                         \
+    double *buf = (double *)malloc((size_t)(4 * cap) * sizeof(double));      \
+    double *s = (double *)calloc((size_t)(2 * n_ranks), sizeof(double));     \
+    if (!buf || !s) { free(buf); free(s); return 1; }                        \
+    double *c = s + n_ranks;                                                 \
+    for (int64_t it = 0; it < n_items; it++) {                               \
+        for (int64_t r = 0; r < n_ranks; r++)                                \
+            FOLD(rows[it * n_ranks + r], len[it * n_ranks + r], buf, cap,    \
+                 &s[r], &c[r]);                                              \
+        out[it] = root_##name(s, c, n_ranks);                                \
+    }                                                                        \
+    free(buf); free(s);                                                      \
+    return 0;                                                                \
 }
 
-int reduce_balanced_kbn(const double *const *restrict rows,
-                        const int64_t *restrict len, int64_t n_items,
-                        int64_t n_ranks, int64_t max_len,
-                        double *restrict out)
-{
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    double *s = (double *)malloc((size_t)(2 * n_ranks) * sizeof(double));
-    if (!buf || !s) { free(buf); free(s); return 1; }
-    double *c = s + n_ranks;
-    for (int64_t it = 0; it < n_items; it++) {
-        const double *const *item = rows + it * n_ranks;
-        const int64_t *ilen = len + it * n_ranks;
-        for (int64_t r = 0; r < n_ranks; r++) {
-            double s_blk, e_blk;
-            carry_fold_row(item[r], ilen[r], buf, buf + cap, buf + 2 * cap,
-                           buf + 3 * cap, &s_blk, &e_blk);
-            kbn_state_from_block(s_blk, e_blk, &s[r], &c[r]);
-        }
-        int64_t w = n_ranks;
-        while (w > 1) {
-            int64_t h2 = w / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double a0 = s[2 * i], b0 = s[2 * i + 1];
-                double a1 = c[2 * i], b1 = c[2 * i + 1];
-                double t = a0 + b0;
-                double comp = (fabs(a0) >= fabs(b0)) ? (a0 - t) + b0
-                                                     : (b0 - t) + a0;
-                s[i] = t;
-                c[i] = (a1 + comp) + b1;
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[it] = s[0] + c[0];
-    }
-    free(buf); free(s);
-    return 0;
-}
-
-int reduce_balanced_cp(const double *const *restrict rows,
-                       const int64_t *restrict len, int64_t n_items,
-                       int64_t n_ranks, int64_t max_len, double *restrict out)
-{
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    double *s = (double *)malloc((size_t)(2 * n_ranks) * sizeof(double));
-    if (!buf || !s) { free(buf); free(s); return 1; }
-    double *c = s + n_ranks;
-    for (int64_t it = 0; it < n_items; it++) {
-        const double *const *item = rows + it * n_ranks;
-        const int64_t *ilen = len + it * n_ranks;
-        for (int64_t r = 0; r < n_ranks; r++) {
-            double s_blk, e_blk;
-            carry_fold_row(item[r], ilen[r], buf, buf + cap, buf + 2 * cap,
-                           buf + 3 * cap, &s_blk, &e_blk);
-            cp_state_from_block(s_blk, e_blk, &s[r], &c[r]);
-        }
-        int64_t w = n_ranks;
-        while (w > 1) {
-            int64_t h2 = w / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double a0 = s[2 * i], b0 = s[2 * i + 1];
-                double a1 = c[2 * i], b1 = c[2 * i + 1];
-                double sum = a0 + b0;
-                double bb = sum - a0;
-                double delta = (a0 - (sum - bb)) + (b0 - bb);
-                s[i] = sum;
-                c[i] = a1 + b1 + delta;
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[it] = s[0] + c[0];
-    }
-    free(buf); free(s);
-    return 0;
-}
-
-int reduce_balanced_dd(const double *const *restrict rows,
-                       const int64_t *restrict len, int64_t n_items,
-                       int64_t n_ranks, int64_t max_len, double *restrict out)
-{
-    int64_t cap = pow2_ceil(max_len > 1 ? max_len : 2) / 2;
-    double *buf = fold_scratch(cap);
-    double *s = (double *)malloc((size_t)(2 * n_ranks) * sizeof(double));
-    if (!buf || !s) { free(buf); free(s); return 1; }
-    double *c = s + n_ranks;
-    for (int64_t it = 0; it < n_items; it++) {
-        const double *const *item = rows + it * n_ranks;
-        const int64_t *ilen = len + it * n_ranks;
-        for (int64_t r = 0; r < n_ranks; r++)
-            dd_fold_row(item[r], ilen[r], buf, buf + cap, buf + 2 * cap,
-                        buf + 3 * cap, &s[r], &c[r]);
-        int64_t w = n_ranks;
-        while (w > 1) {
-            int64_t h2 = w / 2;
-            for (int64_t i = 0; i < h2; i++) {
-                double hi1 = s[2 * i], hi2 = s[2 * i + 1];
-                double lo1 = c[2 * i], lo2 = c[2 * i + 1];
-                double sum = hi1 + hi2;
-                double bb = sum - hi1;
-                double e = (hi1 - (sum - bb)) + (hi2 - bb);
-                e = e + lo1 + lo2;
-                double s2 = sum + e;
-                s[i] = s2;
-                c[i] = e - (s2 - sum);
-            }
-            if (w & 1) { s[h2] = s[w - 1]; c[h2] = c[w - 1]; }
-            w = h2 + (w & 1);
-        }
-        out[it] = s[0] + c[0];
-    }
-    free(buf); free(s);
-    return 0;
-}
+ALGEBRA(st, st_merge, st_fold, result_s)
+ALGEBRA(kahan, kahan_merge, kahan_fold, result_s)
+ALGEBRA(kbn, kbn_merge, kbn_fold, result_sc)
+ALGEBRA(cp, cp_merge, cp_fold, result_sc)
+ALGEBRA(dd, dd_merge, dd_fold, result_sc)
 
 /* Compensated sketch rows (repro.selection._statskernel).
  *
@@ -1021,30 +687,21 @@ int sketch_rows(const double *const *restrict rows,
 }
 """
 
-_FUNCTIONS = (
-    "balanced_sweep_st",
-    "balanced_sweep_kahan",
-    "balanced_sweep_kbn",
-    "balanced_sweep_cp",
-    "balanced_sweep_dd",
-)
+#: accumulator algebra tag (``VectorOps.ckernel``) -> state component count
+_ALGEBRAS = {"st": 1, "kahan": 2, "kbn": 2, "cp": 2, "dd": 2}
 
-#: per-algebra rank-local fold kernels; component count mirrors the VectorOps
-_FOLD_FUNCTIONS = {
-    "st": ("fold_st", 1),
-    "kahan": ("fold_kahan", 2),
-    "kbn": ("fold_kbn", 2),
-    "cp": ("fold_cp", 2),
-    "dd": ("fold_dd", 2),
-}
+_PTR_F8 = ctypes.POINTER(ctypes.c_double)
+_PTR_I8 = ctypes.POINTER(ctypes.c_int64)
+_PTR_TABLE = ctypes.POINTER(ctypes.c_void_p)  # a tick block's chunk pointers
+_I8 = ctypes.c_int64
 
-#: per-algebra fused shard kernels: fold + balanced rank tree + result
-_REDUCE_FUNCTIONS = {
-    "st": "reduce_balanced_st",
-    "kahan": "reduce_balanced_kahan",
-    "kbn": "reduce_balanced_kbn",
-    "cp": "reduce_balanced_cp",
-    "dd": "reduce_balanced_dd",
+#: kernel family (the ``kernel`` label of the fallback counter) -> C name
+#: prefix and argtypes; every family has one kernel per algebra,
+#: ``<prefix><tag>`` (see the C comment above ``ALGEBRA``)
+_FAMILIES = {
+    "sweep": ("balanced_sweep_", [_PTR_F8, _PTR_I8, _I8, _I8, _PTR_F8]),
+    "fold": ("fold_", [_PTR_TABLE, _PTR_I8, _I8, _I8, _PTR_F8, _PTR_F8]),
+    "reduce": ("reduce_balanced_", [_PTR_TABLE, _PTR_I8, _I8, _I8, _I8, _PTR_F8]),
 }
 
 _lock = threading.Lock()
@@ -1146,46 +803,16 @@ def _compile_library() -> Optional[ctypes.CDLL]:
         _record_compile_event("failed")
         return None
     _record_compile_event(outcome)
-    argtypes = [
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    for name in _FUNCTIONS:
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
-    fold_argtypes = [
-        ctypes.POINTER(ctypes.c_void_p),  # per-row data pointers
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    for name, _ in _FOLD_FUNCTIONS.values():
-        fn = getattr(lib, name)
-        fn.argtypes = fold_argtypes
-        fn.restype = ctypes.c_int
-    reduce_argtypes = [
-        ctypes.POINTER(ctypes.c_void_p),  # item-major per-chunk pointers
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    for name in _REDUCE_FUNCTIONS.values():
-        fn = getattr(lib, name)
-        fn.argtypes = reduce_argtypes
-        fn.restype = ctypes.c_int
+    for prefix, argtypes in _FAMILIES.values():
+        for tag in _ALGEBRAS:
+            fn = getattr(lib, prefix + tag)
+            fn.argtypes = argtypes
+            fn.restype = ctypes.c_int
     lib.sketch_rows.argtypes = [
-        ctypes.POINTER(ctypes.c_void_p),  # item-major per-chunk pointers
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.POINTER(ctypes.c_int64),  # per-item rank counts
-        ctypes.c_int64,
+        _PTR_TABLE,
+        _PTR_I8,
+        _PTR_I8,  # per-item rank counts
+        _I8,
         ctypes.c_void_p,  # row planes (NULL: not wanted)
         ctypes.c_void_p,  # item planes (NULL: not wanted)
     ]
@@ -1208,53 +835,42 @@ def kernels_available() -> bool:
     return _get_lib() is not None
 
 
-def has_kernel(vops) -> bool:
-    """True when ``vops`` advertises a compiled balanced sweep and it loads."""
-    advertised = getattr(vops, "ckernel", None) is not None
+def has_kernel(vops, family: str = "sweep") -> bool:
+    """True when ``vops``'s algebra has compiled kernels and they load.
+
+    ``family`` names the caller's kernel (``"sweep"``, ``"fold"`` or
+    ``"reduce"``) on the fallback counter; every algebra has all three.
+    """
+    advertised = getattr(vops, "ckernel", None) in _ALGEBRAS
     available = advertised and _get_lib() is not None
     if advertised and not available and _OBS.enabled:
         # the algebra *would* run compiled but can't: a NumPy fallback
         # activation (gated, no compiler, or compile/load failure)
-        _OBS.counter("repro_ckernels_fallback_total", kernel="sweep").inc()
+        _OBS.counter("repro_ckernels_fallback_total", kernel=family).inc()
     return available
 
 
-def has_fold_kernel(vops) -> bool:
-    """True when ``vops``'s algebra has a compiled rank-local fold."""
-    advertised = getattr(vops, "ckernel", None) in _FOLD_FUNCTIONS
-    available = advertised and _get_lib() is not None
-    if advertised and not available and _OBS.enabled:
-        _OBS.counter("repro_ckernels_fallback_total", kernel="fold").inc()
-    return available
-
-
-def has_reduce_kernel(vops) -> bool:
-    """True when ``vops``'s algebra has a compiled fused shard kernel."""
-    advertised = getattr(vops, "ckernel", None) in _REDUCE_FUNCTIONS
-    available = advertised and _get_lib() is not None
-    if advertised and not available and _OBS.enabled:
-        _OBS.counter("repro_ckernels_fallback_total", kernel="reduce").inc()
-    return available
-
-
-_NULL_IDX = ctypes.POINTER(ctypes.c_int64)()
-
-
-def _call(name: str, data: np.ndarray, idx, n_rows: int, n: int,
-          out: np.ndarray) -> None:
+def _kernel(family: str, vops):
+    """The compiled ``family`` kernel of ``vops``'s algebra."""
     lib = _get_lib()
     assert lib is not None, "compiled kernels not available"
-    fn = getattr(lib, "balanced_sweep_" + name)
-    data_p = data.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-    idx_p = (
-        _NULL_IDX
-        if idx is None
-        else idx.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+    return getattr(lib, _FAMILIES[family][0] + vops.ckernel)
+
+
+def _sweep(data: np.ndarray, idx, n_rows: int, n: int, vops,
+           out: Optional[np.ndarray]) -> np.ndarray:
+    if out is None:
+        out = np.empty(n_rows, dtype=np.float64)
+    status = _kernel("sweep", vops)(
+        data.ctypes.data_as(_PTR_F8),
+        _PTR_I8() if idx is None else idx.ctypes.data_as(_PTR_I8),
+        n_rows,
+        n,
+        out.ctypes.data_as(_PTR_F8),
     )
-    out_p = out.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-    status = fn(data_p, idx_p, n_rows, n, out_p)
     if status != 0:  # pragma: no cover - allocation failure
-        raise MemoryError(f"balanced_sweep_{name} scratch allocation failed")
+        raise MemoryError("balanced_sweep scratch allocation failed")
+    return out
 
 
 def sweep_matrix(mat: np.ndarray, vops, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -1264,11 +880,7 @@ def sweep_matrix(mat: np.ndarray, vops, out: Optional[np.ndarray] = None) -> np.
     ``has_kernel(vops)`` and ``n >= 2``.
     """
     mat = np.ascontiguousarray(mat, dtype=np.float64)
-    n_rows, n = mat.shape
-    if out is None:
-        out = np.empty(n_rows, dtype=np.float64)
-    _call(vops.ckernel, mat, None, n_rows, n, out)
-    return out
+    return _sweep(mat, None, *mat.shape, vops, out)
 
 
 def sweep_indexed(
@@ -1285,11 +897,7 @@ def sweep_indexed(
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    n_rows, n = idx.shape
-    if out is None:
-        out = np.empty(n_rows, dtype=np.float64)
-    _call(vops.ckernel, data, idx, n_rows, n, out)
-    return out
+    return _sweep(data, idx, *idx.shape, vops, out)
 
 
 def fold_block(block, vops) -> tuple:
@@ -1300,25 +908,23 @@ def fold_block(block, vops) -> tuple:
     counterpart of :meth:`repro.summation.base.VectorOps.fold`: returns the
     component tuple of ``(n_chunks,)`` arrays, each row bitwise-equal to the
     algorithm's accumulator fed that chunk.  Requires
-    ``has_fold_kernel(vops)``.
+    ``has_kernel(vops, "fold")``.
     """
-    lib = _get_lib()
-    assert lib is not None, "compiled kernels not available"
-    name, n_components = _FOLD_FUNCTIONS[vops.ckernel]
     lengths = block.lens
     outs = tuple(
-        np.empty(lengths.size, dtype=np.float64) for _ in range(n_components)
+        np.empty(lengths.size, dtype=np.float64)
+        for _ in range(_ALGEBRAS[vops.ckernel])
     )
-    status = getattr(lib, name)(
-        block.ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-        lengths.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+    status = _kernel("fold", vops)(
+        block.ptrs.ctypes.data_as(_PTR_TABLE),
+        lengths.ctypes.data_as(_PTR_I8),
         int(lengths.size),
         block.max_len,
-        outs[0].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        outs[-1].ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        outs[0].ctypes.data_as(_PTR_F8),
+        outs[-1].ctypes.data_as(_PTR_F8),
     )
     if status != 0:  # pragma: no cover - allocation failure
-        raise MemoryError(f"{name} scratch allocation failed")
+        raise MemoryError("fold scratch allocation failed")
     return outs
 
 
@@ -1330,7 +936,7 @@ def reduce_block(block, vops, out: Optional[np.ndarray] = None) -> np.ndarray:
     chunks to accumulator states and collapses them through the balanced
     reduction tree inside the kernel.  Bitwise-equal to :func:`fold_block`
     + ``compile_tree(balanced(n_ranks)).reduce_states`` + ``vops.result``;
-    requires ``has_reduce_kernel(vops)``.  ``out`` (when given) must be a
+    requires ``has_kernel(vops, "reduce")``.  ``out`` (when given) must be a
     contiguous float64 vector of ``len(block)``.
     """
     n_items = len(block)
@@ -1343,16 +949,13 @@ def reduce_block(block, vops, out: Optional[np.ndarray] = None) -> np.ndarray:
     n_ranks = int(block.ranks[0])
     if n_ranks <= 0 or (block.ranks != n_ranks).any():
         raise ValueError("every item needs the same positive rank count")
-    lib = _get_lib()
-    assert lib is not None, "compiled kernels not available"
-    fn = getattr(lib, _REDUCE_FUNCTIONS[vops.ckernel])
-    status = fn(
-        block.ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-        block.lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+    status = _kernel("reduce", vops)(
+        block.ptrs.ctypes.data_as(_PTR_TABLE),
+        block.lens.ctypes.data_as(_PTR_I8),
         n_items,
         n_ranks,
         block.max_len,
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        out.ctypes.data_as(_PTR_F8),
     )
     if status != 0:  # pragma: no cover - allocation failure
         raise MemoryError("reduce_balanced scratch allocation failed")
@@ -1373,9 +976,9 @@ def sketch_planes(block, rows: bool, items: bool):
     row_out = np.empty((block.lens.size, 6)) if rows else None
     item_out = np.empty((len(block), 6)) if items else None
     lib.sketch_rows(
-        block.ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-        block.lens.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        block.ranks.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+        block.ptrs.ctypes.data_as(_PTR_TABLE),
+        block.lens.ctypes.data_as(_PTR_I8),
+        block.ranks.ctypes.data_as(_PTR_I8),
         len(block),
         None if row_out is None else row_out.ctypes.data,
         None if item_out is None else item_out.ctypes.data,

@@ -158,7 +158,7 @@ class TestLocalPhase:
     @pytest.mark.parametrize("code", ["ST", "K", "KBN", "CP", "DD"])
     def test_fold_chunks_kernel_matches_numpy_fold(self, code):
         vops = get_algorithm(code).vector_ops
-        if not _ckernels.has_fold_kernel(vops):
+        if not _ckernels.has_kernel(vops, "fold"):
             pytest.skip("compiled fold kernels unavailable")
         chunks = _ragged_chunks(11, seed=37)
         got = _ckernels.fold_block(TickBlock.of([chunks]), vops)

@@ -129,6 +129,8 @@ class TestBinSafety:
         acc = PreroundedAccumulator(bin_exponent=4)
         with pytest.raises(ValueError):
             acc.add(math.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            acc.add_array(np.array([1.0, math.nan]))
 
     def test_merge_requires_same_bin(self):
         a = PreroundedAccumulator(3)
@@ -219,6 +221,23 @@ class TestAccuracyKnobs:
         err_narrow = abs(PreroundedSum(folds=1, fold_width=20).sum_array(x))
         err_wide = abs(PreroundedSum(folds=1, fold_width=45).sum_array(x))
         assert err_wide <= err_narrow
+
+
+class TestWideFoldWidths:
+    """Fold sums stay exact in int64 at every accepted fold width: a fold-0
+    coefficient reaches 2**(fold_width + 1), so wide folds need short
+    int64 spans."""
+
+    @pytest.mark.parametrize("value", [np.nextafter(2.0, 0.0), 1.0], ids=["below_two", "one"])
+    @pytest.mark.parametrize("width", [42, 46, 48, 50])
+    def test_sum_array_and_sum_items_match_exact_sum(self, width, value):
+        n = 1 << 20
+        x = np.full(n, value)
+        exact = float(Fraction(value) * n)
+        alg = PreroundedSum(fold_width=width)
+        assert alg.sum_array(x) == exact
+        assert alg.sum_items([[x[: n // 2], x[n // 2 :]]]) == [exact]
+        assert alg.sum_items([[x[: 1 << 16]]]) == [float(Fraction(value) * (1 << 16))]
 
 
 class TestAutoPrerounded:

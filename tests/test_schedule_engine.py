@@ -45,6 +45,15 @@ def _mixed_magnitudes(n: int, seed: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, size=n)
 
 
+#: signed zeros, subnormals and +-1e308 (cancelling before they can
+#: overflow): the row a compiled sweep must carry bit for bit, signs of
+#: zero included
+_EDGE_ROW = np.array(
+    [-0.0, 0.0, 5e-324, 1e308, -1e308, -5e-324, 2.5e-308, -0.0,
+     -2.5e-308, 1e-310, -1e-310, 1e308, -1e308, 0.0, -0.0, -0.0]
+)
+
+
 def _shapes(n: int, seed: int):
     yield balanced(n)
     yield serial(n)
@@ -253,10 +262,11 @@ class TestCompiledKernels:
             pytest.skip("compiled kernels unavailable")
         mat = np.stack(
             [_mixed_magnitudes(n, seed=100 + s) for s in range(6)]
+            + [np.resize(_EDGE_ROW, n)]
         )
         ref = balanced_ensemble_vops(mat, vops, allow_ckernel=False)
         got = _ckernels.sweep_matrix(mat, vops)
-        assert np.array_equal(ref, got)
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("code", VOPS_CODES)
     def test_ckernel_indexed_matches_matrix_mode(self, code):

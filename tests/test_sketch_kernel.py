@@ -151,7 +151,7 @@ class TestPackedRowPointers:
     bitwise with the NumPy fold whatever the chunk list holds."""
 
     @pytest.mark.parametrize("case", ["many", "over", "long", "mixed"])
-    @pytest.mark.parametrize("code", ["ST", "K", "CP", "DD"])
+    @pytest.mark.parametrize("code", ["ST", "K", "KBN", "CP", "DD"])
     def test_fold_and_reduce_match_numpy(self, code, case):
         chunks, n_ranks = _packing_streams()[case]
         vops = get_algorithm(code).vector_ops

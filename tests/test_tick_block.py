@@ -235,26 +235,39 @@ class TestScatteredRow:
         assert TickLayout([chunks]).direct == [True]
 
 
+def _plain_list(comm, v):
+    return [c.copy() for c in comm.scatter_array(v)]
+
+
+def _scattered(comm, v):
+    return comm.scatter_array(v)
+
+
 class TestSingleReduceCopies:
-    """``AdaptiveReducer.reduce`` runs on one tick block: a plain list is
-    copied once, an f8 scatter not at all."""
+    """``AdaptiveReducer.reduce`` runs on one tick block, on the fixed-tree
+    and the arrival-order route alike: a plain list is copied once, an f8
+    scatter not at all."""
 
     @pytest.mark.parametrize(
-        "make, nbytes",
+        "make, nbytes, nondeterministic",
         [
-            (lambda comm, v: [c.copy() for c in comm.scatter_array(v)], 8 * 1024),
-            (lambda comm, v: comm.scatter_array(v), 0),
+            (_plain_list, 8 * 1024, False),
+            (_scattered, 0, False),
+            (_plain_list, 8 * 1024, True),
+            (_scattered, 0, True),
         ],
-        ids=["plain_list", "scattered_f8"],
+        ids=["plain_list", "scattered_f8", "plain_list_arrival", "scattered_f8_arrival"],
     )
-    def test_pack_bytes(self, make, nbytes):
+    def test_pack_bytes(self, make, nbytes, nondeterministic):
         comm = SimComm(8)
         chunks = make(comm, _values(1, 8 * 128))
         reg = get_registry()
         reg.reset()
         reg.enable()
         try:
-            AdaptiveReducer(comm, threshold=THRESHOLD).reduce(chunks)
+            AdaptiveReducer(comm, threshold=THRESHOLD).reduce(
+                chunks, nondeterministic=nondeterministic
+            )
             samples = reg.snapshot()["counters"].get("repro_tick_copied_bytes_total", [])
         finally:
             reg.disable()
