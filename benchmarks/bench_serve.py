@@ -3,7 +3,7 @@
 The acceptance bar for ``repro.serve`` is quantitative: at client
 concurrency >= 16, the dynamic micro-batcher must deliver >= 3x the
 throughput of the same daemon in its request-at-a-time reference
-configuration (``batching=False``: no coalescing, one full
+configuration (``max_batch=1, max_linger_us=0``: no coalescing, one full
 :meth:`AdaptiveReducer.reduce` pipeline per request), with **every**
 response bitwise-identical to a standalone serial ``reduce`` of the same
 payload.  This bench boots both configurations in-process, fires the
@@ -77,7 +77,7 @@ CHUNK_LEN = 128
 CONCURRENCY = 16
 REQUESTS_PER_CLIENT = 4
 
-#: batched-mode knobs (the baseline runs ``batching=False``).  max_batch
+#: batched-mode knobs (the baseline runs ``max_batch=1``, no linger).  max_batch
 #: equals the client concurrency: a tick fires the moment every
 #: outstanding request is queued instead of lingering for a batch that
 #: cannot arrive (each client keeps exactly one request in flight).
@@ -166,14 +166,12 @@ async def _run_mode(
     payloads: "list[tuple[bytes, str]]",
     repeats: int,
     mixed: bool,
-    batching: bool = True,
 ) -> dict:
     async with ReproServeDaemon(
         ranks=N_RANKS,
         max_batch=max_batch,
         max_linger_us=linger_us,
         workers=1,
-        batching=batching,
     ) as daemon:
         host, port = daemon.host, daemon.port
         # warmup: one request first so both modes time steady state
@@ -205,7 +203,7 @@ def bench_serve(repeats: int = 3) -> dict:
     baseline = asyncio.run(
         _run_mode(
             max_batch=1, linger_us=0.0, payloads=payloads, repeats=repeats,
-            mixed=False, batching=False,
+            mixed=False,
         )
     )
     batched = asyncio.run(

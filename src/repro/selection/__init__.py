@@ -14,7 +14,12 @@ from repro.selection.fitting import FitReport, fit_variability_model
 from repro.selection.costmodel import DEFAULT_RELATIVE_COSTS, CostModel
 from repro.selection.policy import AnalyticPolicy, SelectionDecision, VariabilityModel
 from repro.selection.profile import StreamProfile, profile_chunk, profile_stream
-from repro.selection.selector import AdaptiveReducer, AdaptiveResult, Policy
+from repro.selection.selector import (
+    AdaptiveReducer,
+    AdaptiveResult,
+    NonFiniteOperandError,
+    Policy,
+)
 from repro.selection.streaming import StreamingSelector, SwitchEvent
 from repro.selection.subtree import (
     HierarchicalReducer,
@@ -40,6 +45,7 @@ __all__ = [
     "GridClassifier",
     "HierarchicalReducer",
     "HierarchicalResult",
+    "NonFiniteOperandError",
     "Policy",
     "SelectionDecision",
     "StreamProfile",

@@ -34,6 +34,7 @@ number of selections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Protocol, Sequence
@@ -56,7 +57,7 @@ from repro.util.pool import arena_pair, arena_view, get_pool, shard_plan
 from repro.util.tickblock import TickBlock, TickLayout
 from repro.util.timing import Stopwatch
 
-__all__ = ["Policy", "AdaptiveResult", "AdaptiveReducer"]
+__all__ = ["Policy", "AdaptiveResult", "AdaptiveReducer", "NonFiniteOperandError"]
 
 _OBS = get_registry()
 
@@ -68,6 +69,18 @@ _OBS = get_registry()
 _RESULT = np.dtype(
     [("value", "<f8"), ("code", "<i8"), ("n", "<i8"), ("sketch", "<f8", (6,))]
 )
+
+
+class NonFiniteOperandError(ValueError):
+    """Items ``items`` (stream indices) hold a NaN or inf operand; raised
+    before any reduce, so a caller can fail those and reduce the rest."""
+
+    def __init__(self, items: "Sequence[int]") -> None:
+        self.items = tuple(items)
+        super().__init__(
+            f"items {list(self.items)} hold a non-finite operand (NaN or "
+            "inf); adaptive reduction takes finite values only"
+        )
 
 
 class Policy(Protocol):
@@ -239,6 +252,15 @@ class AdaptiveReducer:
         tree-shape hint ``shape`` go into its policy query."""
         with Stopwatch() as sw_profile:
             sketches = profile_batch(block)
+            # an operand is NaN or inf exactly when its item's max |x| is
+            # inf or its Σ|x| is NaN (a finite Σ|x| that overflows is inf)
+            bad = [
+                i
+                for i, sk in enumerate(sketches)
+                if math.isinf(sk.max_abs) or math.isnan(sk.abs_sum_hi)
+            ]
+            if bad:
+                raise NonFiniteOperandError(bad)
             with Stopwatch() as sw_select:
                 decisions = [
                     self._select(sk, threshold, u, shape=shape)
@@ -341,7 +363,12 @@ class AdaptiveReducer:
                 )
                 for shard_index, s in enumerate(shards)
             ]
-            pool.map(_reduce_many_shard, payloads, chunksize=1, path="reduce_many")
+            found = pool.map(
+                _reduce_many_shard, payloads, chunksize=1, path="reduce_many"
+            )
+            bad = [i for shard_bad in found if shard_bad for i in shard_bad]
+            if bad:
+                raise NonFiniteOperandError(bad)
             records, timings = _result_views(arena_res.read, n_items, len(shards))
         values, code_idx = records["value"], records["code"]
         decisions = [
@@ -428,16 +455,18 @@ def _observe_phases(
         _OBS.histogram(name).observe(total / n_items, count=n_items)
 
 
-def _reduce_many_shard(payload: tuple) -> None:
+def _reduce_many_shard(payload: tuple) -> "list[int] | None":
     """Worker: run the serving pipeline on one shard, writing results
-    straight into the shared result arena.
+    straight into the shared result arena.  A shard holding non-finite
+    items reduces nothing and returns their stream indices instead, so the
+    parent names every shard's in one :class:`NonFiniteOperandError`.
 
     Rebuilds the reducer from its picklable spec (communicator, policy,
     threshold) and the shard's tick block as views of the cached input-arena
     attachment (:meth:`TickBlock.from_arena` — attach once per arena epoch,
     not once per task), and writes its items' :data:`_RESULT` records and
-    its phase timings into the result arena, so nothing but ``None``
-    returns through the pickle pipe.
+    its phase timings into the result arena, so nothing but ``None`` (or
+    the non-finite items' indices) returns through the pickle pipe.
     Every arena view is dropped before returning: a lingering view would
     block the attachment swap on the next arena regrow epoch.
     """
@@ -458,9 +487,12 @@ def _reduce_many_shard(payload: tuple) -> None:
     n_items = dims[0]
     block = TickBlock.from_arena(in_handle, dims, start, stop)
     reducer = AdaptiveReducer(comm, policy, threshold=threshold)
-    sketches, decisions, profile_elapsed, select_elapsed = (
-        reducer._sketch_and_select(block, threshold)
-    )
+    try:
+        sketches, decisions, profile_elapsed, select_elapsed = (
+            reducer._sketch_and_select(block, threshold)
+        )
+    except NonFiniteOperandError as exc:
+        return [start + i for i in exc.items]
     results, _groups, reduce_elapsed = reducer._grouped_reduce(
         block, decisions, tree
     )

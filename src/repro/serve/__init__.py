@@ -1,36 +1,29 @@
 """repro.serve — the network serving front end.
 
-ROADMAP item 1 calls network serving "the piece that turns library into
-service": the batched selection/reduction engines
-(:meth:`repro.selection.selector.AdaptiveReducer.reduce_many`, the
-persistent worker pool) only pay off when they sit in front of
-real concurrent traffic.  This package is that front end, built on stdlib
-``asyncio`` with a hand-rolled minimal HTTP/1.1 layer — no new
-dependencies:
+The batched selection/reduction engine
+(:meth:`repro.selection.selector.AdaptiveReducer.reduce_many`) pays off
+when it sits in front of concurrent traffic.  This package is that front
+end, on stdlib ``asyncio`` with a minimal HTTP/1.1 layer:
 
 * :mod:`repro.serve.protocol` — wire parsing/rendering (reusable
   per-connection receive buffers, cached response-header scaffolds) plus
-  the async clients used by the tests and the serving bench, including
-  the buffer-reusing :class:`~repro.serve.protocol.KeepAliveClient`;
+  the async clients of the tests and the serving bench;
 * :mod:`repro.serve.frames` — the ``application/x-repro-frame`` binary
-  codec: versioned frames whose payload bytes reach NumPy as zero-copy
-  views of the receive buffer (JSON stays for compatibility);
+  codec, whose payload bytes reach NumPy as zero-copy views of the
+  receive buffer (JSON stays for compatibility);
 * :mod:`repro.serve.batcher` — the dynamic micro-batcher: a bounded queue
-  drained into one ``reduce_many`` call per tick (max-batch-size and
-  max-linger knobs), with per-request deadlines, backpressure, and a
-  graceful drain;
-* :mod:`repro.serve.daemon` — the asyncio HTTP daemon exposing
-  ``POST /v1/reduce``, ``POST /v1/reduce_many``, ``POST /v1/ensemble``,
+  drained into one ``reduce_many`` call per tick, with per-request
+  deadlines, backpressure, and a graceful drain;
+* :mod:`repro.serve.daemon` — the HTTP daemon: ``POST /v1/reduce_many``,
+  ``POST /v1/reduce`` (its one-item case), ``POST /v1/ensemble``,
   ``GET /metrics`` (Prometheus text) and ``GET /healthz``;
-* :mod:`repro.serve.cli` — the ``repro-serve`` entry point, including the
-  SIGTERM/SIGINT handling that drains in-flight requests and releases the
-  worker pool's shared-memory arenas (``atexit`` alone does not run on
-  SIGTERM).
+* :mod:`repro.serve.cli` — the ``repro-serve`` entry point, whose
+  SIGTERM/SIGINT handling drains in-flight requests and releases the
+  worker pool's shared-memory arenas.
 
 Every response value is bitwise-identical to a standalone
 :meth:`AdaptiveReducer.reduce` of the same payload — micro-batching changes
-*cost*, never *results* — which is the whole point of serving a
-reproducibility engine.
+*cost*, never *results*.
 """
 
 from repro.serve.batcher import (

@@ -1,19 +1,19 @@
 """Dynamic micro-batching: coalesce concurrent requests into one
 ``reduce_many`` call per tick.
 
-The serving economics (BENCH_adaptive.json): one adaptive reduction pays
-~4–5 ms of profile+select walked item-by-item, but the batched pipeline
-amortises that to ~0.5–0.7 ms/item — *if* items arrive together.  A network
-front end naturally receives them one at a time, so the batcher re-creates
-the batch at the queue: requests land in a bounded queue, and a single
-drain task takes the first waiter, **lingers** up to ``max_linger_s`` for
+The batched pipeline pays its sketch call and per-algorithm dispatch once
+per tick instead of once per item — *if* items arrive together.  A network
+front end receives them one at a time, so the batcher re-creates the
+batch at the queue: requests land in a bounded queue, and a single drain
+task takes the first waiter, **lingers** up to ``max_linger_s`` for
 companions (or until ``max_batch`` of them), then executes the whole tick
 as one :meth:`AdaptiveReducer.reduce_many` call in a worker thread.
 
 Semantics:
 
-* **Backpressure** — a full queue raises :class:`BatcherFull` at submit
-  (the daemon answers 429); nothing is silently dropped.
+* **Backpressure** — a submit the queue cannot take whole raises
+  :class:`BatcherFull` (the daemon answers 429) and counts every item on
+  ``repro_serve_rejected_total``; nothing is silently dropped.
 * **Deadlines** — each request may carry an absolute deadline; requests
   that expire while queued are failed with :class:`DeadlineExceeded` (504)
   *instead of* being computed, so a backlog sheds load from the oldest
@@ -108,9 +108,11 @@ class MicroBatcher:
     ``reduce_fn(items, threshold)`` is the blocking batch executor
     (typically a closure over ``AdaptiveReducer.reduce_many``); it runs in
     the event loop's default thread executor so the loop keeps serving
-    sockets while NumPy works.  ``max_linger_s`` bounds how long the first
-    request of a tick waits for companions; ``max_batch`` bounds how many
-    join it.  ``max_linger_s=0`` (with ``max_batch=1``) is the
+    sockets while NumPy works.  It returns one result per item; an
+    exception in an item's slot fails that item alone, and a raised
+    exception fails the whole group.  ``max_linger_s`` bounds how long the
+    first request of a tick waits for companions; ``max_batch`` bounds how
+    many join it.  ``max_linger_s=0`` (with ``max_batch=1``) is the
     request-at-a-time baseline the serving bench compares against.
     """
 
@@ -192,11 +194,16 @@ class MicroBatcher:
         self,
         items: Sequence[Any],
         *,
-        threshold: "float | None" = None,
-        deadline_s: "float | None" = None,
+        threshold: "float | None | list[float | None]" = None,
+        deadline_s: "float | None | list[float | None]" = None,
     ) -> "list[asyncio.Future]":
         """All-or-nothing bulk submit (one wire request's worth of items
-        either fully enqueues or fully rejects — no partial batches)."""
+        either fully enqueues or fully rejects — no partial batches).
+
+        ``threshold`` and ``deadline_s`` are each one value for every item
+        or a list of per-item values.  A rejection counts every item on
+        ``repro_serve_rejected_total``.
+        """
         assert self._loop is not None, "start() before submit()"
         if self._closing:
             self._count_reject("closing", len(items))
@@ -207,16 +214,19 @@ class MicroBatcher:
                 f"queue at {len(self._pending)}/{self.queue_size} cannot "
                 f"take {len(items)} more request(s)"
             )
+        if not isinstance(threshold, list):
+            threshold = [threshold] * len(items)
+        if not isinstance(deadline_s, list):
+            deadline_s = [deadline_s] * len(items)
         now = self._loop.time()
-        deadline = now + deadline_s if deadline_s is not None else None
         futures: "list[asyncio.Future]" = []
-        for item in items:
+        for item, t, d in zip(items, threshold, deadline_s):
             fut = self._loop.create_future()
             self._pending.append(
                 _Pending(
                     item=item,
-                    threshold=threshold,
-                    deadline=deadline,
+                    threshold=t,
+                    deadline=now + d if d is not None else None,
                     future=fut,
                     enqueued_at=now,
                     nbytes=_item_nbytes(item) if _OBS.enabled else 0,
@@ -311,14 +321,14 @@ class MicroBatcher:
                     None, self._reduce_fn, items, threshold
                 )
             except Exception as exc:  # noqa: BLE001 - delivered per-request
-                for p in group:
-                    p.item = None  # release buffer-view payloads promptly
-                    if not p.future.done():
-                        p.future.set_exception(exc)
-                continue
+                results = [exc] * len(group)
             finally:
                 del items
             for p, result in zip(group, results):
                 p.item = None  # release buffer-view payloads promptly
-                if not p.future.done():
+                if p.future.done():
+                    continue
+                if isinstance(result, BaseException):
+                    p.future.set_exception(result)
+                else:
                     p.future.set_result(result)

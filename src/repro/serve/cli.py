@@ -35,9 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Serve adaptive reproducible reductions over HTTP with dynamic "
             "micro-batching (POST /v1/reduce, /v1/reduce_many, /v1/ensemble; "
-            "GET /metrics, /healthz).  The reduce endpoints speak JSON and "
-            "the zero-copy binary frame codec "
-            "(Content-Type: application/x-repro-frame)."
+            "GET /metrics, /healthz).  /v1/reduce is /v1/reduce_many of one "
+            "item; both speak JSON and the zero-copy binary frame codec "
+            "(Content-Type: application/x-repro-frame).  A NaN or inf "
+            "operand answers 400 and fails only its own request."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1")
@@ -62,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-batch", type=int, default=64,
-        help="max requests coalesced into one reduce_many tick "
+        help="max requests coalesced into one reduce_many tick; "
+        "--max-batch 1 --max-linger-us 0 serves request-at-a-time "
         "(default: %(default)s)",
     )
     parser.add_argument(
@@ -84,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-body-bytes", type=int, default=None,
         help="request body cap in bytes; oversized bodies answer 413 "
         "(default: 64 MiB)",
-    )
-    parser.add_argument(
-        "--no-batching", action="store_true",
-        help="request-at-a-time reference mode: no coalescing, one full "
-        "adaptive reduce pipeline per request (A/B baseline for the "
-        "micro-batcher; see benchmarks/bench_serve.py)",
     )
     parser.add_argument(
         "--no-metrics", action="store_true",
@@ -143,7 +139,6 @@ def main(argv: "list[str] | None" = None) -> int:
         max_linger_us=args.max_linger_us,
         queue_size=args.queue_size,
         default_deadline_ms=args.deadline_ms,
-        batching=not args.no_batching,
     )
     if args.max_body_bytes is not None:
         daemon_kwargs["max_body_bytes"] = args.max_body_bytes

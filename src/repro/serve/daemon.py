@@ -23,20 +23,23 @@ Endpoints (JSON bodies use ``values`` or base64 ``values_b64``; the
 reduce endpoints also speak the binary frame codec, see
 :mod:`repro.serve.protocol` / :mod:`repro.serve.frames`):
 
-* ``POST /v1/reduce`` — one adaptive reduction.  The global vector is
-  block-scattered over the daemon's ranks (or pass explicit per-rank
-  ``chunks``).  Optional ``threshold`` and ``deadline_ms``.
-* ``POST /v1/reduce_many`` — a list of such items in one wire request;
-  items join the same micro-batch queue individually, so they coalesce
-  with other clients' traffic.
+* ``POST /v1/reduce_many`` — a list of adaptive reductions in one wire
+  request.  Each global vector is block-scattered over the daemon's ranks
+  (or pass explicit per-rank ``chunks``); optional ``threshold`` and
+  ``deadline_ms``.  Items join the same micro-batch queue individually, so
+  they coalesce with other clients' traffic.
+* ``POST /v1/reduce`` — ``/v1/reduce_many`` of one item, answered with
+  that item's envelope.
 * ``POST /v1/ensemble`` — the paper's spread experiment as a service:
   ``n_trees`` permuted-leaf evaluations of one algorithm over one vector.
 * ``GET /metrics`` — Prometheus text exposition of the process registry
   (``repro_*`` pipeline metrics plus the ``repro_serve_*`` family).
 * ``GET /healthz`` — liveness plus queue depth.
 
-Error mapping: queue full → 429 (with ``Retry-After``), draining → 503,
-queued past deadline → 504, malformed request → 400, reducer fault → 500.
+Error mapping: queue full → 429 (with ``Retry-After``; every rejected
+item counts on ``repro_serve_rejected_total``), draining → 503, queued
+past deadline → 504, malformed request or a NaN/inf operand → 400 (the
+request's tick-mates are served as if it never came), reducer fault → 500.
 
 Responses carry ``value_hex`` (``float.hex``) next to ``value`` so clients
 can check bitwise equality without trusting JSON float formatting —
@@ -55,7 +58,11 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs import get_registry
-from repro.selection.selector import AdaptiveReducer, AdaptiveResult
+from repro.selection.selector import (
+    AdaptiveReducer,
+    AdaptiveResult,
+    NonFiniteOperandError,
+)
 from repro.serve.batcher import (
     BatcherClosing,
     BatcherFull,
@@ -93,6 +100,12 @@ _LATENCY_BUCKETS = (
     1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0,
 )
 
+#: the status each batcher refusal answers
+_QUEUE_STATUS = {BatcherFull: 429, BatcherClosing: 503, DeadlineExceeded: 504}
+
+#: the 400 a request holding a NaN or inf operand answers
+_NONFINITE = "payload holds a non-finite value (NaN or inf)"
+
 _ROUTES = {
     "/v1/reduce": "POST",
     "/v1/reduce_many": "POST",
@@ -127,20 +140,10 @@ class ReproServeDaemon:
         default_deadline_ms: "float | None" = None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         reducer: "AdaptiveReducer | None" = None,
-        batching: bool = True,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.workers = workers
-        self.batching = bool(batching)
-        if not self.batching:
-            # request-at-a-time reference configuration: no coalescing, and
-            # each request walks the full adaptive pipeline solo through
-            # ``AdaptiveReducer.reduce`` — this is exactly the daemon one
-            # would write without the micro-batching subsystem, and it is
-            # the baseline the serving bench measures speedup against.
-            max_batch = 1
-            max_linger_us = 0.0
         self.default_deadline_ms = default_deadline_ms
         self.max_body_bytes = int(max_body_bytes)
         if reducer is not None:
@@ -191,16 +194,27 @@ class ReproServeDaemon:
         self,
         items: "list[Sequence[np.ndarray]]",
         threshold: Optional[float],
-    ) -> "list[AdaptiveResult]":
+    ) -> "list[AdaptiveResult | HttpError]":
         try:
-            if not self.batching:
+            try:
+                return self.reducer.reduce_many(
+                    items, threshold=threshold, workers=self.workers
+                )
+            except NonFiniteOperandError as exc:
+                # fail only the offending items (400); their tick-mates
+                # reduce without them, to the bits they would have alone
+                bad = set(exc.items)
+                served = iter(
+                    self.reducer.reduce_many(
+                        [it for i, it in enumerate(items) if i not in bad],
+                        threshold=threshold,
+                        workers=self.workers,
+                    )
+                )
                 return [
-                    self.reducer.reduce(chunks, threshold=threshold)
-                    for chunks in items
+                    HttpError(400, _NONFINITE) if i in bad else next(served)
+                    for i in range(len(items))
                 ]
-            return self.reducer.reduce_many(
-                items, threshold=threshold, workers=self.workers
-            )
         finally:
             # Drop operand references *inside* the executor call, before the
             # result future resolves: chunks may be zero-copy views of a
@@ -284,21 +298,7 @@ class ReproServeDaemon:
                 status, body = self._handle_healthz()
             elif endpoint == "/metrics":
                 status, body = 200, None  # rendered below (not JSON)
-            elif endpoint == "/v1/reduce":
-                if binary:
-                    status, frame = await self._handle_reduce_binary(request)
-                    body = None
-                else:
-                    status, body = await self._handle_reduce(request)
-            elif endpoint == "/v1/reduce_many":
-                if binary:
-                    status, frame = await self._handle_reduce_many_binary(
-                        request
-                    )
-                    body = None
-                else:
-                    status, body = await self._handle_reduce_many(request)
-            else:
+            elif endpoint == "/v1/ensemble":
                 if binary:
                     raise HttpError(
                         400,
@@ -306,14 +306,15 @@ class ReproServeDaemon:
                         "reduction payloads)",
                     )
                 status, body = await self._handle_ensemble(request)
+            else:
+                status = 200
+                body, frame = await self._reduce(
+                    request, single=endpoint == "/v1/reduce", binary=binary
+                )
         except HttpError as exc:
             status, body, frame = exc.status, {"error": exc.message}, None
-        except BatcherFull as exc:
-            status, body, frame = 429, {"error": str(exc)}, None
-        except BatcherClosing as exc:
-            status, body, frame = 503, {"error": str(exc)}, None
-        except DeadlineExceeded as exc:
-            status, body, frame = 504, {"error": str(exc)}, None
+        except tuple(_QUEUE_STATUS) as exc:
+            status, body, frame = _QUEUE_STATUS[type(exc)], {"error": str(exc)}, None
         except Exception as exc:  # noqa: BLE001 - 500, never a dropped conn
             status, body, frame = 500, {"error": f"{type(exc).__name__}: {exc}"}, None
         if _OBS.enabled:
@@ -418,8 +419,9 @@ class ReproServeDaemon:
         """
         return ScatteredRow(arr, self.reducer.comm.n_ranks)
 
-    def _parse_item(self, obj, *, what: str):
-        """One reduction item -> (chunks, threshold, deadline_s)."""
+    def _parse_item(self, obj, *, what: str, threshold=None):
+        """One JSON reduction item -> (chunks, threshold, deadline_s);
+        ``threshold`` is the default for an item that sets none."""
         if not isinstance(obj, dict):
             raise HttpError(400, f"{what} must be a JSON object")
         if "chunks" in obj:
@@ -443,9 +445,89 @@ class ReproServeDaemon:
         else:
             values = decode_values(obj, what=what)
             chunks = self.reducer.comm.scatter_array(values)
-        threshold = self._coerce_threshold(obj.get("threshold"), what=what)
+        threshold = self._coerce_threshold(
+            obj.get("threshold", threshold), what=what
+        )
         deadline_s = self._coerce_deadline(obj.get("deadline_ms"), what=what)
         return chunks, threshold, deadline_s
+
+    # -- the one reduce route: parse -> submit -> render ------------------------
+    async def _reduce(self, request, *, single: bool, binary: bool):
+        """``/v1/reduce`` and ``/v1/reduce_many`` on either codec: returns
+        ``(json body, None)`` or ``(None, (frame header, payload))``.
+
+        ``/v1/reduce`` is the one-item case of ``/v1/reduce_many``: the
+        codec's parse yields the items, all of them join the micro-batch
+        queue in one all-or-nothing submit, and the codec's render writes
+        the single-item or the many-item envelope.
+        """
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        if binary:
+            parsed = self._parse_frame_items(request, single)
+        else:
+            parsed = self._parse_json_items(request, single)
+        self._obs_ingest("binary" if binary else "json", loop.time() - started)
+        results = []
+        if parsed:
+            items, thresholds, deadlines = (list(col) for col in zip(*parsed))
+            futures = self.batcher.submit_many(
+                items, threshold=thresholds, deadline_s=deadlines
+            )
+            # one item skips gather's ~7 µs of bookkeeping
+            if len(futures) == 1:
+                results = [await futures[0]]
+            else:
+                results = await asyncio.gather(*futures)
+        if binary:
+            return None, self._render_frame(results, single)
+        if single:
+            return self._result_payload(results[0]), None
+        return {"results": [self._result_payload(r) for r in results]}, None
+
+    def _parse_json_items(self, request, single: bool) -> list:
+        """A JSON body -> ``[(chunks, threshold, deadline_s), ...]``: the
+        body itself is ``/v1/reduce``'s item; ``/v1/reduce_many`` lists its
+        items under ``items``, with an optional shared ``threshold``."""
+        body = request.json()
+        if single:
+            return [self._parse_item(body, what="body")]
+        if not isinstance(body, dict) or not isinstance(body.get("items"), list):
+            raise HttpError(400, "body needs an 'items' list")
+        shared = body.get("threshold")
+        return [
+            self._parse_item(obj, what=f"items[{i}]", threshold=shared)
+            for i, obj in enumerate(body["items"])
+        ]
+
+    def _parse_frame_items(self, request, single: bool) -> list:
+        """A binary frame -> ``[(chunks, threshold, deadline_s), ...]``.
+
+        ``/v1/reduce`` takes a 1-D payload, ``/v1/reduce_many`` a 2-D
+        ``[items, n]`` one; each row scatters into zero-copy per-rank views
+        of the connection's receive buffer, which stays pinned until the
+        request's futures resolve (the connection is strictly sequential).
+        The header's ``threshold``/``deadline_ms`` apply to every row.
+        """
+        header, payload = parse_frame(
+            request.body, kind=KIND_REQUEST, what="body"
+        )
+        arr = payload_array(header, payload, what="body")
+        if arr.ndim != (1 if single else 2):
+            takes = "/v1/reduce takes a 1-D" if single else (
+                "/v1/reduce_many takes a 2-D [items, n]"
+            )
+            raise HttpError(
+                400, f"body: {takes} frame payload, got shape {list(arr.shape)}"
+            )
+        threshold = self._coerce_threshold(header.get("threshold"), what="body")
+        deadline_s = self._coerce_deadline(
+            header.get("deadline_ms"), what="body"
+        )
+        return [
+            (self._scatter_view(row), threshold, deadline_s)
+            for row in ([arr] if single else arr)
+        ]
 
     @staticmethod
     def _result_meta(result: AdaptiveResult) -> dict:
@@ -467,144 +549,15 @@ class ReproServeDaemon:
             **ReproServeDaemon._result_meta(result),
         }
 
-    async def _handle_reduce(self, request):
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        chunks, threshold, deadline_s = self._parse_item(
-            request.json(), what="body"
-        )
-        self._obs_ingest("json", loop.time() - started)
-        future = self.batcher.submit(
-            chunks, threshold=threshold, deadline_s=deadline_s
-        )
-        result = await future
-        return 200, self._result_payload(result)
-
-    async def _handle_reduce_binary(self, request):
-        """``/v1/reduce`` over the binary frame codec (zero-copy ingest).
-
-        The 1-D payload is sliced into per-rank views of the connection's
-        receive buffer; the buffer stays pinned until this handler's future
-        resolves (the connection is strictly sequential), so the views are
-        valid through the whole reduction.  The response is a binary frame
-        whose 8 payload bytes are the result's exact float64 bits.
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        header, payload = parse_frame(
-            request.body, kind=KIND_REQUEST, what="body"
-        )
-        arr = payload_array(header, payload, what="body")
-        if arr.ndim != 1:
-            raise HttpError(
-                400,
-                f"body: /v1/reduce takes a 1-D frame payload, got shape "
-                f"{list(arr.shape)}",
-            )
-        chunks = self._scatter_view(arr)
-        threshold = self._coerce_threshold(header.get("threshold"), what="body")
-        deadline_s = self._coerce_deadline(
-            header.get("deadline_ms"), what="body"
-        )
-        self._obs_ingest("binary", loop.time() - started)
-        result = await self.batcher.submit(
-            chunks, threshold=threshold, deadline_s=deadline_s
-        )
-        out_header = {
-            "status": 200,
-            "dtype": "<f8",
-            "shape": [1],
-            **self._result_meta(result),
-        }
-        return 200, (out_header, np.asarray([result.value], dtype="<f8"))
-
-    async def _handle_reduce_many_binary(self, request):
-        """``/v1/reduce_many`` over the binary frame codec.
-
-        The payload is a 2-D ``[items, n]`` matrix; each row scatters into
-        zero-copy per-rank views and the rows join the micro-batch queue
-        individually (all-or-nothing, like the JSON path).  The response
-        payload is the float64 result vector in row order.
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        header, payload = parse_frame(
-            request.body, kind=KIND_REQUEST, what="body"
-        )
-        arr = payload_array(header, payload, what="body")
-        if arr.ndim != 2:
-            raise HttpError(
-                400,
-                f"body: /v1/reduce_many takes a 2-D [items, n] frame "
-                f"payload, got shape {list(arr.shape)}",
-            )
-        threshold = self._coerce_threshold(header.get("threshold"), what="body")
-        deadline_s = self._coerce_deadline(
-            header.get("deadline_ms"), what="body"
-        )
-        items = [self._scatter_view(row) for row in arr]
-        self._obs_ingest("binary", loop.time() - started)
-        if not items:
-            empty = np.empty(0, dtype="<f8")
-            return 200, (
-                {"status": 200, "dtype": "<f8", "shape": [0], "results": []},
-                empty,
-            )
-        futures = self.batcher.submit_many(
-            items, threshold=threshold, deadline_s=deadline_s
-        )
-        results = await asyncio.gather(*futures)
-        values = np.asarray([r.value for r in results], dtype="<f8")
-        out_header = {
-            "status": 200,
-            "dtype": "<f8",
-            "shape": [len(results)],
-            "results": [self._result_meta(r) for r in results],
-        }
-        return 200, (out_header, values)
-
-    async def _handle_reduce_many(self, request):
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        body = request.json()
-        if not isinstance(body, dict) or not isinstance(body.get("items"), list):
-            raise HttpError(400, "body needs an 'items' list")
-        items = body["items"]
-        shared_threshold = body.get("threshold")
-        parsed = []
-        for i, obj in enumerate(items):
-            if (
-                shared_threshold is not None
-                and isinstance(obj, dict)
-                and "threshold" not in obj
-            ):
-                obj = {**obj, "threshold": shared_threshold}
-            parsed.append(self._parse_item(obj, what=f"items[{i}]"))
-        self._obs_ingest("json", loop.time() - started)
-        if not parsed:
-            return 200, {"results": []}
-        # all-or-nothing capacity check up front (no awaits between here and
-        # the submits, so the event loop cannot interleave another producer):
-        # a wire batch either fully enqueues or is fully rejected with 429
-        if self.batcher.depth + len(parsed) > self.batcher.queue_size:
-            raise BatcherFull(
-                f"queue at {self.batcher.depth}/{self.batcher.queue_size} "
-                f"cannot take {len(parsed)} more request(s)"
-            )
-        futures: "list[asyncio.Future | None]" = [None] * len(parsed)
-        groups: "dict[tuple, list[int]]" = {}
-        for i, (_, threshold, deadline_s) in enumerate(parsed):
-            groups.setdefault((threshold, deadline_s), []).append(i)
-        for (threshold, deadline_s), idxs in groups.items():
-            futs = self.batcher.submit_many(
-                [parsed[i][0] for i in idxs],
-                threshold=threshold,
-                deadline_s=deadline_s,
-            )
-            for i, fut in zip(idxs, futs):
-                futures[i] = fut
-        results = await asyncio.gather(*futures)
-        return 200, {"results": [self._result_payload(r) for r in results]}
+    def _render_frame(self, results: "list[AdaptiveResult]", single: bool):
+        """The response frame: the values' exact float64 bits in item order,
+        under one item's meta (``/v1/reduce``) or a ``results`` list."""
+        header = {"status": 200, "dtype": "<f8", "shape": [len(results)]}
+        if single:
+            header.update(self._result_meta(results[0]))
+        else:
+            header["results"] = [self._result_meta(r) for r in results]
+        return header, np.asarray([r.value for r in results], dtype="<f8")
 
     async def _handle_ensemble(self, request):
         loop = asyncio.get_running_loop()

@@ -360,7 +360,13 @@ class PreroundedAccumulator(Accumulator):
         return Fraction(total, 1 << (-g_min))
 
     def result(self) -> float:
-        return float(self.to_fraction())
+        """The retained sum, correctly rounded: ±inf when it rounds beyond
+        the double range (``float(Fraction)`` raises exactly then)."""
+        value = self.to_fraction()
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -115,3 +115,90 @@ class TestIntervalLayer:
 
         with pytest.raises(ValueError):
             sum_interval_array(np.array([1.0, math.nan]))
+
+
+def _overflowing_sum() -> np.ndarray:
+    """Finite operands whose exact sum (~166.5 x DBL_MAX) is beyond the
+    double range: PR's correctly rounded value is +inf."""
+    return np.full(1000, np.finfo(np.float64).max) * np.resize([1.0, -1.0, 0.5], 1000)
+
+
+class TestPreroundedOverflow:
+    """PR rounds its exact retained sum once; beyond the double range that
+    rounding gives +-inf, on the object walk and the batched path alike."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_object_walk_batched_and_adaptive_agree(self, sign):
+        from repro.mpi.ops import make_reduction_op
+        from repro.selection import AdaptiveReducer
+
+        x = sign * _overflowing_sum()
+        pr = get_algorithm("PR")
+        comm = SimComm(8)
+        chunks = comm.scatter_array(x)
+        op = make_reduction_op(pr)
+        values = [
+            pr.sum_array(x),
+            pr.sum_items([chunks])[0],
+            comm.reduce(chunks, op, engine="object").value,
+            comm.reduce(chunks, op).value,
+            comm.reduce_batch([chunks, chunks], op)[1].value,
+            AdaptiveReducer(comm).reduce(chunks, threshold=0.0).value,
+        ]
+        assert [v.hex() for v in values] == [(sign * math.inf).hex()] * len(values)
+
+    def test_largest_finite_sum_still_rounds_to_a_double(self):
+        top = np.finfo(np.float64).max
+        assert get_algorithm("PR").sum_array(np.array([top, -top, top])) == top
+
+
+class TestAdaptiveReducerNonFinite:
+    """One stated error for NaN/inf operands, raised before any reduce and
+    naming the items, read off the tick sketch (``max |x| == inf`` or a NaN
+    ``Σ|x|``) so it needs no extra pass."""
+
+    def _stream(self, comm):
+        rng = np.random.default_rng(3)
+        items = [rng.normal(size=96) for _ in range(6)]
+        items[1][5] = math.nan
+        items[3][0] = math.inf
+        items[4][7] = -math.inf
+        return [comm.scatter_array(v) for v in items]
+
+    def test_reduce_many_names_every_nonfinite_item(self):
+        from repro.selection import AdaptiveReducer, NonFiniteOperandError
+
+        comm = SimComm(4)
+        with pytest.raises(NonFiniteOperandError) as info:
+            AdaptiveReducer(comm).reduce_many(self._stream(comm), workers=1)
+        assert info.value.items == (1, 3, 4)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("nondeterministic", [False, True])
+    def test_single_reduce_raises_the_same_error(self, nondeterministic):
+        from repro.selection import AdaptiveReducer, NonFiniteOperandError
+
+        comm = SimComm(4)
+        with pytest.raises(NonFiniteOperandError) as info:
+            AdaptiveReducer(comm).reduce(
+                comm.scatter_array(np.array([1.0, math.nan, 2.0])),
+                nondeterministic=nondeterministic,
+            )
+        assert info.value.items == (0,)
+
+    def test_parallel_path_names_items_across_shards(self):
+        from repro.selection import AdaptiveReducer, NonFiniteOperandError
+
+        comm = SimComm(4)
+        with pytest.raises(NonFiniteOperandError) as info:
+            AdaptiveReducer(comm).reduce_many(self._stream(comm), workers=2)
+        assert info.value.items == (1, 3, 4)
+
+    def test_overflowing_finite_sums_are_not_flagged(self):
+        from repro.selection import AdaptiveReducer
+
+        comm = SimComm(4)
+        chunks = comm.scatter_array(_overflowing_sum())
+        big = comm.scatter_array(np.full(64, np.finfo(np.float64).max))
+        results = AdaptiveReducer(comm).reduce_many([chunks, big], workers=1)
+        assert all(math.isinf(r.value) and r.value > 0 for r in results)

@@ -32,6 +32,13 @@ from repro.serve import (
     MicroBatcher,
     ReproServeDaemon,
 )
+from repro.serve.frames import (
+    FRAME_CONTENT_TYPE,
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    encode_frame,
+    parse_frame,
+)
 from repro.serve.protocol import (
     HttpError,
     HttpRequest,
@@ -587,16 +594,21 @@ def _serial_hex(values: np.ndarray, *, threshold=None) -> str:
     return float(result.value).hex()
 
 
+def _run_daemon(coro_fn, **daemon_kw):
+    """Run ``coro_fn(daemon)`` against an in-process daemon."""
+    kw = dict(ranks=RANKS, max_batch=8, max_linger_us=500.0, workers=1)
+    kw.update(daemon_kw)
+
+    async def main():
+        async with ReproServeDaemon(**kw) as daemon:
+            return await coro_fn(daemon)
+
+    return asyncio.run(main())
+
+
 class TestDaemonEndpoints:
     def _run(self, coro_fn, **daemon_kw):
-        kw = dict(ranks=RANKS, max_batch=8, max_linger_us=500.0, workers=1)
-        kw.update(daemon_kw)
-
-        async def main():
-            async with ReproServeDaemon(**kw) as daemon:
-                return await coro_fn(daemon)
-
-        return asyncio.run(main())
+        return _run_daemon(coro_fn, **daemon_kw)
 
     def test_healthz(self):
         async def go(d):
@@ -628,9 +640,10 @@ class TestDaemonEndpoints:
         assert body["tier"] in ("profile", "bound")
 
     def test_unbatched_reference_mode_bitwise(self, rng):
-        # batching=False is the request-at-a-time baseline the serve bench
-        # measures against: no coalescing, one solo reduce() per request —
-        # and bitwise-identical answers to the batched path
+        # max_batch=1, max_linger_us=0 is the request-at-a-time baseline the
+        # serve bench measures against: no coalescing, one reduce_many of
+        # one item per request — and bitwise-identical answers to the
+        # batched path
         values = rng.normal(size=1024) * 10.0 ** rng.integers(
             -20, 20, size=1024
         )
@@ -642,7 +655,7 @@ class TestDaemonEndpoints:
             )
             return resp, d.batcher.batches_processed
 
-        resp, batches = self._run(go, batching=False)
+        resp, batches = self._run(go, max_batch=1, max_linger_us=0.0)
         assert resp.status == 200
         assert resp.json()["value_hex"] == _serial_hex(values)
         assert batches == 1
@@ -856,21 +869,56 @@ class TestDaemonEndpoints:
         assert out["rank_mismatch"].status == 200
         assert float.fromhex(out["rank_mismatch"].json()["value_hex"]) == 0.0
 
-    def test_backpressure_maps_to_429_with_retry_after(self, rng):
+    def test_backpressure_maps_to_429_with_retry_after(self, rng, global_obs):
         values = rng.normal(size=64)
+        two = json.dumps(
+            {"items": [{"values_b64": encode_values(values)}] * 2}
+        ).encode()
 
         async def go(d):
-            def full(*a, **k):
-                raise BatcherFull("queue at 4/4")
-
-            d.batcher.submit = full
-            return await http_request(
+            # the first request lingers in the queue and fills it
+            first = asyncio.ensure_future(
+                http_request(d.host, d.port, "POST", "/v1/reduce_many", two)
+            )
+            while d.batcher.depth < 2:
+                await asyncio.sleep(0.001)
+            second = await http_request(
                 d.host, d.port, "POST", "/v1/reduce", _payload(values)
             )
+            return await first, second
 
-        resp = self._run(go)
+        first, second = self._run(
+            go, queue_size=2, max_batch=64, max_linger_us=1_000_000.0
+        )
+        assert first.status == 200
+        assert second.status == 429
+        assert second.headers.get("retry-after") == "1"
+        assert second.json() == {
+            "error": "queue at 2/2 cannot take 1 more request(s)"
+        }
+        assert _counter_sum(
+            global_obs, "repro_serve_rejected_total", reason="queue_full"
+        ) == 1
+
+    def test_every_json_reduce_many_429_is_counted(self, rng, global_obs):
+        """A JSON reduce_many wider than the queue is rejected whole — and
+        every rejected item counts, like the binary codec's."""
+        items = [{"values_b64": encode_values(rng.normal(size=32))}] * 3
+        body = json.dumps({"items": items}).encode()
+
+        async def go(d):
+            return await http_request(
+                d.host, d.port, "POST", "/v1/reduce_many", body
+            )
+
+        resp = self._run(go, queue_size=2)
         assert resp.status == 429
-        assert resp.headers.get("retry-after") == "1"
+        assert resp.json() == {
+            "error": "queue at 0/2 cannot take 3 more request(s)"
+        }
+        assert _counter_sum(
+            global_obs, "repro_serve_rejected_total", reason="queue_full"
+        ) == 3
 
     def test_draining_daemon_answers_503(self, rng):
         values = rng.normal(size=64)
@@ -952,6 +1000,187 @@ class TestDaemonEndpoints:
 
         hexes = self._run(go)
         assert len(set(hexes)) == 1 == len(set(hexes) & {_serial_hex(values)})
+
+
+def _frame(arr: np.ndarray, **header) -> bytes:
+    head = {"dtype": arr.dtype.str, "shape": list(arr.shape), **header}
+    return encode_frame(head, arr.ravel(), kind=KIND_REQUEST)
+
+
+def _unframe(body) -> "tuple[list, bytes]":
+    """A response frame's header items (in wire order) and payload bytes."""
+    header, payload = parse_frame(bytes(body), kind=KIND_RESPONSE)
+    return list(header.items()), bytes(payload)
+
+
+class TestOneReduceRoute:
+    """``/v1/reduce`` is ``/v1/reduce_many`` of one item on both codecs:
+    the four envelopes, per-request failure of non-finite payloads, and
+    PR's +-inf on overflow."""
+
+    V = np.arange(1.0, 65.0)  # sums to 2080 exactly
+    W = np.linspace(-1.0, 2.0, 48)
+    META_V = [
+        ("algorithm", "ST"),
+        ("tier", "profile"),
+        ("threshold", 1e-13),
+        ("predicted_std", 1.7763568394002505e-17),
+        ("n", 64),
+    ]
+
+    async def _post_all(self, d, requests):
+        """POST ``(path, body, binary)`` requests concurrently, one
+        connection each; answers ``(status, body bytes)`` in order."""
+
+        async def one(path, body, binary):
+            async with KeepAliveClient(d.host, d.port) as client:
+                kw = {"content_type": FRAME_CONTENT_TYPE} if binary else {}
+                r = await client.request("POST", path, body, **kw)
+                return r.status, bytes(r.body)
+
+        return await asyncio.gather(*(one(*req) for req in requests))
+
+    def test_four_envelopes_pinned(self):
+        v, w = self.V, self.W
+        f4 = np.stack([w, w[::-1]]).astype("<f4")  # repro: allow[FP005] -- an fp32 frame's envelope is under test
+        requests = [
+            ("/v1/reduce", json.dumps({"values": v.tolist()}).encode(), False),
+            (
+                "/v1/reduce_many",
+                json.dumps(
+                    {
+                        "threshold": 1e-3,
+                        "items": [
+                            {"values": v.tolist()},
+                            {"values": w.tolist(), "threshold": 1e-9},
+                        ],
+                    }
+                ).encode(),
+                False,
+            ),
+            ("/v1/reduce", _frame(v), True),
+            ("/v1/reduce_many", _frame(f4, threshold=1e-2), True),
+            ("/v1/reduce_many", _frame(np.empty((0, 5))), True),
+            ("/v1/reduce_many", b'{"items":[]}', False),
+        ]
+
+        async def go(d):
+            return [await self._post_all(d, [req]) for req in requests]
+
+        outs = [out[0] for out in _run_daemon(go)]
+        assert all(status == 200 for status, _ in outs)
+        assert outs[0][1] == (
+            b'{"value":2080.0,"value_hex":"0x1.0400000000000p+11",'
+            b'"algorithm":"ST","tier":"profile","threshold":1e-13,'
+            b'"predicted_std":1.7763568394002505e-17,"n":64}'
+        )
+        assert outs[1][1] == (
+            b'{"results":[{"value":2080.0,"value_hex":"0x1.0400000000000p+11",'
+            b'"algorithm":"ST","tier":"profile","threshold":0.001,'
+            b'"predicted_std":1.7763568394002505e-17,"n":64},'
+            b'{"value":23.999999999999993,"value_hex":"0x1.7fffffffffffep+4",'
+            b'"algorithm":"ST","tier":"profile","threshold":1e-09,'
+            b'"predicted_std":2.6075919548690603e-17,"n":48}]}'
+        )
+        assert _unframe(outs[2][1]) == (
+            [("status", 200), ("dtype", "<f8"), ("shape", [1]), *self.META_V],
+            np.float64(2080.0).tobytes(),
+        )
+        meta_f4 = {
+            "algorithm": "ST",
+            "tier": "profile",
+            "threshold": 0.01,
+            "predicted_std": 1.3999402686204953e-08,
+            "n": 48,
+        }
+        assert _unframe(outs[3][1]) == (
+            [
+                ("status", 200),
+                ("dtype", "<f8"),
+                ("shape", [2]),
+                ("results", [meta_f4, meta_f4]),
+            ],
+            np.array([23.999999990686774] * 2, dtype="<f8").tobytes(),
+        )
+        assert _unframe(outs[4][1]) == (
+            [("status", 200), ("dtype", "<f8"), ("shape", [0]), ("results", [])],
+            b"",
+        )
+        assert outs[5][1] == b'{"results":[]}'
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_nonfinite_payload_fails_only_its_own_request(self, rng, binary):
+        finite = rng.normal(size=300) * 10.0 ** rng.integers(-8, 8, size=300)
+        with_inf, with_nan = finite.copy(), finite.copy()
+        with_inf[17] = np.inf
+        with_nan[4] = np.nan
+        if binary:
+            requests = [
+                ("/v1/reduce", _frame(finite), True),
+                ("/v1/reduce", _frame(with_inf), True),
+                ("/v1/reduce_many", _frame(np.stack([finite, with_nan])), True),
+            ]
+        else:
+            requests = [
+                ("/v1/reduce", _payload(finite), False),
+                ("/v1/reduce", _payload(with_inf), False),
+                (
+                    "/v1/reduce_many",
+                    json.dumps(
+                        {
+                            "items": [
+                                {"values_b64": encode_values(finite)},
+                                {"values_b64": encode_values(with_nan)},
+                            ]
+                        }
+                    ).encode(),
+                    False,
+                ),
+            ]
+
+        async def go(d):
+            # all four items queue before the tick fires: one tick
+            outs = await self._post_all(d, requests)
+            return outs, d.batcher.batches_processed
+
+        outs, ticks = _run_daemon(go, max_batch=4, max_linger_us=5_000_000.0)
+        assert ticks == 1
+        assert [status for status, _ in outs] == [200, 400, 400]
+        if binary:
+            value = np.frombuffer(_unframe(outs[0][1])[1], dtype="<f8")[0]
+            assert float(value).hex() == _serial_hex(finite)
+        else:
+            assert json.loads(outs[0][1])["value_hex"] == _serial_hex(finite)
+        for _, body in outs[1:]:
+            assert json.loads(body) == {
+                "error": "payload holds a non-finite value (NaN or inf)"
+            }
+
+    def test_pr_overflow_is_plus_inf_on_every_route(self):
+        top = np.finfo(np.float64).max
+        x = np.full(1000, top) * np.resize([1.0, -1.0, 0.5], 1000)
+        requests = [
+            ("/v1/reduce", _payload(x), False),
+            (
+                "/v1/reduce_many",
+                json.dumps({"items": [{"values_b64": encode_values(x)}]}).encode(),
+                False,
+            ),
+            ("/v1/reduce", _frame(x), True),
+            ("/v1/reduce_many", _frame(np.stack([x, x])), True),
+        ]
+
+        async def go(d):
+            return await self._post_all(d, requests)
+
+        outs = _run_daemon(go)
+        assert [status for status, _ in outs] == [200] * 4
+        single, many = json.loads(outs[0][1]), json.loads(outs[1][1])
+        assert single["value_hex"] == many["results"][0]["value_hex"] == "inf"
+        assert single["algorithm"] == "PR"
+        for _, body in outs[2:]:
+            values = np.frombuffer(_unframe(body)[1], dtype="<f8")
+            assert values.tolist() == [np.inf] * values.size
 
 
 # ---------------------------------------------------------------------------
@@ -1194,7 +1423,6 @@ class TestCli:
         assert args.queue_size == 1024
         assert args.deadline_ms is None
         assert not args.no_metrics
-        assert not args.no_batching
 
     def test_parser_knobs(self):
         from repro.serve.cli import build_parser
