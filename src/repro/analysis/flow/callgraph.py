@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: callables that dispatch their first argument into a pool worker
-_POOL_DISPATCH_NAMES = {"map_parallel"}
+_POOL_DISPATCH_NAMES = {"map_parallel", "run_shards"}
 _POOL_DISPATCH_ATTRS = {"map", "submit"}
 #: executor constructors whose ``initializer=`` runs in every worker
 _EXECUTOR_CTORS = {"ProcessPoolExecutor", "ThreadPoolExecutor"}

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -53,7 +52,7 @@ from repro.selection.profile import StreamProfile, profile_batch, profile_stream
 from repro.summation.registry import all_algorithms, get_algorithm
 from repro.trees.tree import ReductionTree
 from repro.util.chunking import split_indices
-from repro.util.pool import arena_pair, arena_view, get_pool, shard_plan
+from repro.util.pool import run_shards, shard_plan
 from repro.util.tickblock import TickBlock, TickLayout
 from repro.util.timing import Stopwatch
 
@@ -63,9 +62,7 @@ _OBS = get_registry()
 
 #: One item's record in the parallel path's result arena: its value, its
 #: decision-code index and its profile sketch (``n``, then the six float
-#: fields in :data:`SKETCH_COLUMNS` order).  The arena holds one record per
-#: item, then one ``(profile, select, reduce)`` seconds row per shard
-#: (:func:`_result_views`).
+#: fields in :data:`SKETCH_COLUMNS` order).
 _RESULT = np.dtype(
     [("value", "<f8"), ("code", "<i8"), ("n", "<i8"), ("sketch", "<f8", (6,))]
 )
@@ -188,18 +185,19 @@ class AdaptiveReducer:
         item the value any reduction tree would.
 
         ``workers`` adds the multicore axis: the item stream splits into
-        contiguous shards, each shard runs the full profile → select →
-        grouped-reduce pipeline in a persistent worker process (operands
-        ship zero-copy through shared memory), and the reassembled results
-        are *bitwise-identical* to the serial path — every item's reduction
-        is independent, so sharding cannot change any value or decision.
+        contiguous shards (:func:`repro.util.pool.run_shards`), each shard
+        runs the full profile → select → grouped-reduce pipeline in a
+        persistent worker process on read-only shared-memory views of the
+        operands, copied there once, and the reassembled results are
+        *bitwise-identical* to the serial path — every item's reduction is
+        independent, so sharding cannot change any value or decision.
         ``workers=None`` defers to ``REPRO_WORKERS``/cpu-count behind an
         adaptive bytes-and-items cutover (small batches never pay IPC);
         an explicit ``workers >= 2`` always parallelises; ``workers<=1``
         forces the serial path.  Workers write values, decision codes and
-        profile sketches straight into a persistent shared-memory result
-        arena; the parent re-selects from those sketches, and any
-        worker/parent decision drift raises instead of passing silently.
+        profile sketches into the shared result arena; the parent
+        re-selects from those sketches, and any worker/parent decision
+        drift raises instead of passing silently.
 
         Each item's value is bitwise-equal to a standalone :meth:`reduce`
         with the same decision; ``profile_seconds``/``reduce_seconds`` are
@@ -209,11 +207,9 @@ class AdaptiveReducer:
         if not batches:
             return []
         layout = TickLayout(batches)
-        pool_workers, n_shards = shard_plan(len(layout), 8 * layout.n_values, workers)
-        if n_shards > 1:
-            return self._reduce_many_parallel(
-                layout, t, tree, pool_workers, n_shards
-            )
+        plan = shard_plan(len(layout), 8 * layout.n_values, workers)
+        if plan[1] > 1:
+            return self._reduce_many_parallel(layout, t, tree, plan)
         block = layout.block()
         _, decisions, profile_elapsed, select_elapsed = self._sketch_and_select(
             block, t
@@ -319,57 +315,46 @@ class AdaptiveReducer:
         layout: TickLayout,
         threshold: float,
         tree: "ReductionTree | str",
-        pool_workers: int,
-        n_shards: int,
+        plan: "tuple[int, int]",
     ) -> "list[AdaptiveResult]":
         """Shard the stream over the persistent pool (bitwise = serial path).
 
-        Operands pack once into the persistent **input arena**
-        (:meth:`TickLayout.to_arena`); each worker rebuilds its shard's
-        tick block there as views (:meth:`TickBlock.from_arena`) and runs
-        the same :meth:`_sketch_and_select` + :meth:`_grouped_reduce`
-        pipeline the serial path uses.  Results come back through the
-        **result arena** — one :data:`_RESULT` record per item plus three
-        phase timings per shard (:func:`_result_views`) — so the pickle
-        pipe only carries ``None``.  The parent rebuilds each
-        :class:`StreamProfile` from the arena, re-selects with the same
-        :meth:`_select`, and checks its codes against the workers' in one
-        comparison, so a drift raises instead of passing silently.
+        :func:`~repro.util.pool.run_shards` packs the layout's rank counts,
+        unit roundoffs, chunk lengths and operands once into the input
+        arena; each shard's :func:`_reduce_many_task` runs the serial
+        pipeline on its items and writes one :data:`_RESULT` record per
+        item.  The parent rebuilds each :class:`StreamProfile` from the
+        records, re-selects with the same :meth:`_select`, and checks its
+        codes against the workers' in one comparison, so a drift raises
+        instead of passing silently.
         """
         n_items = len(layout)
         us = layout.us
-        shards = split_indices(n_items, n_shards)
-        pool = get_pool(pool_workers)
         code_table = tuple(alg.code for alg in all_algorithms())
-        with arena_pair() as (arena_in, arena_res):
-            in_handle, dims = layout.to_arena(arena_in)
-            res_handle = arena_res.reserve(
-                _RESULT.itemsize * n_items + 8 * 3 * len(shards)
-            )
-            payloads = [
-                (
-                    in_handle,
-                    dims,
-                    res_handle,
-                    s.start,
-                    s.stop,
-                    shard_index,
-                    len(shards),
-                    self.comm,
-                    self.policy,
-                    threshold,
-                    tree,
-                    code_table,
-                )
-                for shard_index, s in enumerate(shards)
-            ]
-            found = pool.map(
-                _reduce_many_shard, payloads, chunksize=1, path="reduce_many"
-            )
-            bad = [i for shard_bad in found if shard_bad for i in shard_bad]
-            if bad:
-                raise NonFiniteOperandError(bad)
-            records, timings = _result_views(arena_res.read, n_items, len(shards))
+
+        def fill(views) -> None:
+            ranks, us_v, lens, flat = views
+            ranks[:], us_v[:], lens[:] = layout.ranks, us, layout.lens
+            layout.copy_into(flat)
+
+        records, returns = run_shards(
+            _reduce_many_task,
+            n_items,
+            plan,
+            [
+                (np.int64, (n_items,)),
+                (np.float64, (n_items,)),
+                (np.int64, layout.lens.shape),
+                (np.float64, (layout.n_values,)),
+            ],
+            fill,
+            _RESULT,
+            (self.comm, self.policy, threshold, tree, code_table),
+            path="reduce_many",
+        )
+        bad = [i for shard_bad, _ in returns if shard_bad for i in shard_bad]
+        if bad:
+            raise NonFiniteOperandError(bad)
         values, code_idx = records["value"], records["code"]
         decisions = [
             self._select(StreamProfile(n, *sketch), threshold, u)
@@ -393,9 +378,9 @@ class AdaptiveReducer:
             else 0.0
         )
         results: "list[AdaptiveResult]" = []
-        for shard_index, s in enumerate(shards):
+        for s, (_, timings) in zip(split_indices(n_items, len(returns)), returns):
             span = s.stop - s.start
-            profile_s, select_s, reduce_s = timings[shard_index].tolist()
+            profile_s, select_s, reduce_s = timings
             if _OBS.enabled:
                 _observe_phases(span, profile_s, select_s, reduce_s)
             for i in range(s.start, s.stop):
@@ -430,17 +415,6 @@ def _checked(threshold: float) -> float:
     return threshold
 
 
-def _result_views(view, n_items: int, n_shards: int) -> tuple:
-    """The result arena's ``(records, timings)``: ``n_items``
-    :data:`_RESULT` records, then ``(n_shards, 3)`` phase seconds.
-    ``view(dtype, shape, offset=)`` is the parent's ``arena.read`` or a
-    worker's ``arena_view`` of the arena's handle."""
-    return (
-        view(_RESULT, (n_items,)),
-        view(np.float64, (n_shards, 3), offset=_RESULT.itemsize * n_items),
-    )
-
-
 def _observe_phases(
     n_items: int, profile_s: float, select_s: float, reduce_s: float
 ) -> None:
@@ -455,57 +429,45 @@ def _observe_phases(
         _OBS.histogram(name).observe(total / n_items, count=n_items)
 
 
-def _reduce_many_shard(payload: tuple) -> "list[int] | None":
-    """Worker: run the serving pipeline on one shard, writing results
-    straight into the shared result arena.  A shard holding non-finite
-    items reduces nothing and returns their stream indices instead, so the
-    parent names every shard's in one :class:`NonFiniteOperandError`.
+def _reduce_many_task(
+    start: int,
+    stop: int,
+    inputs: list,
+    out: np.ndarray,
+    comm: SimComm,
+    policy: Policy,
+    threshold: float,
+    tree: "ReductionTree | str",
+    code_table: tuple,
+) -> tuple:
+    """Shard task (:func:`~repro.util.pool.run_shards`): run the serving
+    pipeline on items ``[start, stop)`` and write their :data:`_RESULT`
+    records into ``out``.
 
-    Rebuilds the reducer from its picklable spec (communicator, policy,
-    threshold) and the shard's tick block as views of the cached input-arena
-    attachment (:meth:`TickBlock.from_arena` — attach once per arena epoch,
-    not once per task), and writes its items' :data:`_RESULT` records and
-    its phase timings into the result arena, so nothing but ``None`` (or
-    the non-finite items' indices) returns through the pickle pipe.
-    Every arena view is dropped before returning: a lingering view would
-    block the attachment swap on the next arena regrow epoch.
+    The shard's tick block is :meth:`TickBlock.over` the input arena's
+    operands, and the reducer is rebuilt from its picklable spec
+    (communicator, policy, threshold).  Returns ``(None, (profile_s,
+    select_s, reduce_s))``; a shard holding non-finite items reduces
+    nothing and returns their stream indices first instead, so the parent
+    names every shard's in one :class:`NonFiniteOperandError`.
     """
-    (
-        in_handle,
-        dims,
-        res_handle,
-        start,
-        stop,
-        shard_index,
-        n_shards,
-        comm,
-        policy,
-        threshold,
-        tree,
-        code_table,
-    ) = payload
-    n_items = dims[0]
-    block = TickBlock.from_arena(in_handle, dims, start, stop)
+    ranks, us, lens, flat = inputs
+    c0, c1 = int(ranks[:start].sum()), int(ranks[:stop].sum())  # repro: allow[FP002] -- integer chunk counts
+    v0, v1 = int(lens[:c0].sum()), int(lens[:c1].sum())  # repro: allow[FP002] -- integer value counts
+    block = TickBlock.over(
+        flat[v0:v1], ranks[start:stop], lens[c0:c1], us[start:stop].tolist()
+    )
     reducer = AdaptiveReducer(comm, policy, threshold=threshold)
     try:
-        sketches, decisions, profile_elapsed, select_elapsed = (
-            reducer._sketch_and_select(block, threshold)
+        sketches, decisions, profile_s, select_s = reducer._sketch_and_select(
+            block, threshold
         )
     except NonFiniteOperandError as exc:
-        return [start + i for i in exc.items]
-    results, _groups, reduce_elapsed = reducer._grouped_reduce(
-        block, decisions, tree
-    )
-    del block
+        return [start + i for i in exc.items], None
+    results, _groups, reduce_s = reducer._grouped_reduce(block, decisions, tree)
     code_index = {code: idx for idx, code in enumerate(code_table)}
-    records, timings = _result_views(
-        partial(arena_view, res_handle), n_items, n_shards
-    )
-    mine = records[start:stop]
-    mine["value"] = [rr.value for rr in results]
-    mine["code"] = [code_index[d.code] for d in decisions]
-    mine["n"] = [sk.n for sk in sketches]
-    mine["sketch"] = [[getattr(sk, f) for f in SKETCH_COLUMNS] for sk in sketches]
-    timings[shard_index] = (profile_elapsed, select_elapsed, reduce_elapsed)
-    del records, timings, mine
-    return None
+    out["value"] = [rr.value for rr in results]
+    out["code"] = [code_index[d.code] for d in decisions]
+    out["n"] = [sk.n for sk in sketches]
+    out["sketch"] = [[getattr(sk, f) for f in SKETCH_COLUMNS] for sk in sketches]
+    return None, (profile_s, select_s, reduce_s)

@@ -44,7 +44,9 @@ request's tick-mates are served as if it never came), reducer fault → 500.
 Responses carry ``value_hex`` (``float.hex``) next to ``value`` so clients
 can check bitwise equality without trusting JSON float formatting —
 shortest-repr round-trips exactly, but the hex form makes the contract
-auditable on the wire.
+auditable on the wire.  Every JSON body is strict (RFC 8259): a value that
+overflowed to +-inf is ``null`` next to its ``value_hex`` ``"inf"`` /
+``"-inf"``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -542,9 +545,12 @@ class ReproServeDaemon:
 
     @staticmethod
     def _result_payload(result: AdaptiveResult) -> dict:
+        """One result's JSON object; an overflowed (+-inf) value is
+        ``null``, its ``value_hex`` keeps the sign (strict JSON has no
+        infinities)."""
         value = float(result.value)
         return {
-            "value": value,
+            "value": _finite_or_none(value),
             "value_hex": value.hex(),
             **ReproServeDaemon._result_meta(result),
         }
@@ -565,6 +571,8 @@ class ReproServeDaemon:
         body = request.json()
         data = decode_values(body, what="body")
         self._obs_ingest("json", loop.time() - started)
+        if not np.isfinite(data).all():
+            raise HttpError(400, _NONFINITE)
         try:
             algorithm = get_algorithm(str(body.get("algorithm", "")))
         except KeyError:
@@ -596,11 +604,15 @@ class ReproServeDaemon:
             )
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
-        spread = float(values.max() - values.min())
         return 200, {
             "values_hex": [float(v).hex() for v in values],
-            "spread": spread,
+            "spread": _finite_or_none(float(values.max()) - float(values.min())),
             "distinct": int(np.unique(values).size),
             "algorithm": algorithm.code,
             "n_trees": n_trees,
         }
+
+
+def _finite_or_none(x: float) -> "float | None":
+    """``x``, or ``None`` (JSON ``null``) when it is inf or NaN."""
+    return x if math.isfinite(x) else None

@@ -50,7 +50,7 @@ from repro.trees import _ckernels
 from repro.trees.schedule import compile_tree
 from repro.trees.serial_batch import serial_ensemble_standard, serial_ensemble_vops
 from repro.trees.tree import ReductionTree
-from repro.util.pool import arena_pair, arena_view, get_pool, shard_plan
+from repro.util.pool import run_shards, shard_plan
 from repro.util.rng import SeedLike, permutation_stream
 
 __all__ = [
@@ -238,11 +238,13 @@ def evaluate_ensemble(
     trace.  Indices are bounds-checked once up front.
 
     ``workers`` shards the tree/permutation axis over the persistent
-    multicore pool (:mod:`repro.util.pool`): contiguous permutation-row
-    shards evaluate in worker processes against shared-memory views of the
-    data and permutation matrix, and the reassembled value vector is
-    bitwise-identical to the serial sweep — each tree's value is independent
-    of every other tree's.  ``workers=None`` defers to
+    multicore pool (:func:`repro.util.pool.run_shards`): the data and every
+    permutation row are written once into the shared input arena (a seeded
+    stream writes each row there directly, so the ``(n_trees, n)`` matrix
+    is never built in private memory), contiguous row shards evaluate in
+    worker processes against read-only views of it, and the value vector
+    is bitwise-identical to the serial sweep — each tree's value is
+    independent of every other tree's.  ``workers=None`` defers to
     ``REPRO_WORKERS``/cpu-count behind the adaptive bytes-and-items cutover;
     an explicit ``workers >= 2`` always parallelises; deterministic
     algorithms always use the compute-once-and-tile shortcut.
@@ -289,23 +291,29 @@ def evaluate_ensemble(
         perm_iter = permutation_stream(n, n_trees, seed)
 
     # multicore cutover: shard the permutation axis over the persistent pool
-    pool_workers, n_shards = shard_plan(
-        n_trees, n_trees * n * 8 + data.nbytes, workers
-    )
-    if n_shards > 1:
-        perm_matrix = (
-            perm_arr if perms is not None else np.stack(list(perm_iter))
+    plan = shard_plan(n_trees, n_trees * n * 8 + data.nbytes, workers)
+    if plan[1] > 1:
+
+        def fill(views) -> None:
+            data_v, perm_v = views
+            data_v[:] = data
+            if perms is not None:
+                perm_v[:] = perm_arr
+                return
+            for row, p in zip(perm_v, perm_iter):
+                row[:] = p
+
+        values, _ = run_shards(
+            _ensemble_task,
+            n_trees,
+            plan,
+            [(np.float64, (n,)), (np.int64, (n_trees, n))],
+            fill,
+            np.float64,
+            (tree if tree is not None else kind, algorithm, context, batch_elems),
+            path="ensemble",
         )
-        return _ensemble_parallel(
-            data,
-            tree if tree is not None else kind,
-            algorithm,
-            perm_matrix,
-            context,
-            batch_elems,
-            pool_workers,
-            n_shards,
-        )
+        return values
 
     vops = algorithm.vector_ops
 
@@ -363,87 +371,22 @@ def evaluate_ensemble(
 _BALANCED_BLOCK_ELEMS = 1 << 18
 
 
-def _ensemble_parallel(
-    data: np.ndarray,
+def _ensemble_task(
+    start: int,
+    stop: int,
+    inputs: list,
+    out: np.ndarray,
     shape: ShapeLike,
     algorithm: SummationAlgorithm,
-    perm_matrix: np.ndarray,
     context: Optional[SumContext],
     batch_elems: int,
-    pool_workers: int,
-    n_shards: int,
-) -> np.ndarray:
-    """Shard an ensemble's permutation rows over worker processes.
-
-    The data vector and the full permutation matrix pack once into the
-    persistent input arena; each worker evaluates a contiguous row shard
-    through the normal serial strategy dispatch (so every fast path — C
-    sweeps, compiled schedules, cumsum serial kernels — still applies
-    inside the worker) and writes its value-vector slice straight into the
-    result arena, so the pickle pipe only carries ``None``.  The assembled
-    value vector is bitwise-identical to the serial sweep over the same
-    permutation matrix.
-    """
-    from repro.util.chunking import split_indices
-
-    n = data.size
-    n_trees = perm_matrix.shape[0]
-    shards = split_indices(n_trees, n_shards)
-    pool = get_pool(pool_workers)
-    # input arena: [data f64 x n][perms i64 x (n_trees, n)]
-    with arena_pair() as (arena_in, arena_res):
-        in_handle = arena_in.reserve(8 * (n + n_trees * n))
-        res_handle = arena_res.reserve(8 * n_trees)
-        data_v = arena_in.view(np.float64, (n,))
-        data_v[:] = data
-        perm_v = arena_in.view(np.int64, (n_trees, n), offset=8 * n)
-        perm_v[:] = perm_matrix
-        del data_v, perm_v
-        payloads = [
-            (
-                in_handle,
-                res_handle,
-                n,
-                n_trees,
-                s.start,
-                s.stop,
-                shape,
-                algorithm,
-                context,
-                batch_elems,
-            )
-            for s in shards
-        ]
-        pool.map(_ensemble_shard, payloads, chunksize=1, path="ensemble")
-        out = arena_res.view(np.float64, (n_trees,)).copy()
-    return out
-
-
-def _ensemble_shard(payload: tuple) -> None:
-    """Worker: evaluate one contiguous block of permutation rows.
-
-    Operates on zero-copy views sliced out of the cached input-arena
-    attachment (attach once per arena epoch, not once per task) and writes
-    its value slice directly into the result arena.  Every arena view is
-    dropped before returning — a lingering view would block the attachment
-    swap on the next arena regrow epoch.
-    """
-    (
-        in_handle,
-        res_handle,
-        n,
-        n_trees,
-        start,
-        stop,
-        shape,
-        algorithm,
-        context,
-        batch_elems,
-    ) = payload
-    data = arena_view(in_handle, np.float64, (n,))
-    perms = arena_view(in_handle, np.int64, (n_trees, n), offset=8 * n)
-    out_v = arena_view(res_handle, np.float64, (n_trees,))
-    out_v[start:stop] = evaluate_ensemble(
+) -> None:
+    """Shard task (:func:`~repro.util.pool.run_shards`): the values of
+    permutation rows ``[start, stop)`` into ``out``, through the serial
+    strategy dispatch, so every fast path (C sweeps, compiled schedules,
+    cumsum serial kernels) still applies inside the worker."""
+    data, perms = inputs
+    out[:] = evaluate_ensemble(
         data,
         shape,
         algorithm,
@@ -453,8 +396,6 @@ def _ensemble_shard(payload: tuple) -> None:
         perms=perms[start:stop],
         workers=1,
     )
-    del out_v, data, perms
-    return None
 
 
 def _batched_balanced_indexed(

@@ -16,17 +16,22 @@ operand through the IPC pipe as pickled bytes.  Both costs are hoisted here:
   ``BrokenProcessPool``, rebuilds the executor, retries the batch once
   (dispatched tasks are deterministic and idempotent by construction), and
   counts the restart.
-* **Persistent arenas** — the one shared-memory transport.  The serving
-  engines dispatch through a pool-lifetime segment pair (:func:`arena_pair`:
-  an input arena and a result arena), sized geometrically by
-  :meth:`SharedArena.reserve` and reused across calls, so a warm dispatch
-  performs **zero** segment create/unlink syscalls.  Workers cache their
-  attachment per arena epoch (:func:`arena_view`; attach once per segment
-  generation, not once per task), read operands through **read-only**
-  input-arena views, and write results — reduced values *and* decision
-  codes — straight into the result arena instead of pickling them back
-  through the IPC pipe.  Only tiny descriptors (segment name, generation,
-  shard bounds) are pickled.
+* **Persistent arenas** — the one shared-memory transport.  A
+  pool-lifetime segment pair (:func:`arena_pair`: an input arena and a
+  result arena), sized geometrically by :meth:`SharedArena.reserve` and
+  reused across calls, so a warm dispatch performs **zero** segment
+  create/unlink syscalls.  Workers cache their attachment per arena epoch
+  (:func:`arena_view`; attach once per segment generation, not once per
+  task), read operands through **read-only** input-arena views, and write
+  result records straight into the result arena instead of pickling them
+  back through the IPC pipe.
+* **One sharded dispatch** — :func:`run_shards` is the only user of the
+  arenas: the caller names its input regions and fills them once in
+  place; each contiguous shard runs a worker trampoline that maps the
+  views, calls the caller's task and drops every view, however the task
+  ends.  ``reduce_many`` and ``evaluate_ensemble`` both dispatch through
+  it.  Only tiny descriptors (segment name, generation, shard bounds, the
+  task's picklable arguments) and a few returned scalars cross the pipe.
 * **Adaptive cutover** — :func:`shard_plan` keeps small batches serial: IPC
   only pays for itself past fixed items-and-bytes floors
   (:data:`MIN_PARALLEL_ITEMS` / :data:`MIN_PARALLEL_BYTES`), while an
@@ -47,6 +52,7 @@ dispatch/roundtrip latency histograms.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import threading
 import time
@@ -62,6 +68,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.obs import get_registry
+from repro.util.chunking import split_indices
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -77,6 +84,7 @@ __all__ = [
     "arena_pair",
     "arena_view",
     "arena_info",
+    "run_shards",
     "parallel_cutover",
     "shard_plan",
     "register_worker_state",
@@ -693,6 +701,75 @@ def arena_view(handle: "tuple[str, int, str]", dtype, shape, offset: int = 0) ->
     if tag == "input":
         view.flags.writeable = False
     return view
+
+
+# -- sharded dispatch ------------------------------------------------------------
+
+
+def run_shards(
+    task: "Callable[..., R]",
+    n_items: int,
+    plan: "tuple[int, int]",
+    inputs: "Sequence[tuple]",
+    fill: "Callable[[list[np.ndarray]], None]",
+    record,
+    args: tuple = (),
+    *,
+    path: str,
+) -> "tuple[np.ndarray, list[R]]":
+    """Run ``task`` over contiguous shards of ``n_items`` items in the pool.
+
+    The one arena dispatch.  ``plan`` is :func:`shard_plan`'s
+    ``(pool_workers, n_shards)``.  ``inputs`` lists the input regions as
+    ``(dtype, shape)``; ``fill(views)`` writes each of them once, in place,
+    through writable views of the input arena.  Each shard then runs
+    ``task(start, stop, inputs, out, *args)`` in a worker, where ``inputs``
+    are read-only views of the regions and ``out`` is the writable view of
+    records ``[start, stop)`` of ``n_items`` ``record``-dtype records in the
+    result arena.  The worker trampoline drops every view when the task
+    ends, by return or by raise, so no task handles the arena itself.
+
+    Returns ``(records, returns)``: a copy of the ``n_items`` records, and
+    each shard's return value in shard order.  Those come back through the
+    pickle pipe: keep them to a few Python scalars.
+    """
+    record = np.dtype(record)
+    regions, end = [], 0
+    for dtype, shape in inputs:
+        dtype = np.dtype(dtype)
+        regions.append((dtype, shape, end))
+        # 8-byte aligned: kernels read float64/int64 regions through pointers
+        end += -(-dtype.itemsize * math.prod(shape) // 8) * 8
+    pool = get_pool(plan[0])
+    with arena_pair() as (arena_in, arena_res):
+        in_handle = arena_in.reserve(end)
+        views = [arena_in.view(*region) for region in regions]
+        try:
+            fill(views)
+        finally:
+            del views
+        res_handle = arena_res.reserve(record.itemsize * n_items)
+        payloads = [
+            (task, in_handle, regions, res_handle, record, s.start, s.stop, args)
+            for s in split_indices(n_items, plan[1])
+        ]
+        returns = pool.map(_run_shard, payloads, chunksize=1, path=path)
+        records = arena_res.read(record, (n_items,))
+    return records, returns
+
+
+def _run_shard(payload: tuple):
+    """Worker trampoline of :func:`run_shards`: map the views, run the
+    task, drop the views."""
+    task, in_handle, regions, res_handle, record, start, stop, args = payload
+    inputs = [arena_view(in_handle, *region) for region in regions]
+    out = arena_view(
+        res_handle, record, (stop - start,), offset=record.itemsize * start
+    )
+    try:
+        return task(start, stop, inputs, out, *args)
+    finally:
+        del inputs, out
 
 
 # -- serial/parallel cutover ---------------------------------------------------

@@ -21,9 +21,9 @@ over the stream that sizes it without touching operand bytes:
 * **one copy** -- every other item is copied once: plain lists, fp16/fp32
   rows, foreign sequences, unaligned data.
   :meth:`TickLayout.block` copies them into the block's own buffer;
-  :meth:`TickLayout.to_arena` copies every item straight into the parallel
-  path's shared input arena, and :meth:`TickBlock.from_arena` rebuilds a
-  shard's block there as views.
+  :meth:`TickLayout.copy_into` copies every item into the parallel path's
+  shared input arena, where each shard's block is :meth:`TickBlock.over`
+  the arena's operands.
 
 Bytes copied are counted on ``repro_tick_copied_bytes_total{reason}``:
 ``pack`` for the block's own buffer, ``arena`` for the input arena.
@@ -40,7 +40,6 @@ import numpy as np
 from repro.fp.properties import unit_roundoff_of
 from repro.obs import get_registry
 from repro.util.chunking import split_indices
-from repro.util.pool import arena_view
 
 __all__ = ["ScatteredRow", "TickBlock", "TickLayout"]
 
@@ -194,27 +193,15 @@ class TickLayout:
         ptrs += (8 * self.offs).astype(np.uint64)
         return TickBlock(rows, self.ranks, self.offs, self.lens, self.us, ptrs)
 
-    def to_arena(self, arena) -> tuple:
-        """Copy the whole stream once into ``arena`` (a
-        :class:`repro.util.pool.SharedArena`): rank counts, unit roundoffs,
-        chunk lengths, then every operand as float64.  Returns the
-        ``(handle, dims)`` :meth:`TickBlock.from_arena` reads it back with."""
-        n_items, n_chunks, n_values = len(self), self.lens.size, self.n_values
-        handle = arena.reserve(8 * (2 * n_items + n_chunks + n_values))
-        arena.write(self.ranks)
-        arena.write(np.asarray(self.us, dtype=np.float64), offset=8 * n_items)
-        arena.write(self.lens, offset=16 * n_items)
-        flat = arena.view(np.float64, (n_values,), offset=8 * (2 * n_items + n_chunks))
-        try:
-            pos = 0
-            for src, n in zip(self.sources, self.sizes):
-                if n:
-                    _copy_into(src, flat[pos : pos + n])
-                pos += n
-        finally:
-            del flat
-        _count_copy("arena", 8 * n_values)
-        return handle, (n_items, n_chunks, n_values)
+    def copy_into(self, flat: np.ndarray) -> None:
+        """Copy every item's operands once, as float64, back to back into
+        ``flat`` (the parallel path's input-arena region)."""
+        pos = 0
+        for src, n in zip(self.sources, self.sizes):
+            if n:
+                _copy_into(src, flat[pos : pos + n])
+            pos += n
+        _count_copy("arena", 8 * pos)
 
 
 def _count_copy(reason: str, nbytes: int) -> None:
@@ -246,23 +233,6 @@ class TickBlock:
     def of(cls, batches) -> "TickBlock":
         """The block of a stream of chunk sequences (zero copy where it can)."""
         return batches if isinstance(batches, TickBlock) else TickLayout(batches).block()
-
-    @classmethod
-    def from_arena(cls, handle, dims: tuple, start: int, stop: int) -> "TickBlock":
-        """Items ``[start, stop)`` of a stream :meth:`TickLayout.to_arena`
-        wrote, as views of the arena's operands.  Drop the block before
-        the arena regrows."""
-        n_items, n_chunks, n_values = dims
-        ranks = arena_view(handle, np.int64, (n_items,)).copy()
-        us = arena_view(handle, np.float64, (n_items,), offset=8 * n_items).tolist()
-        lens = arena_view(handle, np.int64, (n_chunks,), offset=16 * n_items).copy()
-        chunk_at, value_at = _bounds(ranks), _bounds(lens)
-        c0, c1 = int(chunk_at[start]), int(chunk_at[stop])
-        v0, v1 = int(value_at[c0]), int(value_at[c1])
-        flat = arena_view(
-            handle, np.float64, (v1 - v0,), offset=8 * (2 * n_items + n_chunks + v0)
-        )
-        return cls.over(flat, ranks[start:stop], lens[c0:c1], us[start:stop])
 
     @classmethod
     def over(cls, flat: np.ndarray, ranks: np.ndarray, lens: np.ndarray, us) -> "TickBlock":

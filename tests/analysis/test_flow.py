@@ -140,6 +140,25 @@ class TestCallGraph:
         assert _has_edge(graph, "pkg.lam:run", lambdas[0], "pool")
         assert lambdas[0] in graph.pool_targets
 
+    def test_function_passed_to_run_shards_is_a_pool_target(self, tmp_path):
+        graph = build_callgraph(
+            _write(
+                tmp_path,
+                {
+                    "pkg/__init__.py": "",
+                    "pkg/shard.py": (
+                        "from repro.util.pool import run_shards\n"
+                        "def task(start, stop, inputs, out):\n"
+                        "    out[:] = inputs[0][start:stop]\n"
+                        "def run(n, plan, inputs, fill):\n"
+                        "    return run_shards(task, n, plan, inputs, fill, float, path='map')\n"
+                    ),
+                },
+            )
+        )
+        assert _has_edge(graph, "pkg.shard:run", "pkg.shard:task", "pool")
+        assert "pkg.shard:task" in graph.pool_targets
+
     def test_reexport_through_package_init_resolves(self, tmp_path):
         graph = build_callgraph(
             _write(

@@ -23,7 +23,7 @@ from repro.selection.policy import AnalyticPolicy
 from repro.selection.selector import AdaptiveReducer
 from repro.summation import get_algorithm
 from repro.trees import evaluate_ensemble, random_shape
-from repro.util.pool import get_pool
+from repro.util.pool import get_pool, shutdown_pool
 from repro.util.rng import permutation_stream
 
 WORKER_COUNTS = (1, 2, 4)
@@ -141,6 +141,27 @@ class TestEnsembleDeterminism:
         ]
         for other in outs[1:]:
             assert outs[0].tobytes() == other.tobytes()
+
+    def test_seeded_parallel_ensemble_never_builds_the_perm_matrix(self):
+        """The seeded stream writes each row straight into the input
+        arena: the parent's traced peak stays below one private
+        ``(n_trees, n)`` int64 matrix."""
+        import tracemalloc
+
+        n, n_trees = 512, 256
+        data = np.random.default_rng(6).standard_normal(n)
+        alg = get_algorithm("K")
+        evaluate_ensemble(data, "balanced", alg, 4, seed=1, workers=2)  # warm
+        tracemalloc.start()
+        try:
+            parallel = evaluate_ensemble(data, "balanced", alg, n_trees, seed=9, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            shutdown_pool()  # later tests expect the arenas at their floor
+        serial = evaluate_ensemble(data, "balanced", alg, n_trees, seed=9, workers=1)
+        assert parallel.tobytes() == serial.tobytes()
+        assert peak < n_trees * n * 8
 
     def test_deterministic_algorithm_short_circuits(self):
         # PR is tree-independent: workers must not change the tiled value

@@ -21,6 +21,7 @@ from repro.util.pool import (
     parallel_cutover,
     pool_info,
     register_worker_state,
+    run_shards,
     shard_plan,
     shutdown_pool,
     worker_state,
@@ -62,6 +63,30 @@ def _probe_arena_writes(handles: tuple) -> bool:
     out_v[0] = data[0] + data[3]
     del data, out_v
     return rejected
+
+
+def _double_shard(start: int, stop: int, inputs: list, out: np.ndarray, scale: float):
+    """Shard task: ``out = scale * data[start:stop]``; reports its bounds
+    and whether the input view refused a write."""
+    (data,) = inputs
+    try:
+        data[start] = -1.0
+        rejected = False
+    except ValueError:
+        rejected = True
+    out[:] = scale * data[start:stop]
+    return start, stop, rejected
+
+
+def _raise_holding_views(start: int, stop: int, inputs: list, out: np.ndarray):
+    """Shard task that fails while its frame still holds arena views."""
+    rows = inputs[0][start:stop]
+    out[:] = rows
+    raise RuntimeError(f"shard [{start}, {stop}) failed")
+
+
+def _fill_arange(views: list) -> None:
+    views[0][:] = np.arange(views[0].size, dtype=np.float64)
 
 
 class TestDefaultWorkers:
@@ -446,3 +471,49 @@ class TestArena:
             # the rejected write left the operand intact: 1.5 + 4.25
             assert res.read(np.float64, (1,)).tolist() == [5.75]
             assert inp.read(np.float64, (4,)).tolist() == [1.5, 2.0, 3.0, 4.25]
+
+
+class TestRunShards:
+    """The one sharded dispatch: fill once, one trampoline per shard,
+    records and small returns back, every view dropped."""
+
+    def setup_method(self):
+        shutdown_pool()
+
+    def teardown_method(self):
+        shutdown_pool()
+
+    def test_records_and_returns_in_shard_order(self):
+        records, returns = run_shards(
+            _double_shard, 10, (2, 3), [(np.float64, (10,))], _fill_arange,
+            np.float64, (2.0,), path="map",
+        )
+        assert records.tolist() == [2.0 * i for i in range(10)]
+        # contiguous shards, in order; every input view was read-only
+        assert returns == [(0, 4, True), (4, 7, True), (7, 10, True)]
+
+    def test_raising_task_leaves_worker_reattachable(self):
+        from repro.mpi.comm import SimComm
+        from repro.selection.selector import AdaptiveReducer
+        from repro.util.pool import arena_info
+
+        with pytest.raises(RuntimeError, match=r"shard \[\d+, \d+\) failed"):
+            run_shards(
+                _raise_holding_views, 8, (2, 2), [(np.float64, (8,))],
+                _fill_arange, np.float64, path="map",
+            )
+        generation = arena_info()["input"]["generation"]
+        # ~400 KiB of operands: the arena regrows, so each worker must drop
+        # its attachment to the epoch the failed tasks viewed
+        rng = np.random.default_rng(99)
+        stream = [[rng.standard_normal(512) for _ in range(4)] for _ in range(24)]
+        reducer = AdaptiveReducer(SimComm(4), threshold=1e-13)
+        serial = reducer.reduce_many(stream, workers=1)
+        parallel = reducer.reduce_many(stream, workers=2)
+        assert arena_info()["input"]["generation"] > generation
+        assert [np.float64(r.value).tobytes() for r in parallel] == [
+            np.float64(r.value).tobytes() for r in serial
+        ]
+        assert [r.decision.code for r in parallel] == [
+            r.decision.code for r in serial
+        ]

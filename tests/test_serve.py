@@ -1182,6 +1182,50 @@ class TestOneReduceRoute:
             values = np.frombuffer(_unframe(body)[1], dtype="<f8")
             assert values.tolist() == [np.inf] * values.size
 
+    def test_json_bodies_are_strict(self):
+        """No bare ``Infinity``/``NaN`` token in any JSON body: an
+        overflowed value is ``null`` next to its ``value_hex``, and a
+        non-finite ensemble operand answers the reduce routes' 400."""
+        top = np.finfo(np.float64).max
+        x = np.full(1000, top) * np.resize([1.0, -1.0, 0.5], 1000)
+        ones = np.ones(64)
+        ensembles = [
+            _payload(np.where(np.arange(64) == 5, bad, ones), algorithm=code,
+                     n_trees=4, seed=1)
+            for code in ("ST", "K")
+            for bad in (np.inf, -np.inf, np.nan)
+        ]
+        requests = [
+            ("/v1/reduce", _payload(x), False),
+            (
+                "/v1/reduce_many",
+                json.dumps({"items": [{"values_b64": encode_values(x)}]}).encode(),
+                False,
+            ),
+            ("/v1/ensemble", _payload(np.full(8, top), algorithm="ST", n_trees=4,
+                                      seed=1), False),
+            *(("/v1/ensemble", body, False) for body in ensembles),
+        ]
+
+        async def go(d):
+            return await self._post_all(d, requests)
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        outs = _run_daemon(go)
+        bodies = [json.loads(body, parse_constant=strict) for _, body in outs]
+        assert [status for status, _ in outs] == [200] * 3 + [400] * len(ensembles)
+        single, many, overflow = bodies[:3]
+        assert single["value"] is None and single["value_hex"] == "inf"
+        assert many["results"][0]["value"] is None
+        assert many["results"][0]["value_hex"] == "inf"
+        # finite operands whose ST sums overflow: +inf trees, spread inf - inf
+        assert set(overflow["values_hex"]) == {"inf"}
+        assert overflow["spread"] is None
+        for body in bodies[3:]:
+            assert body == {"error": "payload holds a non-finite value (NaN or inf)"}
+
 
 # ---------------------------------------------------------------------------
 # threaded-client concurrency: bitwise identity + metric reconciliation

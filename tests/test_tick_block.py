@@ -196,6 +196,22 @@ class TestConstructors:
             reg.disable()
             reg.reset()
 
+    def test_arena_counter_counts_every_operand_once(self):
+        reg = get_registry()
+        reg.reset()
+        reg.enable()
+        try:
+            items = _layouts()["scattered_f8"] + _layouts()["plain_lists"]
+            AdaptiveReducer(SimComm(RANKS), threshold=THRESHOLD).reduce_many(
+                items, workers=2
+            )
+            (sample,) = reg.snapshot()["counters"]["repro_tick_copied_bytes_total"]
+            assert sample["labels"] == {"reason": "arena"}
+            assert sample["value"] == 8 * TickLayout(items).n_values
+        finally:
+            reg.disable()
+            reg.reset()
+
     def test_take_gathers_the_table_not_the_operands(self):
         comm = SimComm(RANKS)
         items = [comm.scatter_array(_values(s, 40 + s)) for s in range(5)]
