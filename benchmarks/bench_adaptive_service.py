@@ -355,11 +355,21 @@ def _seed_pr_reduce(comm: SimComm, chunks, op, tree) -> float:
     return _seed_reduce(comm, chunks, op, tree)
 
 
+_has_kernel = _ckernels.has_kernel
+
+
+def _numpy_pr_fold(vops, family: str = "sweep") -> bool:
+    """``has_kernel`` with only PR's compiled fold switched off."""
+    return family != "pr_fold" and _has_kernel(vops, family)
+
+
 def bench_pr_stream(repeats: int = 3) -> dict:
     """A PR serving group: one exact batched ``reduce_batch`` pass against
-    the per-item accumulator walk the serving path used to run.  Values
-    are asserted bitwise-equal before timing; the batched path is pure
-    NumPy, so its speedup does not depend on the C kernels."""
+    the per-item accumulator walk the serving path used to run, and against
+    the same batched pass on the NumPy fold (the path before the compiled
+    ``pr_fold`` kernel, and the one without a compiler).  Values are
+    asserted bitwise-equal before timing; ``speedup_vs_numpy`` is 1 when
+    the kernels are unavailable."""
     rng = np.random.default_rng(7)
     batches = [
         [
@@ -384,6 +394,12 @@ def bench_pr_stream(repeats: int = 3) -> dict:
         lambda: [_seed_pr_reduce(comm, chunks, op, tree) for chunks in batches],
         repeats,
     )
+    with mock.patch.object(_ckernels, "has_kernel", _numpy_pr_fold):
+        numpy_values = [rr.value for rr in comm.reduce_batch(batches, op, tree)]
+        assert np.array(numpy_values).tobytes() == np.array(
+            [rr.value for rr in batched]
+        ).tobytes(), "the NumPy PR fold diverged from the compiled one"
+        t_numpy = _best_of(lambda: comm.reduce_batch(batches, op, tree), repeats)
     t_batch = _best_of(lambda: comm.reduce_batch(batches, op, tree), repeats)
     return {
         "case": "pr_stream",
@@ -392,10 +408,13 @@ def bench_pr_stream(repeats: int = 3) -> dict:
         "n_ranks": N_RANKS,
         "chunk_len": PR_CHUNK_LEN,
         "walk_s": t_walk,
+        "numpy_batch_s": t_numpy,
         "reduce_batch_s": t_batch,
         "walk_us_per_item": 1e6 * t_walk / BATCH_ITEMS,
+        "numpy_batch_us_per_item": 1e6 * t_numpy / BATCH_ITEMS,
         "reduce_batch_us_per_item": 1e6 * t_batch / BATCH_ITEMS,
         "speedup": t_walk / t_batch,
+        "speedup_vs_numpy": t_numpy / t_batch,
     }
 
 
@@ -465,8 +484,9 @@ def main(argv: "list[str] | None" = None) -> int:
             print(
                 f"{c['case']:>18} {c['algorithm']:>3}  B={c['items']}  "
                 f"walk={c['walk_us_per_item']:.0f}us/item  "
+                f"numpy_batch={c['numpy_batch_us_per_item']:.0f}us/item  "
                 f"reduce_batch={c['reduce_batch_us_per_item']:.0f}us/item  "
-                f"speedup={c['speedup']:.1f}x"
+                f"speedup={c['speedup']:.1f}x vs_numpy={c['speedup_vs_numpy']:.1f}x"
             )
         elif c["case"] == "sketch_stream":
             print(

@@ -385,6 +385,8 @@ class ReproServeDaemon:
             raise HttpError(400, f"{what}.threshold must be a number") from None
         if not threshold >= 0:  # also rejects NaN
             raise HttpError(400, f"{what}.threshold must be >= 0")
+        if threshold == math.inf:  # would render as a bare ``Infinity``
+            raise HttpError(400, f"{what}.threshold must be finite")
         return threshold
 
     def _coerce_deadline(self, deadline_ms, *, what: str) -> "float | None":

@@ -36,8 +36,13 @@ Two variants are provided:
 
 :meth:`PreroundedSum.sum_items` (over :func:`_fold_items`) is the batched
 form of the two-pass algorithm that the simulated collectives run: each
-sum's row of a tick block read in place, each row's max as its pre-pass,
-and one vectorised extraction sweep per fold for a whole block of rows.
+sum's operands read in place through a tick block's pointer table, its max
+as its pre-pass.  The compiled ``pr_fold`` kernel of the one
+:mod:`repro.trees._ckernels` build then takes every operand through all
+``K`` folds in one pass and sums the coefficients exactly; without a
+compiler (or under ``REPRO_NO_CKERNELS``) the NumPy reference
+:func:`_fold_rows` sweeps a whole block of rows once per fold.  Both yield
+the same exact integer fold sums.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import numpy as np
 
 from repro.fp.properties import exponent
 from repro.summation.base import Accumulator, SumContext, SummationAlgorithm
+from repro.trees import _ckernels
 from repro.util.tickblock import TickBlock
 
 __all__ = [
@@ -58,7 +64,7 @@ __all__ = [
     "PreroundedSum",
 ]
 
-#: Elements per scratch buffer of :func:`_fold_items`; the fixed budget
+#: Elements per scratch buffer of :func:`_fold_rows`; the fixed budget
 #: keeps the working set cache-sized and peak memory flat in the batch size.
 _SCRATCH = 1 << 16
 
@@ -75,32 +81,51 @@ _MAX_POW2 = 1023
 
 
 def _fold_items(
-    rows: Sequence[np.ndarray],
+    block: TickBlock,
     folds: int,
     fold_width: int,
     bin_exponent: Optional[int] = None,
 ) -> list[tuple[int, list[int]]]:
     """Bin exponent and exact fold-coefficient sums of many independent sums.
 
-    ``rows[i]`` holds one sum's operands as a contiguous 1-D float64 array
-    (a tick block's row, :mod:`repro.util.tickblock`); rows are read in
-    place and never written.  With ``bin_exponent=None`` each row is binned
-    at the exponent of its own largest magnitude, which is exactly what a
-    max-allreduce over its chunks yields (the PR pre-pass).  Otherwise
-    every row shares the given bin and an operand beyond it raises
-    ``ValueError``, as does any non-finite operand.
+    Item ``i`` of the tick block (:mod:`repro.util.tickblock`) is one sum;
+    its operands are read in place and never written.  With
+    ``bin_exponent=None`` each item is binned at the exponent of its own
+    largest magnitude, which is exactly what a max-allreduce over its chunks
+    yields (the PR pre-pass).  Otherwise every item shares the given bin
+    and an operand beyond it raises ``ValueError``, as does any non-finite
+    operand.
+
+    The compiled ``pr_fold`` kernel (:func:`repro.trees._ckernels.pr_fold`)
+    folds the whole block in one call: per item one max pass, then one pass
+    that extracts every fold coefficient of each operand.  Without it
+    (``REPRO_NO_CKERNELS``, no compiler) the NumPy reference
+    :func:`_fold_rows` folds the items' rows.  The fold sums are exact
+    integers, so how a row's operands are split into chunks, lanes, pieces
+    or blocks cannot change them: both routes yield the same sums, every
+    reduction tree over the chunks does, and each equals what
+    :meth:`PreroundedAccumulator.add_array` deposits for the same bin.
+    """
+    _check_params(folds, fold_width)
+    if _ckernels.has_kernel(None, "pr_fold"):
+        return list(zip(*_ckernels.pr_fold(block, folds, fold_width, bin_exponent)))
+    return _fold_rows(block.rows, folds, fold_width, bin_exponent)
+
+
+def _fold_rows(
+    rows: Sequence[np.ndarray],
+    folds: int,
+    fold_width: int,
+    bin_exponent: Optional[int] = None,
+) -> list[tuple[int, list[int]]]:
+    """The NumPy reference of :func:`_fold_items` over 1-D float64 rows.
 
     Rows of at most one span (``_SCRATCH`` values, fewer at wide fold
     widths: :func:`_int64_span`) are folded together in zero-padded blocks
     of at most ``_SCRATCH`` elements, shortest first so rows of a block
     have similar widths; longer rows stream through one-row blocks of
-    span-value pieces, so no row's int64 fold sum can overflow.  Each
-    block's folds come out of one vectorised sweep
-    (:func:`_fold_block`).  The fold sums are exact integers, so how a
-    row's operands are split into chunks, pieces or blocks cannot change
-    them: every reduction tree over the chunks yields the same sums, and
-    each equals what :meth:`PreroundedAccumulator.add_array` deposits for
-    the same bin.
+    span-value pieces, so no int64 fold sum can overflow.  Each block's
+    folds come out of one vectorised sweep per fold (:func:`_fold_block`).
     """
     span = min(_SCRATCH, _int64_span(fold_width))
     sizes = [row.size for row in rows]
@@ -213,6 +238,14 @@ def _fold_block(
     return exps, sums
 
 
+def _check_params(folds: int, fold_width: int) -> None:
+    """Reject fold counts and widths the extraction cannot keep exact."""
+    if folds < 1:
+        raise ValueError("need at least one fold")
+    if not 2 <= fold_width <= 50:
+        raise ValueError("fold_width must be in [2, 50] to keep extraction exact")
+
+
 def _check_capacity(largest: float, bin_exponent: int) -> None:
     """Reject operands whose largest magnitude does not fit the bin."""
     # compare exponents, not magnitudes: 2**(E+1) overflows at E = 1023
@@ -272,10 +305,7 @@ class PreroundedAccumulator(Accumulator):
     __slots__ = ("E", "K", "W", "_folds", "count")
 
     def __init__(self, bin_exponent: int, folds: int = 3, fold_width: int = 40) -> None:
-        if folds < 1:
-            raise ValueError("need at least one fold")
-        if not 2 <= fold_width <= 50:
-            raise ValueError("fold_width must be in [2, 50] to keep extraction exact")
+        _check_params(folds, fold_width)
         self.E = int(bin_exponent)
         self.K = int(folds)
         self.W = int(fold_width)
@@ -513,9 +543,10 @@ class PreroundedSum(SummationAlgorithm):
         bin_exponent = None
         if context is not None and context.max_abs is not None:
             bin_exponent = self.bin_exponent_for(context)
-        rows = TickBlock.of(items).rows
         values = []
-        for e, folds in _fold_items(rows, self.folds, self.fold_width, bin_exponent):
+        for e, folds in _fold_items(
+            TickBlock.of(items), self.folds, self.fold_width, bin_exponent
+        ):
             acc = PreroundedAccumulator(e, self.folds, self.fold_width)
             acc._folds = folds
             values.append(acc.result())

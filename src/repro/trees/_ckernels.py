@@ -5,7 +5,10 @@ accumulator algebra (ST, K, KBN, CP, DD) has three: a balanced sweep (the
 2-D ensemble sweep of :mod:`repro.trees.evaluate`), a rank-local fold and
 a fused fold + balanced rank tree + result reduce (the collective engines
 of :mod:`repro.mpi`).  The selection sketch
-(:mod:`repro.selection._statskernel`) is the fourth family.
+(:mod:`repro.selection._statskernel`) is the fourth family and PR's fold
+(:func:`pr_fold`, the batched path of
+:mod:`repro.summation.prerounded`) the fifth: one pass over each item's
+chunks extracts every fold coefficient and sums them exactly.
 
 Each algebra is written once, as three C pieces: MERGE (the VectorOps
 ``merge`` of two states), FOLD (one chunk's accumulator state) and RESULT
@@ -21,7 +24,8 @@ The kernels are **bitwise-identical** to their NumPy fallbacks: they apply
 the exact same IEEE-754 double operations in the exact same order (compiled
 with ``-ffp-contract=off`` so no FMA contraction can perturb a rounding),
 and the engine property tests pin them against the generic node-walk just
-like every other fast path.
+like every other fast path.  PR's fold computes the same coefficients and
+sums them exactly, so lane order cannot matter there.
 
 Availability is strictly optional.  The C source is compiled on first use
 with the system C compiler into a content-addressed cache under the user's
@@ -53,6 +57,7 @@ __all__ = [
     "fold_block",
     "reduce_block",
     "sketch_planes",
+    "pr_fold",
     "kernels_available",
 ]
 
@@ -580,45 +585,46 @@ ALGEBRA(dd, dd_merge, dd_fold, result_sc)
  * rows, so ragged rank counts and widths sketch in one call).
  */
 
-#define SKETCH_LANES 8
+#define LANES 8
 
-/* The eight lanes as one generic vector: every lane op is the scalar IEEE
- * op (no reassociation, no FMA under -ffp-contract=off), so the compiler
- * maps the lanes onto whatever SIMD width the host has without changing a
- * bit.  fabs is a sign-bit clear; the selects are bit blends. */
-typedef double sk_vd __attribute__((vector_size(8 * SKETCH_LANES)));
-typedef int64_t sk_vl __attribute__((vector_size(8 * SKETCH_LANES)));
+/* The eight lanes as one generic vector (the sketch's and PR's fold's):
+ * every lane op is the scalar IEEE op (no reassociation, no FMA under
+ * -ffp-contract=off), so the compiler maps the lanes onto whatever SIMD
+ * width the host has without changing a bit.  fabs is a sign-bit clear;
+ * the selects are bit blends. */
+typedef double lane_vd __attribute__((vector_size(8 * LANES)));
+typedef int64_t lane_vl __attribute__((vector_size(8 * LANES)));
 
-#define SK_BLEND(mask, a, b) \
-    ((sk_vd)(((sk_vl)(a) & (mask)) | ((sk_vl)(b) & ~(mask))))
+#define LANE_BLEND(mask, a, b) \
+    ((lane_vd)(((lane_vl)(a) & (mask)) | ((lane_vl)(b) & ~(mask))))
 
 static void sketch_row(const double *restrict row, int64_t n,
                        double *restrict o)
 {
-    const sk_vd zero = {0.0};
-    const sk_vd inf = zero + INFINITY;
-    const sk_vl absmask = (sk_vl){0} + INT64_MAX;
-    sk_vd vsh = zero, vsl = zero, vah = zero, val = zero, vmx = zero;
-    sk_vd vmn = inf;
-    int64_t nb = n - n % SKETCH_LANES;
-    for (int64_t j = 0; j < nb; j += SKETCH_LANES) {
-        sk_vd v;
+    const lane_vd zero = {0.0};
+    const lane_vd inf = zero + INFINITY;
+    const lane_vl absmask = (lane_vl){0} + INT64_MAX;
+    lane_vd vsh = zero, vsl = zero, vah = zero, val = zero, vmx = zero;
+    lane_vd vmn = inf;
+    int64_t nb = n - n % LANES;
+    for (int64_t j = 0; j < nb; j += LANES) {
+        lane_vd v;
         memcpy(&v, row + j, sizeof v);
-        sk_vd av = (sk_vd)((sk_vl)v & absmask);
-        sk_vd s = vsh + v;
-        sk_vd bb = s - vsh;
+        lane_vd av = (lane_vd)((lane_vl)v & absmask);
+        lane_vd s = vsh + v;
+        lane_vd bb = s - vsh;
         vsl = vsl + ((vsh - (s - bb)) + (v - bb));
         vsh = s;
-        sk_vd t = vah + av;
-        sk_vd tb = t - vah;
+        lane_vd t = vah + av;
+        lane_vd tb = t - vah;
         val = val + ((vah - (t - tb)) + (av - tb));
         vah = t;
-        vmx = SK_BLEND(av > vmx, av, vmx);
-        sk_vd cand = SK_BLEND(av > zero, av, inf);
-        vmn = SK_BLEND(cand < vmn, cand, vmn);
+        vmx = LANE_BLEND(av > vmx, av, vmx);
+        lane_vd cand = LANE_BLEND(av > zero, av, inf);
+        vmn = LANE_BLEND(cand < vmn, cand, vmn);
     }
-    double sh[SKETCH_LANES], sl[SKETCH_LANES], ah[SKETCH_LANES],
-           al[SKETCH_LANES], mx[SKETCH_LANES], mn[SKETCH_LANES];
+    double sh[LANES], sl[LANES], ah[LANES],
+           al[LANES], mx[LANES], mn[LANES];
     memcpy(sh, &vsh, sizeof sh); memcpy(sl, &vsl, sizeof sl);
     memcpy(ah, &vah, sizeof ah); memcpy(al, &val, sizeof al);
     memcpy(mx, &vmx, sizeof mx); memcpy(mn, &vmn, sizeof mn);
@@ -639,7 +645,7 @@ static void sketch_row(const double *restrict row, int64_t n,
     }
     double SH = sh[0], SL = sl[0], AH = ah[0], AL = al[0];
     double MX = mx[0], MN = mn[0];
-    for (int k = 1; k < SKETCH_LANES; k++) {
+    for (int k = 1; k < LANES; k++) {
         double s = SH + sh[k];
         double bb = s - SH;
         SL = SL + (((SH - (s - bb)) + (sh[k] - bb)) + sl[k]);
@@ -684,6 +690,189 @@ int sketch_rows(const double *const *restrict rows,
         }
     }
     return 0;
+}
+
+/* PR's fold (repro.summation.prerounded._fold_items).
+ *
+ * Per item, over its ranks[it] chunks: one max|x| pass (which also finds a
+ * non-finite operand), the bin exponent E (or the capacity check against a
+ * shared bin), then one pass that takes every operand through all K folds
+ *
+ *     y = r * 2**-g_f;  q = rint(y);  sums[f] += q;  r = r - q * 2**g_f
+ *
+ * with g_f = E - (f+1)*W and r = x at f = 0, the last residual dropped —
+ * the op sequence of the NumPy _fold_block, so every q is the same.
+ *
+ * rint(y) is (y + 1.5*2**52) - 1.5*2**52: for |y| < 2**51 the sum lies in
+ * [2**52, 2**53), where the spacing is 1, so the add rounds y to the
+ * nearest integer, ties to even, and the subtract is exact.  |y| < 2**(W+1)
+ * at fold 0 and <= 2**(W-1) after, so this holds at every W <= 50.  The
+ * coefficients sum exactly in double lanes: |q| <= 2**(W+1), so a lane of
+ * at most 2**(51-W) deposits stays an integer <= 2**52, and every lane is
+ * flushed into the item's sums before it can hold more.  An item's sum is
+ * kept as two words, a low uint64 and a high int64, with the carry made
+ * explicit (no 128-bit integer type needed).
+ *
+ * Rows binned at E = 1023 (fold 0's q * 2**g may round up to 2**1024, not a
+ * double: it is subtracted as two halves) and rows with a grid whose
+ * 2**-g is not a double (a bin near the subnormal floor: scaled by ldexp)
+ * take the scalar pr_deposit on every operand; so does each chunk's tail.
+ *
+ * exps[it] receives E; sums_lo/sums_hi[it*K + f] the low (unsigned) and
+ * high words of fold f's sum.  Returns 0, 1 on allocation failure, 2 on a
+ * non-finite operand, 3 on an operand beyond the shared bin (bin_set).
+ */
+
+#define PF_MAGIC 6755399441055744.0     /* 1.5 * 2**52 */
+
+typedef struct {
+    int64_t K, top;
+    const int64_t *g;                   /* fold grids g_f */
+    const double *down, *up;            /* 2**-g_f, 2**g_f (when doubles) */
+} pf_grid;
+
+static inline double pf_scale(double x, int64_t k, double pow2)
+{
+    return (k < -1023 || k > 1023) ? ldexp(x, (int)k) : x * pow2;
+}
+
+/* (hi, lo) += v: the two-word add of v sign-extended */
+static inline void pf_add(uint64_t *lo, int64_t *hi, int64_t v)
+{
+    uint64_t s = *lo + (uint64_t)v;
+    *hi += (v < 0 ? -1 : 0) + (s < *lo);
+    *lo = s;
+}
+
+static inline void pr_deposit(double x, const pf_grid *gd, uint64_t *lo,
+                              int64_t *hi)
+{
+    double r = x;
+    for (int64_t f = 0; f < gd->K; f++) {
+        double y = pf_scale(r, -gd->g[f], gd->down[f]);
+        double q = (y + PF_MAGIC) - PF_MAGIC;
+        pf_add(&lo[f], &hi[f], (int64_t)q);
+        if (f + 1 == gd->K) break;
+        if (f == 0 && gd->top) {
+            double h = pf_scale(q * 0.5, gd->g[f], gd->up[f]);
+            r = (r - h) - h;
+        } else {
+            r = r - pf_scale(q, gd->g[f], gd->up[f]);
+        }
+    }
+}
+
+static void pf_flush(lane_vd *acc, int64_t K, uint64_t *lo, int64_t *hi)
+{
+    for (int64_t f = 0; f < K; f++) {
+        int64_t t = 0;                  /* eight lanes of <= 2**52 each */
+        for (int l = 0; l < LANES; l++) t += (int64_t)acc[f][l];
+        pf_add(&lo[f], &hi[f], t);
+        acc[f] = (lane_vd){0.0};
+    }
+}
+
+/* The vector pass over nb (a multiple of LANES) operands of a plain row:
+ * all K folds of eight operands at a time into the lane sums acc. */
+static inline __attribute__((always_inline)) void
+pf_lanes(const double *restrict row, int64_t nb, int64_t K,
+         const double *restrict down, const double *restrict up,
+         lane_vd *restrict acc, uint64_t *restrict lo, int64_t *restrict hi,
+         int64_t *deposits, int64_t cap)
+{
+    const lane_vd magic = (lane_vd){0.0} + PF_MAGIC;
+    for (int64_t j = 0; j < nb; j += LANES) {
+        lane_vd r;
+        memcpy(&r, row + j, sizeof r);
+        for (int64_t f = 0; f < K; f++) {
+            lane_vd q = ((r * down[f]) + magic) - magic;
+            acc[f] += q;
+            r = r - q * up[f];
+        }
+        if (++*deposits == cap) { pf_flush(acc, K, lo, hi); *deposits = 0; }
+    }
+}
+
+int pr_fold_rows(const double *const *restrict rows,
+                 const int64_t *restrict len, const int64_t *restrict ranks,
+                 int64_t n_items, int64_t K, int64_t W, int64_t bin,
+                 int64_t bin_set, int64_t *restrict exps,
+                 uint64_t *restrict sums_lo, int64_t *restrict sums_hi)
+{
+    /* K lane vectors on their own alignment, which malloc need not give */
+    char *acc_mem = (char *)malloc((size_t)(K + 1) * sizeof(lane_vd));
+    lane_vd *acc = (lane_vd *)(acc_mem + sizeof(lane_vd)
+                               - (uintptr_t)acc_mem % sizeof(lane_vd));
+    int64_t *g = (int64_t *)malloc((size_t)K * sizeof(int64_t));
+    double *down = (double *)malloc((size_t)K * sizeof(double));
+    double *up = (double *)malloc((size_t)K * sizeof(double));
+    int status = (acc_mem && g && down && up) ? 0 : 1;
+    const lane_vd zero = {0.0};
+    const lane_vd finite = zero + 1.7976931348623157e308;
+    const lane_vl absmask = (lane_vl){0} + INT64_MAX;
+    const int64_t cap = (int64_t)1 << (51 - W);   /* deposits per lane */
+    int64_t first = 0;
+    for (int64_t it = 0; it < n_items && !status; first += ranks[it], it++) {
+        const double *const *chunk = rows + first;
+        const int64_t *clen = len + first;
+        lane_vd vmx = zero;
+        lane_vl bad = (lane_vl){0};
+        double MX = 0.0;
+        for (int64_t c = 0; c < ranks[it]; c++) {
+            const double *row = chunk[c];
+            int64_t n = clen[c], nb = n - n % LANES;
+            for (int64_t j = 0; j < nb; j += LANES) {
+                lane_vd v;
+                memcpy(&v, row + j, sizeof v);
+                lane_vd av = (lane_vd)((lane_vl)v & absmask);
+                bad |= ~(av <= finite);           /* NaN or inf */
+                vmx = LANE_BLEND(av > vmx, av, vmx);
+            }
+            for (int64_t j = nb; j < n; j++) {
+                double av = fabs(row[j]);
+                if (!(av <= 1.7976931348623157e308)) bad[0] = -1;
+                MX = av > MX ? av : MX;
+            }
+        }
+        for (int l = 0; l < LANES; l++) {
+            if (bad[l]) status = 2;
+            MX = vmx[l] > MX ? vmx[l] : MX;
+        }
+        if (status) break;
+        int e = 0;
+        if (MX > 0.0) frexp(MX, &e);
+        int64_t E = MX > 0.0 ? e - 1 : 0;
+        if (bin_set) {
+            if (MX > 0.0 && E > bin) { status = 3; break; }
+            E = bin;
+        }
+        exps[it] = E;
+        uint64_t *lo = sums_lo + it * K;
+        int64_t *hi = sums_hi + it * K;
+        for (int64_t f = 0; f < K; f++) {
+            g[f] = E - (f + 1) * W;
+            down[f] = g[f] < -1023 ? 0.0 : ldexp(1.0, (int)-g[f]);
+            up[f] = g[f] < -1023 ? 0.0 : ldexp(1.0, (int)g[f]);
+            lo[f] = 0;
+            hi[f] = 0;
+            acc[f] = zero;
+        }
+        pf_grid gd = {K, E == 1023, g, down, up};
+        int plain = E < 1023 && g[K - 1] >= -1023;
+        int64_t deposits = 0;
+        for (int64_t c = 0; MX > 0.0 && c < ranks[it]; c++) {
+            const double *row = chunk[c];
+            int64_t n = clen[c], nb = plain ? n - n % LANES : 0;
+            if (K == 3)     /* PR's default fold count: acc in registers */
+                pf_lanes(row, nb, 3, down, up, acc, lo, hi, &deposits, cap);
+            else
+                pf_lanes(row, nb, K, down, up, acc, lo, hi, &deposits, cap);
+            for (int64_t j = nb; j < n; j++) pr_deposit(row[j], &gd, lo, hi);
+        }
+        pf_flush(acc, K, lo, hi);
+    }
+    free(acc_mem); free(g); free(down); free(up);
+    return status;
 }
 """
 
@@ -752,8 +941,13 @@ def _compile_library() -> Optional[ctypes.CDLL]:
     # happens exactly as written, matching NumPy.  -O3/-march=native only
     # widen the SIMD lanes of the elementwise level loops (identical
     # per-element IEEE ops); sequential FP reductions are never reassociated
-    # without -ffast-math, so results stay bitwise.
-    flags = ["-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off"]
+    # without -ffast-math, so results stay bitwise.  The alignment flags pin
+    # every function and loop to a 64-byte boundary, so a kernel's speed
+    # does not move when code elsewhere in the build grows or shrinks.
+    flags = [
+        "-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off",
+        "-falign-functions=64", "-falign-loops=64",
+    ]
     digest = hashlib.blake2b(
         (_C_SOURCE + "\0" + " ".join(flags)).encode(), digest_size=16
     ).hexdigest()
@@ -788,7 +982,11 @@ def _compile_library() -> Optional[ctypes.CDLL]:
                     )
                 except subprocess.CalledProcessError:
                     # some toolchains lack -march=native (e.g. cross cc)
-                    safe = [f for f in flags if f != "-march=native"]
+                    # or the alignment flags
+                    safe = [
+                        f for f in flags
+                        if f != "-march=native" and not f.startswith("-falign")
+                    ]
                     subprocess.run(
                         [cc, *safe, src, "-o", tmp_so],
                         check=True,
@@ -817,6 +1015,20 @@ def _compile_library() -> Optional[ctypes.CDLL]:
         ctypes.c_void_p,  # item planes (NULL: not wanted)
     ]
     lib.sketch_rows.restype = ctypes.c_int
+    lib.pr_fold_rows.argtypes = [
+        _PTR_TABLE,
+        _PTR_I8,
+        _PTR_I8,  # per-item rank counts
+        _I8,
+        _I8,  # folds
+        _I8,  # fold width
+        _I8,  # shared bin exponent
+        _I8,  # 1 when the bin is shared
+        _PTR_I8,
+        ctypes.c_void_p,  # low words of the fold sums
+        _PTR_I8,  # high words
+    ]
+    lib.pr_fold_rows.restype = ctypes.c_int
     return lib
 
 
@@ -840,8 +1052,9 @@ def has_kernel(vops, family: str = "sweep") -> bool:
 
     ``family`` names the caller's kernel (``"sweep"``, ``"fold"`` or
     ``"reduce"``) on the fallback counter; every algebra has all three.
+    PR's fold has no algebra: ``has_kernel(None, "pr_fold")``.
     """
-    advertised = getattr(vops, "ckernel", None) in _ALGEBRAS
+    advertised = family == "pr_fold" or getattr(vops, "ckernel", None) in _ALGEBRAS
     available = advertised and _get_lib() is not None
     if advertised and not available and _OBS.enabled:
         # the algebra *would* run compiled but can't: a NumPy fallback
@@ -984,3 +1197,51 @@ def sketch_planes(block, rows: bool, items: bool):
         None if item_out is None else item_out.ctypes.data,
     )
     return row_out, item_out
+
+
+def pr_fold(block, folds: int, fold_width: int, bin_exponent: Optional[int]):
+    """PR's bin exponent and exact fold sums of every item of a tick block.
+
+    Returns ``(exps, sums)``: item ``i`` is binned at ``exps[i]`` and
+    ``sums[i][j]`` is the exact integer sum of its fold-``j`` coefficients
+    -- bitwise what the NumPy ``_fold_items`` of
+    :mod:`repro.summation.prerounded` yields (see the ``pr_fold_rows`` C
+    comment).  Each item's chunks are read in place through the block's
+    pointer table.  ``bin_exponent=None`` bins every item at its own largest
+    magnitude; otherwise all share it.  Raises ``ValueError`` on a non-finite
+    operand or one beyond the shared bin; requires
+    ``has_kernel(None, "pr_fold")``.
+    """
+    lib = _get_lib()
+    assert lib is not None, "compiled kernels not available"
+    if folds < 1 or not 2 <= fold_width <= 50:  # the C extraction's range
+        raise ValueError("pr_fold needs folds >= 1 and fold_width in [2, 50]")
+    n_items = len(block)
+    exps = np.empty(n_items, dtype=np.int64)
+    lo = np.empty((n_items, folds), dtype=np.uint64)
+    hi = np.empty((n_items, folds), dtype=np.int64)
+    status = lib.pr_fold_rows(
+        block.ptrs.ctypes.data_as(_PTR_TABLE),
+        block.lens.ctypes.data_as(_PTR_I8),
+        block.ranks.ctypes.data_as(_PTR_I8),
+        n_items,
+        folds,
+        fold_width,
+        0 if bin_exponent is None else bin_exponent,
+        bin_exponent is not None,
+        exps.ctypes.data_as(_PTR_I8),
+        lo.ctypes.data,
+        hi.ctypes.data_as(_PTR_I8),
+    )
+    if status == 2:
+        raise ValueError("cannot accumulate non-finite values")
+    if status == 3:
+        raise ValueError("operand exceeds bin capacity; bad global max")
+    if status != 0:  # pragma: no cover - allocation failure
+        raise MemoryError("pr_fold scratch allocation failed")
+    low = lo.view(np.int64)
+    if (hi == low >> 63).all():  # every sum fits one int64
+        return exps.tolist(), low.tolist()
+    return exps.tolist(), [
+        [(h << 64) | l for h, l in zip(hs, ls)] for hs, ls in zip(hi.tolist(), lo.tolist())
+    ]

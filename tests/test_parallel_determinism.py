@@ -250,6 +250,9 @@ class TestArenaServing:
     def test_arena_regrow_epoch_stays_bitwise(self):
         from repro.util.pool import arena_info
 
+        # start from fresh arenas: one an earlier test grew could already
+        # hold the wide stream, and then nothing would regrow
+        shutdown_pool()
         comm = SimComm(4)
         reducer = AdaptiveReducer(comm, threshold=1e-13)
         small = _uniform_stream(n_items=8)

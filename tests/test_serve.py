@@ -1226,6 +1226,42 @@ class TestOneReduceRoute:
         for body in bodies[3:]:
             assert body == {"error": "payload holds a non-finite value (NaN or inf)"}
 
+    def test_infinite_threshold_is_rejected_on_both_codecs(self):
+        """A threshold that parses to inf (``1e999``) answers 400 on every
+        route that takes one -- JSON item, JSON shared and the frame
+        header -- instead of a 200 that would echo a bare ``Infinity``."""
+        v = self.V.tolist()
+        requests = [
+            ("/v1/reduce", b'{"values":%s,"threshold":1e999}' % json.dumps(v).encode(),
+             False),
+            ("/v1/reduce_many",
+             b'{"threshold":1e999,"items":[{"values":%s}]}' % json.dumps(v).encode(),
+             False),
+            ("/v1/reduce_many",
+             b'{"items":[{"values":%s,"threshold":-1e999}]}' % json.dumps(v).encode(),
+             False),
+            ("/v1/reduce", _frame(self.V, threshold=np.inf), True),
+            ("/v1/reduce_many", _frame(np.stack([self.V, self.V]), threshold=np.inf),
+             True),
+        ]
+
+        async def go(d):
+            return await self._post_all(d, requests)
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        outs = _run_daemon(go)
+        assert [status for status, _ in outs] == [400] * len(requests)
+        messages = [json.loads(body, parse_constant=strict)["error"] for _, body in outs]
+        assert messages == [
+            "body.threshold must be finite",
+            "items[0].threshold must be finite",
+            "items[0].threshold must be >= 0",
+            "body.threshold must be finite",
+            "body.threshold must be finite",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # threaded-client concurrency: bitwise identity + metric reconciliation
