@@ -24,6 +24,10 @@ from its input dtype (fp16/fp32/fp64) and passed to the policy query, so
 low-precision scenario inputs are never silently upcast inside the decision
 (execution stays binary64).
 
+Every decision is made once, in the calling process: on the sharded route
+the parent sketches and selects the whole stream over the shared input
+arena, and each worker only reduces its shard under the codes it is handed.
+
 The returned :class:`AdaptiveResult` carries the decision record so
 applications (and our benches) can audit what was chosen and why.  The
 phase histograms ``repro_selector_{profile,select,reduce}_seconds`` hold
@@ -35,6 +39,7 @@ number of selections.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -46,12 +51,10 @@ from repro.mpi.comm import ReduceResult, SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.mpi.topology import tree_cost
 from repro.obs import get_registry
-from repro.selection._statskernel import SKETCH_COLUMNS
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
 from repro.selection.profile import StreamProfile, profile_batch, profile_stream
 from repro.summation.registry import all_algorithms, get_algorithm
 from repro.trees.tree import ReductionTree
-from repro.util.chunking import split_indices
 from repro.util.pool import run_shards, shard_plan
 from repro.util.tickblock import TickBlock, TickLayout
 from repro.util.timing import Stopwatch
@@ -59,14 +62,6 @@ from repro.util.timing import Stopwatch
 __all__ = ["Policy", "AdaptiveResult", "AdaptiveReducer", "NonFiniteOperandError"]
 
 _OBS = get_registry()
-
-#: One item's record in the parallel path's result arena: its value, its
-#: decision-code index and its profile sketch (``n``, then the six float
-#: fields in :data:`SKETCH_COLUMNS` order).
-_RESULT = np.dtype(
-    [("value", "<f8"), ("code", "<i8"), ("n", "<i8"), ("sketch", "<f8", (6,))]
-)
-
 
 class NonFiniteOperandError(ValueError):
     """Items ``items`` (stream indices) hold a NaN or inf operand; raised
@@ -138,7 +133,7 @@ class AdaptiveReducer:
             return self.reduce_many([chunks], threshold=threshold, tree=tree, workers=1)[0]
         t = _checked(self.threshold if threshold is None else threshold)
         block = TickBlock.of([chunks])
-        _, (decision,), profile_elapsed, select_elapsed = self._sketch_and_select(
+        (decision,), profile_elapsed, select_elapsed = self._sketch_and_select(
             block, t, shape="unknown"
         )
         op = make_reduction_op(get_algorithm(decision.code))
@@ -184,24 +179,24 @@ class AdaptiveReducer:
         integers, so one vectorised pass over the whole group gives every
         item the value any reduction tree would.
 
-        ``workers`` adds the multicore axis: the item stream splits into
-        contiguous shards (:func:`repro.util.pool.run_shards`), each shard
-        runs the full profile → select → grouped-reduce pipeline in a
-        persistent worker process on read-only shared-memory views of the
-        operands, copied there once, and the reassembled results are
-        *bitwise-identical* to the serial path — every item's reduction is
-        independent, so sharding cannot change any value or decision.
-        ``workers=None`` defers to ``REPRO_WORKERS``/cpu-count behind an
-        adaptive bytes-and-items cutover (small batches never pay IPC);
-        an explicit ``workers >= 2`` always parallelises; ``workers<=1``
-        forces the serial path.  Workers write values, decision codes and
-        profile sketches into the shared result arena; the parent
-        re-selects from those sketches, and any worker/parent decision
-        drift raises instead of passing silently.
+        ``workers`` adds the multicore axis to the reduce step only: the
+        stream is copied once into the shared input arena
+        (:func:`repro.util.pool.run_shards`), the parent sketches and
+        selects every item there and writes its decision code beside its
+        operands, and each persistent worker reduces a contiguous shard
+        under those codes, writing one float64 value per item.  Decisions
+        never depend on the worker count and every item's reduction is
+        independent, so the results are *bitwise-identical* to the serial
+        path; a NaN/inf operand raises :class:`NonFiniteOperandError`
+        before any task is dispatched.  ``workers=None`` defers to
+        ``REPRO_WORKERS``/cpu-count behind an adaptive bytes-and-items
+        cutover (small batches never pay IPC); an explicit ``workers >= 2``
+        always parallelises; ``workers<=1`` forces the serial path.
 
         Each item's value is bitwise-equal to a standalone :meth:`reduce`
         with the same decision; ``profile_seconds``/``reduce_seconds`` are
-        the *amortised* per-item costs (phase total / number of items).
+        the *amortised* per-item costs (phase total / number of items; the
+        sharded route's reduce total sums its shards' times).
         """
         t = _checked(self.threshold if threshold is None else threshold)
         if not batches:
@@ -209,23 +204,24 @@ class AdaptiveReducer:
         layout = TickLayout(batches)
         plan = shard_plan(len(layout), 8 * layout.n_values, workers)
         if plan[1] > 1:
-            return self._reduce_many_parallel(layout, t, tree, plan)
-        block = layout.block()
-        _, decisions, profile_elapsed, select_elapsed = self._sketch_and_select(
-            block, t
-        )
-        results, groups, reduce_elapsed = self._grouped_reduce(
-            block, decisions, tree
-        )
-        n_items = len(batches)
+            decisions, results, profile_s, select_s, reduce_s = (
+                self._reduce_many_parallel(layout, t, tree, plan)
+            )
+        else:
+            block = layout.block()
+            decisions, profile_s, select_s = self._sketch_and_select(block, t)
+            results, reduce_s = _grouped_reduce(
+                self.comm, block, [d.code for d in decisions], tree
+            )
+        n_items = len(decisions)
         if _OBS.enabled:
-            for code, indices in groups.items():
+            for code, count in Counter(d.code for d in decisions).items():
                 _OBS.counter(
                     "repro_selector_selections_total", algorithm=code
-                ).inc(len(indices))
-            _observe_phases(n_items, profile_elapsed, select_elapsed, reduce_elapsed)
-        profile_each = profile_elapsed / n_items
-        reduce_each = reduce_elapsed / n_items
+                ).inc(count)
+            _observe_phases(n_items, profile_s, select_s, reduce_s)
+        profile_each = profile_s / n_items
+        reduce_each = reduce_s / n_items
         return [
             AdaptiveResult(
                 value=rr.value,
@@ -240,10 +236,10 @@ class AdaptiveReducer:
     def _sketch_and_select(
         self, block: TickBlock, threshold: float, *, shape: "str | None" = None
     ) -> tuple:
-        """Steps 1+2 for a tick block: ``(sketches, decisions, profile
-        elapsed, select elapsed)``, the profile time including the
-        selection.  Shared by every route (serial, shard workers and the
-        arrival-order :meth:`reduce`) so all run the exact same pipeline.
+        """Steps 1+2 for a tick block: ``(decisions, profile elapsed,
+        select elapsed)``, the profile time including the selection.  The
+        one decision site of every route (serial, sharded and the
+        arrival-order :meth:`reduce`), always in the calling process.
         Each item's input-dtype unit roundoff (``block.us``) and the
         tree-shape hint ``shape`` go into its policy query."""
         with Stopwatch() as sw_profile:
@@ -262,7 +258,7 @@ class AdaptiveReducer:
                     self._select(sk, threshold, u, shape=shape)
                     for sk, u in zip(sketches, block.us)
                 ]
-        return sketches, decisions, sw_profile.elapsed, sw_select.elapsed
+        return decisions, sw_profile.elapsed, sw_select.elapsed
 
     def _select(
         self,
@@ -284,60 +280,40 @@ class AdaptiveReducer:
             kwargs["shape"] = shape
         return self.policy.select(sketch.as_set_profile(), threshold, **kwargs)
 
-    def _grouped_reduce(
-        self,
-        block: TickBlock,
-        decisions: "list[SelectionDecision]",
-        tree: "ReductionTree | str",
-    ) -> tuple:
-        """Step 3 for a tick block: same-decision items execute together,
-        one :meth:`SimComm.reduce_batch` per algorithm on the block's
-        :meth:`~repro.util.tickblock.TickBlock.take` of the group (PR
-        included: its exact batched path takes each item's own max as its
-        pre-pass).  No group re-packs an operand.
-
-        Returns ``(per-item ReduceResults, {code: indices}, elapsed)``.
-        """
-        groups: "dict[str, list[int]]" = {}
-        for i, decision in enumerate(decisions):
-            groups.setdefault(decision.code, []).append(i)
-        results: "list[ReduceResult | None]" = [None] * len(block)
-        with Stopwatch() as sw_reduce:
-            for code, indices in groups.items():
-                op = make_reduction_op(get_algorithm(code))
-                group_results = self.comm.reduce_batch(block.take(indices), op, tree)
-                for i, rr in zip(indices, group_results):
-                    results[i] = rr
-        return results, groups, sw_reduce.elapsed
-
     def _reduce_many_parallel(
         self,
         layout: TickLayout,
         threshold: float,
         tree: "ReductionTree | str",
         plan: "tuple[int, int]",
-    ) -> "list[AdaptiveResult]":
-        """Shard the stream over the persistent pool (bitwise = serial path).
+    ) -> tuple:
+        """Select in the parent, shard the reduce over the persistent pool.
 
-        :func:`~repro.util.pool.run_shards` packs the layout's rank counts,
-        unit roundoffs, chunk lengths and operands once into the input
-        arena; each shard's :func:`_reduce_many_task` runs the serial
-        pipeline on its items and writes one :data:`_RESULT` record per
-        item.  The parent rebuilds each :class:`StreamProfile` from the
-        records, re-selects with the same :meth:`_select`, and checks its
-        codes against the workers' in one comparison, so a drift raises
-        instead of passing silently.
+        :func:`~repro.util.pool.run_shards`' ``fill`` copies the layout's
+        rank counts, unit roundoffs, chunk lengths and operands into the
+        input arena, sketches and selects every item over
+        :meth:`TickBlock.over` those views, and writes each item's index
+        into ``code_table`` beside them; each :func:`_reduce_many_task`
+        shard reduces under those codes.  Returns ``(decisions, per-item
+        ReduceResults, profile, select and summed shard reduce elapsed)``.
         """
         n_items = len(layout)
-        us = layout.us
         code_table = tuple(alg.code for alg in all_algorithms())
+        code_index = {code: idx for idx, code in enumerate(code_table)}
+        decisions = profile_s = select_s = None
 
         def fill(views) -> None:
-            ranks, us_v, lens, flat = views
-            ranks[:], us_v[:], lens[:] = layout.ranks, us, layout.lens
+            nonlocal decisions, profile_s, select_s
+            ranks, us, lens, codes, flat = views
+            ranks[:], us[:], lens[:] = layout.ranks, layout.us, layout.lens
             layout.copy_into(flat)
+            block = TickBlock.over(flat, ranks, lens, layout.us)
+            decisions, profile_s, select_s = self._sketch_and_select(
+                block, threshold
+            )
+            codes[:] = [code_index[d.code] for d in decisions]
 
-        records, returns = run_shards(
+        values, reduce_times = run_shards(
             _reduce_many_task,
             n_items,
             plan,
@@ -345,67 +321,23 @@ class AdaptiveReducer:
                 (np.int64, (n_items,)),
                 (np.float64, (n_items,)),
                 (np.int64, layout.lens.shape),
+                (np.int64, (n_items,)),
                 (np.float64, (layout.n_values,)),
             ],
             fill,
-            _RESULT,
-            (self.comm, self.policy, threshold, tree, code_table),
+            np.float64,
+            (self.comm, tree, code_table),
             path="reduce_many",
         )
-        bad = [i for shard_bad, _ in returns if shard_bad for i in shard_bad]
-        if bad:
-            raise NonFiniteOperandError(bad)
-        values, code_idx = records["value"], records["code"]
-        decisions = [
-            self._select(StreamProfile(n, *sketch), threshold, u)
-            for n, sketch, u in zip(
-                records["n"].tolist(), records["sketch"].tolist(), us
+        tree = self.comm._resolve_tree(tree)
+        cost = tree_cost(tree, self.comm.topology) if self.comm.topology else 0.0
+        results = [
+            ReduceResult(
+                value=value, tree=tree, simulated_time=cost, algorithm_code=d.code
             )
+            for value, d in zip(values.tolist(), decisions)
         ]
-        code_index = {code: idx for idx, code in enumerate(code_table)}
-        parent_idx = np.array([code_index[d.code] for d in decisions], dtype=np.int64)
-        if not np.array_equal(parent_idx, code_idx):
-            i = int(np.flatnonzero(parent_idx != code_idx)[0])
-            raise RuntimeError(
-                f"parallel decision drift at item {i}: worker chose "
-                f"{code_table[int(code_idx[i])]!r}, parent replay chose "
-                f"{decisions[i].code!r}"
-            )
-        tree_resolved = self.comm._resolve_tree(tree)
-        cost = (
-            tree_cost(tree_resolved, self.comm.topology)
-            if self.comm.topology
-            else 0.0
-        )
-        results: "list[AdaptiveResult]" = []
-        for s, (_, timings) in zip(split_indices(n_items, len(returns)), returns):
-            span = s.stop - s.start
-            profile_s, select_s, reduce_s = timings
-            if _OBS.enabled:
-                _observe_phases(span, profile_s, select_s, reduce_s)
-            for i in range(s.start, s.stop):
-                value = float(values[i])
-                results.append(
-                    AdaptiveResult(
-                        value=value,
-                        decision=decisions[i],
-                        reduce_result=ReduceResult(
-                            value=value,
-                            tree=tree_resolved,
-                            simulated_time=cost,
-                            algorithm_code=decisions[i].code,
-                        ),
-                        profile_seconds=profile_s / span,
-                        reduce_seconds=reduce_s / span,
-                    )
-                )
-        if _OBS.enabled:
-            for idx, count in zip(*np.unique(code_idx, return_counts=True)):
-                _OBS.counter(
-                    "repro_selector_selections_total",
-                    algorithm=code_table[int(idx)],
-                ).inc(int(count))
-        return results
+        return decisions, results, profile_s, select_s, math.fsum(reduce_times)
 
 
 def _checked(threshold: float) -> float:
@@ -429,45 +361,58 @@ def _observe_phases(
         _OBS.histogram(name).observe(total / n_items, count=n_items)
 
 
+def _grouped_reduce(
+    comm: SimComm,
+    block: TickBlock,
+    codes: "Sequence[str]",
+    tree: "ReductionTree | str",
+) -> tuple:
+    """Step 3 for a tick block, on both routes: item ``i`` reduces under
+    algorithm ``codes[i]``, and same-code items execute together, one
+    :meth:`SimComm.reduce_batch` per algorithm on the block's
+    :meth:`~repro.util.tickblock.TickBlock.take` of the group (PR included:
+    its exact batched path takes each item's own max as its pre-pass).  No
+    group re-packs an operand.
+
+    Returns ``(per-item ReduceResults, elapsed)``.
+    """
+    groups: "dict[str, list[int]]" = {}
+    for i, code in enumerate(codes):
+        groups.setdefault(code, []).append(i)
+    results: "list[ReduceResult | None]" = [None] * len(block)
+    with Stopwatch() as sw_reduce:
+        for code, indices in groups.items():
+            op = make_reduction_op(get_algorithm(code))
+            group_results = comm.reduce_batch(block.take(indices), op, tree)
+            for i, rr in zip(indices, group_results):
+                results[i] = rr
+    return results, sw_reduce.elapsed
+
+
 def _reduce_many_task(
     start: int,
     stop: int,
     inputs: list,
     out: np.ndarray,
     comm: SimComm,
-    policy: Policy,
-    threshold: float,
     tree: "ReductionTree | str",
     code_table: tuple,
-) -> tuple:
-    """Shard task (:func:`~repro.util.pool.run_shards`): run the serving
-    pipeline on items ``[start, stop)`` and write their :data:`_RESULT`
-    records into ``out``.
+) -> float:
+    """Shard task (:func:`~repro.util.pool.run_shards`): reduce items
+    ``[start, stop)`` under the codes the parent selected and write their
+    float64 values into ``out``; returns the reduce time.
 
     The shard's tick block is :meth:`TickBlock.over` the input arena's
-    operands, and the reducer is rebuilt from its picklable spec
-    (communicator, policy, threshold).  Returns ``(None, (profile_s,
-    select_s, reduce_s))``; a shard holding non-finite items reduces
-    nothing and returns their stream indices first instead, so the parent
-    names every shard's in one :class:`NonFiniteOperandError`.
+    operands; each item's code is its index into ``code_table``.
     """
-    ranks, us, lens, flat = inputs
+    ranks, us, lens, codes, flat = inputs
     c0, c1 = int(ranks[:start].sum()), int(ranks[:stop].sum())  # repro: allow[FP002] -- integer chunk counts
     v0, v1 = int(lens[:c0].sum()), int(lens[:c1].sum())  # repro: allow[FP002] -- integer value counts
     block = TickBlock.over(
         flat[v0:v1], ranks[start:stop], lens[c0:c1], us[start:stop].tolist()
     )
-    reducer = AdaptiveReducer(comm, policy, threshold=threshold)
-    try:
-        sketches, decisions, profile_s, select_s = reducer._sketch_and_select(
-            block, threshold
-        )
-    except NonFiniteOperandError as exc:
-        return [start + i for i in exc.items], None
-    results, _groups, reduce_s = reducer._grouped_reduce(block, decisions, tree)
-    code_index = {code: idx for idx, code in enumerate(code_table)}
-    out["value"] = [rr.value for rr in results]
-    out["code"] = [code_index[d.code] for d in decisions]
-    out["n"] = [sk.n for sk in sketches]
-    out["sketch"] = [[getattr(sk, f) for f in SKETCH_COLUMNS] for sk in sketches]
-    return None, (profile_s, select_s, reduce_s)
+    results, reduce_s = _grouped_reduce(
+        comm, block, [code_table[i] for i in codes[start:stop].tolist()], tree
+    )
+    out[:] = [rr.value for rr in results]
+    return reduce_s

@@ -80,6 +80,30 @@ def _int64_span(fold_width: int) -> int:
 _MAX_POW2 = 1023
 
 
+def _retained(bin_exponent: int, folds: int, fold_width: int, sums) -> tuple:
+    """``(total, g)``: fold sums ``sums`` binned at ``bin_exponent`` retain
+    exactly ``total * 2**g``, with ``g = E - K*W``."""
+    total = 0
+    for j, f in enumerate(sums):
+        total += f << ((folds - 1 - j) * fold_width)
+    return total, bin_exponent - folds * fold_width
+
+
+def _round_folds(bin_exponent: int, folds: int, fold_width: int, sums) -> float:
+    """The correctly rounded value of fold sums ``sums`` binned at
+    ``bin_exponent``: ±inf when it rounds beyond the double range.
+
+    An int conversion or one int true division, both correctly rounded, so
+    this equals ``float`` of the :class:`~fractions.Fraction`
+    (:meth:`PreroundedAccumulator.to_fraction`) bit for bit.
+    """
+    total, g = _retained(bin_exponent, folds, fold_width, sums)
+    try:
+        return float(total << g) if g >= 0 else total / (1 << -g)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def _fold_items(
     block: TickBlock,
     folds: int,
@@ -381,22 +405,13 @@ class PreroundedAccumulator(Accumulator):
     # -- extraction --------------------------------------------------------------
     def to_fraction(self) -> Fraction:
         """Exact rational value of the retained (pre-rounded) sum."""
-        g_min = self.E - self.K * self.W
-        total = 0
-        for j, f in enumerate(self._folds):
-            total += f << ((self.K - 1 - j) * self.W)
-        if g_min >= 0:
-            return Fraction(total * (1 << g_min))
-        return Fraction(total, 1 << (-g_min))
+        total, g = _retained(self.E, self.K, self.W, self._folds)
+        return Fraction(total << g) if g >= 0 else Fraction(total, 1 << -g)
 
     def result(self) -> float:
         """The retained sum, correctly rounded: ±inf when it rounds beyond
-        the double range (``float(Fraction)`` raises exactly then)."""
-        value = self.to_fraction()
-        try:
-            return float(value)
-        except OverflowError:
-            return math.inf if value > 0 else -math.inf
+        the double range."""
+        return _round_folds(self.E, self.K, self.W, self._folds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -543,11 +558,9 @@ class PreroundedSum(SummationAlgorithm):
         bin_exponent = None
         if context is not None and context.max_abs is not None:
             bin_exponent = self.bin_exponent_for(context)
-        values = []
-        for e, folds in _fold_items(
-            TickBlock.of(items), self.folds, self.fold_width, bin_exponent
-        ):
-            acc = PreroundedAccumulator(e, self.folds, self.fold_width)
-            acc._folds = folds
-            values.append(acc.result())
-        return values
+        return [
+            _round_folds(e, self.folds, self.fold_width, sums)
+            for e, sums in _fold_items(
+                TickBlock.of(items), self.folds, self.fold_width, bin_exponent
+            )
+        ]

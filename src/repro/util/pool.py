@@ -56,6 +56,7 @@ import math
 import os
 import threading
 import time
+import traceback
 import warnings
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
@@ -722,7 +723,9 @@ def run_shards(
     The one arena dispatch.  ``plan`` is :func:`shard_plan`'s
     ``(pool_workers, n_shards)``.  ``inputs`` lists the input regions as
     ``(dtype, shape)``; ``fill(views)`` writes each of them once, in place,
-    through writable views of the input arena.  Each shard then runs
+    through writable views of the input arena (a ``fill`` that raises
+    dispatches nothing, and its frames are cleared so no view outlives the
+    call).  Each shard then runs
     ``task(start, stop, inputs, out, *args)`` in a worker, where ``inputs``
     are read-only views of the regions and ``out`` is the writable view of
     records ``[start, stop)`` of ``n_items`` ``record``-dtype records in the
@@ -746,6 +749,11 @@ def run_shards(
         views = [arena_in.view(*region) for region in regions]
         try:
             fill(views)
+        except BaseException as exc:
+            # the traceback pins the raising fill's frames, and with them
+            # every arena view they hold, for as long as the exception lives
+            traceback.clear_frames(exc.__traceback__)
+            raise
         finally:
             del views
         res_handle = arena_res.reserve(record.itemsize * n_items)

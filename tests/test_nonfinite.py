@@ -188,11 +188,15 @@ class TestAdaptiveReducerNonFinite:
 
     def test_parallel_path_names_items_across_shards(self):
         from repro.selection import AdaptiveReducer, NonFiniteOperandError
+        from repro.util.pool import pool_info
 
         comm = SimComm(4)
+        dispatched = pool_info()["tasks_dispatched"]
         with pytest.raises(NonFiniteOperandError) as info:
             AdaptiveReducer(comm).reduce_many(self._stream(comm), workers=2)
         assert info.value.items == (1, 3, 4)
+        # the parent sketches the whole stream before any shard is sent
+        assert pool_info()["tasks_dispatched"] == dispatched
 
     def test_overflowing_finite_sums_are_not_flagged(self):
         from repro.selection import AdaptiveReducer

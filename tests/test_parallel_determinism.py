@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +67,14 @@ class _WorkerDriftPolicy(AnalyticPolicy):
         if os.getpid() == self.parent_pid:
             return decision
         return dataclasses.replace(decision, code="PR")
+
+
+class _LockedPolicy(AnalyticPolicy):
+    """An analytic policy holding a lock, so it cannot be pickled."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lock = threading.Lock()
 
 
 class TestReduceManyDeterminism:
@@ -295,14 +305,31 @@ class TestArenaServing:
                 assert _bits(a.value) == _bits(b.value)
                 assert a.decision.code == b.decision.code
 
-    def test_worker_decision_drift_raises(self):
-        """The parent re-selects from the arena sketches: a worker that chose
-        differently is named, not served."""
+    def test_workers_never_select(self):
+        """The parent selects every item and ships the codes: a policy that
+        would choose differently inside a worker never runs there."""
         batches = _uniform_stream(n_items=6)
         reducer = AdaptiveReducer(
             SimComm(4), _WorkerDriftPolicy(os.getpid()), threshold=1e-13
         )
-        first = reducer.reduce_many(batches, tree="balanced", workers=1)
-        assert first[0].decision.code != "PR"
-        with pytest.raises(RuntimeError, match="parallel decision drift at item 0"):
-            reducer.reduce_many(batches, tree="balanced", workers=2)
+        serial = reducer.reduce_many(batches, tree="balanced", workers=1)
+        assert serial[0].decision.code != "PR"
+        parallel = reducer.reduce_many(batches, tree="balanced", workers=2)
+        assert [r.decision.code for r in parallel] == [
+            r.decision.code for r in serial
+        ]
+        assert [_bits(r.value) for r in parallel] == [_bits(r.value) for r in serial]
+
+    def test_unpicklable_policy_serves_sharded(self):
+        """The policy stays in the parent: it need not cross the pipe."""
+        policy = _LockedPolicy()
+        with pytest.raises(TypeError):
+            pickle.dumps(policy)
+        batches = _uniform_stream(n_items=6)
+        reducer = AdaptiveReducer(SimComm(4), policy, threshold=1e-13)
+        serial = reducer.reduce_many(batches, tree="balanced", workers=1)
+        parallel = reducer.reduce_many(batches, tree="balanced", workers=2)
+        assert [r.decision.code for r in parallel] == [
+            r.decision.code for r in serial
+        ]
+        assert [_bits(r.value) for r in parallel] == [_bits(r.value) for r in serial]

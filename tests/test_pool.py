@@ -89,6 +89,13 @@ def _fill_arange(views: list) -> None:
     views[0][:] = np.arange(views[0].size, dtype=np.float64)
 
 
+def _fill_then_raise(views: list) -> None:
+    """A fill that fails while its frame still holds an arena view."""
+    held = views[0]
+    held[:] = 1.0
+    raise ValueError("operand rejected")
+
+
 class TestDefaultWorkers:
     def test_env_honored(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -491,6 +498,28 @@ class TestRunShards:
         assert records.tolist() == [2.0 * i for i in range(10)]
         # contiguous shards, in order; every input view was read-only
         assert returns == [(0, 4, True), (4, 7, True), (7, 10, True)]
+
+    def test_raising_fill_leaves_no_view_alive(self):
+        try:
+            run_shards(
+                _double_shard, 8, (2, 2), [(np.float64, (8,))],
+                _fill_then_raise, np.float64, (1.0,), path="map",
+            )
+        except ValueError:
+            # the failed fill dispatched nothing
+            assert pool_info()["tasks_dispatched"] == 0
+            # while the exception lives, a larger dispatch regrows the input
+            # arena, which needs every view of the old segment gone
+            n = 1 << 14
+            records, _ = run_shards(
+                _double_shard, n, (2, 2), [(np.float64, (n,))],
+                _fill_arange, np.float64, (1.0,), path="map",
+            )
+            assert arena_info()["input"]["generation"] == 2
+            assert records[1:].tolist() == list(range(1, n))
+            shutdown_pool()
+        else:
+            pytest.fail("the fill's error did not propagate")
 
     def test_raising_task_leaves_worker_reattachable(self):
         from repro.mpi.comm import SimComm

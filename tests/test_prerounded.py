@@ -16,6 +16,7 @@ from repro.summation.prerounded import (
     AutoPreroundedAccumulator,
     PreroundedAccumulator,
     PreroundedSum,
+    _round_folds,
 )
 
 bounded = st.floats(
@@ -199,6 +200,70 @@ class TestTopOfRange:
         acc = PreroundedAccumulator(1022)
         with pytest.raises(ValueError, match="bin capacity"):
             acc.add_array(np.array([1.0, 1.5e308]))
+
+
+def _last_fold(folds: int, total: int) -> list:
+    """Fold sums whose retained total is ``total`` (all in the last fold)."""
+    return [0] * (folds - 1) + [total]
+
+
+#: largest double, and the total at ``g = 903`` / ``g = -27`` whose value is
+#: halfway between it and 2**1024 (the tie rounds to even: overflow)
+_TOP = float.fromhex("0x1.fffffffffffffp+1023")
+_TIE_G_POS = (1 << 121) - (1 << 67)
+_TIE_G_NEG = (1 << 1051) - (1 << 997)
+
+
+class TestRoundFolds:
+    """One rounding of PR's fold sums (``result`` and ``sum_items``): bit
+    for bit ``float`` of the exact :class:`Fraction`, ±inf beyond the
+    doubles, without building the Fraction."""
+
+    CASES = [
+        # (E, K, W, fold sums): halfway ties at g = -120 round to even
+        (0, 3, 40, _last_fold(3, (1 << 54) + 2)),
+        (0, 3, 40, _last_fold(3, (1 << 54) + 6)),
+        (0, 3, 40, _last_fold(3, -((1 << 54) + 6))),
+        (10, 3, 40, [5, -(1 << 39), 12345]),
+        # subnormal results at g = -1120: 1.5 and 2.5 ulps tie to 2,
+        # a partial ulp rounds, 2**-1120 underflows to zero
+        (-1000, 3, 40, _last_fold(3, 3 << 45)),
+        (-1000, 3, 40, _last_fold(3, 5 << 45)),
+        (-1000, 3, 40, _last_fold(3, (1 << 50) + (1 << 45) + 1)),
+        (-1000, 3, 40, _last_fold(3, 1)),
+        # a positive E - K*W
+        (200, 3, 40, [1, -1, 3]),
+        (1023, 3, 40, [1, -1, 3]),
+        # both sides of the 2**1024 boundary, at g = 903 and at g = -27
+        (1023, 3, 40, _last_fold(3, _TIE_G_POS - 1)),
+        (1023, 3, 40, _last_fold(3, _TIE_G_POS)),
+        (1023, 3, 40, _last_fold(3, -_TIE_G_POS)),
+        (1023, 21, 50, _last_fold(21, _TIE_G_NEG - 1)),
+        (1023, 21, 50, _last_fold(21, _TIE_G_NEG)),
+        (1023, 21, 50, _last_fold(21, 1 - _TIE_G_NEG)),
+    ]
+
+    @staticmethod
+    def _fraction_value(acc: PreroundedAccumulator) -> float:
+        value = acc.to_fraction()
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+
+    @pytest.mark.parametrize("E, K, W, sums", CASES)
+    def test_equals_float_of_the_fraction(self, E, K, W, sums):
+        acc = PreroundedAccumulator(E, K, W)
+        acc._folds = list(sums)
+        expected = self._fraction_value(acc).hex()
+        assert _round_folds(E, K, W, sums).hex() == expected
+        assert acc.result().hex() == expected
+
+    def test_overflow_boundary(self):
+        assert _round_folds(1023, 3, 40, _last_fold(3, _TIE_G_POS - 1)) == _TOP
+        assert _round_folds(1023, 3, 40, _last_fold(3, _TIE_G_POS)) == math.inf
+        assert _round_folds(1023, 21, 50, _last_fold(21, _TIE_G_NEG - 1)) == _TOP
+        assert _round_folds(1023, 21, 50, _last_fold(21, -_TIE_G_NEG)) == -math.inf
 
 
 class TestAccuracyKnobs:
