@@ -42,11 +42,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.fp.properties import UNIT_ROUNDOFF, exponent, unit_roundoff_of
+from repro.fp.properties import UNIT_ROUNDOFF, unit_roundoff_of
 from repro.metrics.bounds import summation_error_bound
 from repro.metrics.properties import SetProfile
 from repro.selection._statskernel import sketch
 from repro.selection.policy import SelectionDecision
+from repro.selection.profile import dynamic_range
 from repro.util.tickblock import TickBlock
 
 __all__ = [
@@ -91,9 +92,7 @@ class BoundStats:
 
     def dynamic_range_estimate(self) -> int:
         """Exact dr from the extreme magnitudes (0 for all-zero sets)."""
-        if not math.isfinite(self.min_abs_nonzero) or self.max_abs == 0.0:  # repro: allow[FP001] -- all-zero input guard
-            return 0
-        return exponent(self.max_abs) - exponent(self.min_abs_nonzero)
+        return dynamic_range(self.max_abs, self.min_abs_nonzero)
 
 
 def bound_stats_item(chunks, u: float) -> BoundStats:

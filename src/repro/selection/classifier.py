@@ -97,6 +97,13 @@ class GridClassifier:
             relative_cost=self.cost_model.relative.get(code, math.nan),
         )
 
+    def select_many(
+        self, profiles: Sequence[SetProfile], threshold: float, *, u=None, shape=None
+    ) -> "list[SelectionDecision]":
+        """One nearest-cell :meth:`select` per profile; ``u`` and ``shape``
+        are ignored (the grid measured one precision and tree shape)."""
+        return [self.select(profile, threshold) for profile in profiles]
+
     def decision_grid(self, threshold: float) -> "list[tuple[GridCell, str]]":
         """Fig. 12's content: every cell with its cheapest-acceptable code."""
         return [(cell, self.cheapest_for(cell, threshold)) for cell in self.cells]

@@ -2,16 +2,20 @@
 
 Fig. 12 shades each (k, dr) cell by "the cheapest summation algorithm that
 achieves a given degree of reproducibility at that cell", for error-
-variability thresholds ``t``.  A policy makes that decision at runtime from
-a :class:`~repro.metrics.properties.SetProfile` (measured or estimated):
+variability thresholds ``t``.  A policy makes that decision at runtime for
+a whole tick at once: its one query, ``select_many(profiles, threshold, *,
+u, shape)``, takes the tick's :class:`~repro.metrics.properties.SetProfile`
+s, each item's unit roundoff ``u`` and a tree-shape hint, and returns one
+:class:`SelectionDecision` per item; ``select`` is its one-item case.
 
 * :class:`AnalyticPolicy` — closed-form variability estimates per algorithm
   derived from classical error analysis, with empirically calibrated leading
-  constants.  Zero calibration data needed; order-of-magnitude accurate,
-  which is the granularity selection needs.
-* :class:`EmpiricalPolicy` (in :mod:`repro.selection.classifier`) — nearest-
-  cell lookup into a measured grid of variabilities, i.e. Fig. 12 itself
-  turned into a decision table.
+  constants; one vectorised model call per candidate answers the tick.
+  Zero calibration data needed; order-of-magnitude accurate, which is the
+  granularity selection needs.
+* :class:`~repro.selection.classifier.GridClassifier` — nearest-cell
+  lookup into a measured grid of variabilities, i.e. Fig. 12 itself turned
+  into a decision table.
 
 Variability model — the *relative* std of the error across random reduction
 trees (error divided by the exact sum; this is the quantity whose grid
@@ -42,7 +46,7 @@ decision task requires (cells are decades apart).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,12 +60,12 @@ __all__ = ["SelectionDecision", "VariabilityModel", "AnalyticPolicy"]
 
 @dataclass(frozen=True)
 class SelectionDecision:
-    """The outcome of a policy query — everything needed to audit it.
+    """One item's lane of a policy query — everything needed to audit it.
 
     ``tier`` records what produced the decision: ``"profile"`` (empirical
-    sketch + calibrated variability model, every
-    :class:`~repro.selection.selector.AdaptiveReducer` decision) or
-    ``"bound"`` (the Hallman–Ipsen certification probe,
+    sketch + calibrated variability model: every policy's ``select_many``,
+    so every :class:`~repro.selection.selector.AdaptiveReducer` decision)
+    or ``"bound"`` (the Hallman–Ipsen certification probe,
     :meth:`repro.selection.bound_tier.BoundTier.decide_stream`).
     ``u`` is the unit roundoff the decision was made at — ``2**-53`` for
     binary64 inputs, larger for fp32/fp16 scenario inputs, so low-precision
@@ -116,56 +120,30 @@ class VariabilityModel:
             return 1.0
         raise ValueError(f"unknown tree shape hint {shape!r}")
 
-    def predict_std(
-        self,
-        code: str,
-        profile: SetProfile,
-        *,
-        shape: str = "balanced",
-        u: "float | None" = None,
-    ) -> float:
-        """Predicted *relative* std of the error over random reduction trees.
-
-        ``shape`` is ``"balanced"`` (default: the grid experiments'
-        setting), ``"serial"``, or ``"unknown"`` (conservative: treated as
-        serial).  ``u`` overrides the model's unit roundoff for one query —
-        the precision axis: fp32/fp16 scenario inputs predict at their own
-        roundoff instead of silently upcasting to binary64.  ``inf`` for
-        non-deterministic algorithms on exact-zero sums.
-        """
-        n = max(profile.n, 1)
-        k = profile.condition
-        if code in ("PR", "EX", "SO", "AS"):
-            return 0.0
-        mult = self._shape_multiplier(code, shape)
-        if math.isinf(k):
-            return math.inf
-        u = self.u if u is None else u
-        if code in ("ST", "PW"):
-            return mult * self.c_st * u * math.sqrt(n) * k
-        if code in ("K", "KBN", "FB"):
-            return mult * (self.c_k * u * k + self.c_k2 * n * u**2 * k)
-        if code in ("CP", "DD", "IV"):
-            return mult * self.c_cp * n * u**2 * k
-        raise KeyError(f"no variability model for algorithm {code!r}")
+    def predict_std(self, code: str, profile: SetProfile, *, shape="balanced", u=None) -> float:
+        """Predicted *relative* std of the error over random reduction trees
+        for one profile: the one-lane case of :meth:`predict_std_array`."""
+        return float(self.predict_std_array(code, profile.n, profile.condition, shape=shape, u=u))
 
     def predict_std_array(
         self, code: str, n, k, *, shape: str = "balanced", u=None
     ):
-        """Vectorised :meth:`predict_std` over arrays of ``(n, k)``.
+        """Predicted *relative* std of the error over random reduction trees,
+        per lane of the arrays ``(n, k)``.
 
-        ``u`` may be a scalar or a per-item array of unit roundoffs.  Each
-        lane evaluates the exact scalar expression (same operation order, so
-        results are bitwise-equal to per-item :meth:`predict_std` calls) —
-        this is what lets the bound probe reason about the profiling
-        policy's own accept/reject behaviour without running it per item.
+        ``shape`` is ``"balanced"`` (default: the grid experiments'
+        setting), ``"serial"``, or ``"unknown"`` (conservative: treated as
+        serial).  ``u`` — a scalar or a per-lane array — overrides the
+        model's unit roundoff: the precision axis, so fp32/fp16 scenario
+        inputs predict at their own roundoff instead of silently upcasting
+        to binary64.  ``inf`` for non-deterministic algorithms on
+        exact-zero sums (``k = inf``).
         """
         n = np.maximum(np.asarray(n, dtype=np.float64), 1.0)
         k = np.asarray(k, dtype=np.float64)
-        u = self.u if u is None else u
-        u = np.asarray(u, dtype=np.float64)
+        u = np.asarray(self.u if u is None else u, dtype=np.float64)
         if code in ("PR", "EX", "SO", "AS"):
-            return np.zeros(np.broadcast_shapes(n.shape, k.shape), dtype=np.float64)
+            return np.zeros(np.broadcast(n, k).shape, dtype=np.float64)
         mult = self._shape_multiplier(code, shape)
         if code in ("ST", "PW"):
             return mult * self.c_st * u * np.sqrt(n) * k
@@ -178,12 +156,6 @@ class VariabilityModel:
 
 class AnalyticPolicy:
     """Cheapest-first selection driven by the closed-form model."""
-
-    #: this policy's select() accepts the shape keyword (see AdaptiveReducer)
-    supports_shape_hint = True
-    #: this policy's select() accepts the u keyword (precision-aware
-    #: decisions for fp32/fp16 inputs)
-    supports_unit_roundoff = True
 
     def __init__(
         self,
@@ -199,42 +171,53 @@ class AnalyticPolicy:
         self.candidates = self.cost_model.rank(list(candidates))
         self.shape = shape
 
-    def select(
-        self,
-        profile: SetProfile,
-        threshold: float,
-        *,
-        shape: "str | None" = None,
-        u: "float | None" = None,
-    ) -> SelectionDecision:
-        """Cheapest candidate whose predicted variability is <= threshold.
+    def select_many(
+        self, profiles: Sequence[SetProfile], threshold: float, *, u=None, shape=None
+    ) -> "list[SelectionDecision]":
+        """Each profile's cheapest candidate whose predicted variability is
+        <= threshold: one :meth:`VariabilityModel.predict_std_array` call
+        per candidate answers the whole tick.
 
-        ``shape`` overrides the policy's default tree-shape hint for this
-        query; ``u`` overrides the model's unit roundoff (fp32/fp16 inputs
-        select at their own precision).  Falls back to the most robust
-        candidate when none qualifies (the paper's "step toward bitwise
-        reproducibility": tighter thresholds force costlier algorithms;
-        below every algorithm's floor the best available one is still
-        returned, flagged by predicted > threshold).
+        ``u`` holds each item's unit roundoff (``None``: the model's), so
+        fp32/fp16 inputs select at their own precision; ``shape`` overrides
+        the policy's tree-shape hint.  An item no candidate qualifies for
+        falls through to the most robust one (the paper's "step toward
+        bitwise reproducibility"), flagged by predicted > threshold.
         """
         if not threshold >= 0:  # also rejects NaN
             raise ValueError("threshold must be >= 0")
+        if not profiles:
+            return []
         shape = self.shape if shape is None else shape
-        predictions = {
-            code: self.model.predict_std(code, profile, shape=shape, u=u)
-            for code in self.candidates
-        }
-        chosen = self.candidates[-1]
-        for code in self.candidates:
-            if predictions[code] <= threshold:
-                chosen = code
-                break
-        return SelectionDecision(
-            code=chosen,
-            threshold=threshold,
-            predicted_std=predictions[chosen],
-            profile=profile,
-            candidate_predictions=predictions,
-            relative_cost=self.cost_model.relative.get(chosen, math.nan),
-            u=self.model.u if u is None else u,
+        us = [self.model.u] * len(profiles) if u is None else list(u)
+        if len(us) != len(profiles):
+            raise ValueError(f"{len(us)} unit roundoffs for {len(profiles)} profiles")
+        n = np.array([p.n for p in profiles], dtype=np.float64)
+        k = np.array([p.condition for p in profiles], dtype=np.float64)
+        lanes_u = np.array(us, dtype=np.float64)
+        predictions = np.array(
+            [self.model.predict_std_array(c, n, k, shape=shape, u=lanes_u) for c in self.candidates]
         )
+        meets = predictions <= threshold
+        meets[-1] = True
+        chosen = meets.argmax(axis=0).tolist()  # first qualifying, cheapest first
+        costs = [self.cost_model.relative.get(c, math.nan) for c in self.candidates]
+        return [
+            SelectionDecision(
+                code=self.candidates[ci],
+                threshold=threshold,
+                predicted_std=row[ci],
+                profile=profile,
+                candidate_predictions=dict(zip(self.candidates, row)),
+                relative_cost=costs[ci],
+                u=ui,
+            )
+            for profile, row, ci, ui in zip(profiles, predictions.T.tolist(), chosen, us)
+        ]
+
+    def select(
+        self, profile: SetProfile, threshold: float, *, shape=None, u=None
+    ) -> SelectionDecision:
+        """One profile's decision: the one-item case of :meth:`select_many`."""
+        us = None if u is None else [u]
+        return self.select_many([profile], threshold, u=us, shape=shape)[0]

@@ -15,7 +15,10 @@ associatively, so profiling costs one extra allreduce of six doubles —
 exactly the "profile parameters of interest at runtime" tooling Sec. V.D
 calls for.  :func:`profile_batch` sketches a whole stream, rank merges
 included, in one kernel call over its tick block
-(:mod:`repro.util.tickblock`).
+(:mod:`repro.util.tickblock`), and :func:`set_profiles` turns the tick's
+sketches into the profiles its one policy query (``select_many(profiles,
+threshold, *, u, shape)``) reads; a single sketch's estimates are its
+one-sketch case.
 
 Accuracy: ``dr`` is exact (it only needs the extreme exponents).  Each
 chunk's sums are eight lane-sequential Sum2 chains (Ogita–Rump–Oishi) of at
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +46,10 @@ from repro.obs import get_registry
 from repro.selection._statskernel import sketch
 from repro.util.tickblock import TickBlock
 
-__all__ = ["StreamProfile", "profile_chunk", "profile_stream", "profile_batch"]
+__all__ = [
+    "StreamProfile", "dynamic_range", "profile_batch", "profile_chunk",
+    "profile_stream", "set_profiles",
+]
 
 _OBS = get_registry()
 
@@ -77,40 +84,44 @@ class StreamProfile:
         self.sum_lo = self.sum_lo + (err + other.sum_lo)
 
     # -- estimates ----------------------------------------------------------------
-    @property
-    def abs_sum(self) -> float:
-        return self.abs_sum_hi + self.abs_sum_lo
-
-    @property
-    def approx_sum(self) -> float:
-        return self.sum_hi + self.sum_lo
-
     def condition_estimate(self) -> float:
         """k̂ = Σ|x| / |Σx| from the sketch (inf when the sum vanishes)."""
-        if self.n == 0:
-            return 1.0
-        s = abs(self.approx_sum)
-        t = self.abs_sum
-        if t == 0.0:  # repro: allow[FP001] -- all-zero input
-            return 1.0
-        if s == 0.0:  # repro: allow[FP001] -- vanished sum => infinite condition
-            return math.inf
-        return t / s
+        return self.as_set_profile().condition
 
     def dynamic_range_estimate(self) -> int:
         """Exact dr: exponent span of the extreme magnitudes."""
-        if not math.isfinite(self.min_abs_nonzero) or self.max_abs == 0.0:  # repro: allow[FP001] -- all-zero input guard
-            return 0
-        return exponent(self.max_abs) - exponent(self.min_abs_nonzero)
+        return dynamic_range(self.max_abs, self.min_abs_nonzero)
 
     def as_set_profile(self) -> SetProfile:
-        return SetProfile(
-            n=self.n,
-            condition=self.condition_estimate(),
-            dynamic_range=self.dynamic_range_estimate(),
-            max_abs=self.max_abs,
-            abs_sum=self.abs_sum,
-        )
+        """This sketch's profile: the one-sketch case of :func:`set_profiles`."""
+        return set_profiles([self])[0]
+
+
+def set_profiles(sketches: "Sequence[StreamProfile]") -> "list[SetProfile]":
+    """A tick's profiles, one per sketch: the one definition of k̂ = Σ|x| /
+    |Σx| over the compensated sums (1 for empty and all-zero items, inf
+    where the sum vanishes), with the exact dr."""
+    profiles = []
+    for s in sketches:
+        abs_sum = s.abs_sum_hi + s.abs_sum_lo
+        sum_mag = abs(s.sum_hi + s.sum_lo)
+        if s.n == 0 or abs_sum == 0.0:  # repro: allow[FP001] -- empty and all-zero items
+            k = 1.0
+        elif sum_mag == 0.0:  # repro: allow[FP001] -- vanished sum => infinite condition
+            k = math.inf
+        else:
+            k = abs_sum / sum_mag
+        dr = dynamic_range(s.max_abs, s.min_abs_nonzero)
+        profiles.append(SetProfile(s.n, k, dr, s.max_abs, abs_sum))
+    return profiles
+
+
+def dynamic_range(max_abs: float, min_abs_nonzero: float) -> int:
+    """Exact dr: the exponent span of the extreme magnitudes, 0 for empty
+    and all-zero sets (the sketch's and the bound probe's dr)."""
+    if not math.isfinite(min_abs_nonzero) or max_abs == 0.0:  # repro: allow[FP001] -- all-zero input guard
+        return 0
+    return exponent(max_abs) - exponent(min_abs_nonzero)
 
 
 def profile_chunk(chunk: np.ndarray) -> StreamProfile:

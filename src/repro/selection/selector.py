@@ -14,15 +14,16 @@ Every reduction takes one route, whether it arrives as a single
    sketches in one kernel call over its tick block.
 2. **Select** — a policy (analytic model or calibrated grid classifier)
    picks the cheapest algorithm whose predicted variability meets the
-   application's tolerance, queried on the item's own sketch.
+   application's tolerance; one policy query (``select_many``) answers the
+   whole stream, each item from its own sketch.
 3. **Reduce** — the chosen algorithm's accumulator runs as a custom op
    through the simulated communicator; PR runs its exact batched path,
    which takes each item's max as the pre-pass while packing its rows.
 
 Selection is precision-aware end to end: each item's unit roundoff is taken
-from its input dtype (fp16/fp32/fp64) and passed to the policy query, so
-low-precision scenario inputs are never silently upcast inside the decision
-(execution stays binary64).
+from its input dtype (fp16/fp32/fp64) and passed to the policy query as its
+``u``, so low-precision scenario inputs are never silently upcast inside the
+decision (execution stays binary64).
 
 Every decision is made once, in the calling process: on the sharded route
 the parent sketches and selects the whole stream over the shared input
@@ -45,14 +46,18 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.fp.properties import UNIT_ROUNDOFF
 from repro.metrics.properties import SetProfile
 from repro.mpi.comm import ReduceResult, SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.mpi.topology import tree_cost
 from repro.obs import get_registry
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
-from repro.selection.profile import StreamProfile, profile_batch, profile_stream
+from repro.selection.profile import (
+    StreamProfile,
+    profile_batch,
+    profile_stream,
+    set_profiles,
+)
 from repro.summation.registry import all_algorithms, get_algorithm
 from repro.trees.tree import ReductionTree
 from repro.util.pool import run_shards, shard_plan
@@ -76,9 +81,14 @@ class NonFiniteOperandError(ValueError):
 
 
 class Policy(Protocol):
-    """Anything that can turn (profile, threshold) into a decision."""
+    """Anything that answers a tick's selection queries at once: one
+    decision per profile, each at its item's unit roundoff ``u`` (a
+    sequence; ``None``: binary64) under the tree-shape hint ``shape``
+    (``None``: the policy's default).  A policy may ignore both."""
 
-    def select(self, profile: SetProfile, threshold: float) -> SelectionDecision:
+    def select_many(
+        self, profiles: Sequence[SetProfile], threshold: float, *, u=None, shape=None
+    ) -> "list[SelectionDecision]":
         ...  # pragma: no cover - protocol
 
 
@@ -140,10 +150,7 @@ class AdaptiveReducer:
         with Stopwatch() as sw_reduce:
             result = self.comm.reduce_nondeterministic(block, op)
         if _OBS.enabled:
-            _OBS.counter(
-                "repro_selector_selections_total", algorithm=decision.code
-            ).inc()
-            _observe_phases(1, profile_elapsed, select_elapsed, sw_reduce.elapsed)
+            _observe([decision], profile_elapsed, select_elapsed, sw_reduce.elapsed)
         return AdaptiveResult(
             value=result.value,
             decision=decision,
@@ -169,9 +176,9 @@ class AdaptiveReducer:
         frames) are read in place, every other item is copied once.  The
         whole block profiles in one sketch-kernel call
         (:func:`repro.selection.profile.profile_batch`, bitwise-equal to
-        per-item profiling, ragged widths included), each item's policy
-        query runs on its own sketch, and items choosing the same algorithm
-        execute together through :meth:`SimComm.reduce_batch` on the
+        per-item profiling, ragged widths included), one policy query
+        selects every item from its own sketch, and items choosing the same
+        algorithm execute together through :meth:`SimComm.reduce_batch` on the
         block's :meth:`~repro.util.tickblock.TickBlock.take` of the group,
         so schedule compilation and kernel dispatch are paid once per
         algorithm instead of once per item, and no operand is re-packed.
@@ -215,11 +222,7 @@ class AdaptiveReducer:
             )
         n_items = len(decisions)
         if _OBS.enabled:
-            for code, count in Counter(d.code for d in decisions).items():
-                _OBS.counter(
-                    "repro_selector_selections_total", algorithm=code
-                ).inc(count)
-            _observe_phases(n_items, profile_s, select_s, reduce_s)
+            _observe(decisions, profile_s, select_s, reduce_s)
         profile_each = profile_s / n_items
         reduce_each = reduce_s / n_items
         return [
@@ -239,9 +242,9 @@ class AdaptiveReducer:
         """Steps 1+2 for a tick block: ``(decisions, profile elapsed,
         select elapsed)``, the profile time including the selection.  The
         one decision site of every route (serial, sharded and the
-        arrival-order :meth:`reduce`), always in the calling process.
-        Each item's input-dtype unit roundoff (``block.us``) and the
-        tree-shape hint ``shape`` go into its policy query."""
+        arrival-order :meth:`reduce`), always in the calling process: one
+        sketch-kernel call, then one policy query for the whole tick, with
+        each item's input-dtype unit roundoff (``block.us``)."""
         with Stopwatch() as sw_profile:
             sketches = profile_batch(block)
             # an operand is NaN or inf exactly when its item's max |x| is
@@ -254,31 +257,10 @@ class AdaptiveReducer:
             if bad:
                 raise NonFiniteOperandError(bad)
             with Stopwatch() as sw_select:
-                decisions = [
-                    self._select(sk, threshold, u, shape=shape)
-                    for sk, u in zip(sketches, block.us)
-                ]
+                decisions = self.policy.select_many(
+                    set_profiles(sketches), threshold, u=block.us, shape=shape
+                )
         return decisions, sw_profile.elapsed, sw_select.elapsed
-
-    def _select(
-        self,
-        sketch: StreamProfile,
-        threshold: float,
-        u: float = UNIT_ROUNDOFF,
-        *,
-        shape: "str | None" = None,
-    ) -> SelectionDecision:
-        """Step 2 for one item: the policy query on its own sketch.
-
-        ``u`` is the item's input-dtype unit roundoff, forwarded to
-        precision-aware policies; ``shape`` is a tree-shape hint, forwarded
-        to policies that take one."""
-        kwargs = {}
-        if getattr(self.policy, "supports_unit_roundoff", False):
-            kwargs["u"] = u
-        if shape is not None and getattr(self.policy, "supports_shape_hint", False):
-            kwargs["shape"] = shape
-        return self.policy.select(sketch.as_set_profile(), threshold, **kwargs)
 
     def _reduce_many_parallel(
         self,
@@ -347,12 +329,15 @@ def _checked(threshold: float) -> float:
     return threshold
 
 
-def _observe_phases(
-    n_items: int, profile_s: float, select_s: float, reduce_s: float
+def _observe(
+    decisions: "Sequence[SelectionDecision]", profile_s: float, select_s: float, reduce_s: float
 ) -> None:
-    """Record ``n_items`` selections' phase totals in the per-item phase
-    histograms: each total's amortised per-item time, observed once with
-    weight ``n_items``."""
+    """Count ``decisions`` per algorithm and record their phase totals in
+    the per-item phase histograms: each total's amortised per-item time,
+    observed once with weight ``len(decisions)``."""
+    for code, count in Counter(d.code for d in decisions).items():
+        _OBS.counter("repro_selector_selections_total", algorithm=code).inc(count)
+    n_items = len(decisions)
     for name, total in (
         ("repro_selector_profile_seconds", profile_s),
         ("repro_selector_select_seconds", select_s),

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.fp.properties import unit_roundoff_of
 from repro.metrics.properties import SetProfile
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
 from repro.selection.profile import StreamProfile, profile_chunk
@@ -116,7 +117,7 @@ class StreamingSelector:
 
     # -- API ---------------------------------------------------------------------
     def observe(self, chunks: "Sequence[np.ndarray] | np.ndarray") -> SelectionDecision:
-        """Profile this step's data and return the algorithm to use now."""
+        """Profile this step's data; select the algorithm to use now at its dtype's roundoff."""
         if isinstance(chunks, np.ndarray):
             chunks = [chunks]
         sketch = StreamProfile()
@@ -124,7 +125,8 @@ class StreamingSelector:
             sketch.merge(profile_chunk(c))
         raw = sketch.as_set_profile()
         smoothed = self._smooth(raw)
-        decision = self.policy.select(smoothed, self.threshold)
+        u = [unit_roundoff_of({getattr(c, "dtype", None) for c in chunks})]
+        decision = self.policy.select_many([smoothed], self.threshold, u=u)[0]
         self._step += 1
 
         if self._current_code is None:
@@ -137,7 +139,7 @@ class StreamingSelector:
             self._down_candidate, self._down_streak = None, 0
         elif self._rank(decision.code) < self._rank(self._current_code):
             # de-escalation: demand margin + persistence
-            strict = self.policy.select(smoothed, self.threshold / self.margin)
+            strict = self.policy.select_many([smoothed], self.threshold / self.margin, u=u)[0]
             if self._rank(strict.code) < self._rank(self._current_code):
                 if self._down_candidate == strict.code:
                     self._down_streak += 1
@@ -160,6 +162,7 @@ class StreamingSelector:
             profile=smoothed,
             candidate_predictions=decision.candidate_predictions,
             relative_cost=decision.relative_cost,
+            u=decision.u,
         )
 
     def _switch(self, to_code: str, smoothed: SetProfile, raw: SetProfile) -> None:

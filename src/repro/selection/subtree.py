@@ -35,9 +35,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.metrics.properties import SetProfile
+from repro.fp.properties import unit_roundoff_of
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
-from repro.selection.profile import StreamProfile, profile_chunk
+from repro.selection.profile import StreamProfile, profile_chunk, set_profiles
 from repro.selection.selector import Policy
 from repro.summation.base import SumContext
 from repro.summation.prerounded import PreroundedAccumulator, PreroundedSum
@@ -85,8 +85,8 @@ class HierarchicalReducer:
     Parameters
     ----------
     policy:
-        Any selection policy (analytic by default); queried once per rank
-        with that rank's own profile and budget share.
+        Any selection policy (analytic by default); one query per plan
+        answers every rank from its own profile and budget share.
     combine:
         Code of the cross-rank combine algorithm; must be deterministic
         (``"PR"`` or ``"EX"``), because the cross-rank order is the
@@ -112,7 +112,8 @@ class HierarchicalReducer:
         self.threshold = threshold
 
     def plan(self, chunks: Sequence[np.ndarray], threshold: "float | None" = None) -> SubtreePlan:
-        """Profile every chunk and choose its local algorithm."""
+        """Profile every chunk and choose its local algorithm, each at its
+        chunk's input-dtype unit roundoff."""
         if not chunks:
             raise ValueError("need at least one chunk")
         t = self.threshold if threshold is None else threshold
@@ -122,8 +123,9 @@ class HierarchicalReducer:
             total.merge(s)
         # conservative first-order budget split: local errors sum
         per_rank_budget = t / max(len(chunks), 1)
+        us = [unit_roundoff_of((getattr(c, "dtype", None),)) for c in chunks]
         decisions = tuple(
-            self.policy.select(s.as_set_profile(), per_rank_budget) for s in sketches
+            self.policy.select_many(set_profiles(sketches), per_rank_budget, u=us)
         )
         return SubtreePlan(
             local_codes=tuple(d.code for d in decisions),

@@ -62,11 +62,11 @@ class _WorkerDriftPolicy(AnalyticPolicy):
         super().__init__()
         self.parent_pid = parent_pid
 
-    def select(self, profile, threshold, **kwargs):
-        decision = super().select(profile, threshold, **kwargs)
+    def select_many(self, profiles, threshold, **kwargs):
+        decisions = super().select_many(profiles, threshold, **kwargs)
         if os.getpid() == self.parent_pid:
-            return decision
-        return dataclasses.replace(decision, code="PR")
+            return decisions
+        return [dataclasses.replace(d, code="PR") for d in decisions]
 
 
 class _LockedPolicy(AnalyticPolicy):

@@ -81,6 +81,18 @@ class TestStability:
         d1 = s.observe([data[:500], data[500:]])
         assert d1.code == s.current_code
 
+    def test_low_precision_data_selects_at_its_own_roundoff(self):
+        """fp32 steps are selected at u = 2**-24, not upcast to binary64."""
+        data = benign(3)
+        s64 = StreamingSelector(threshold=1e-13)
+        s32 = StreamingSelector(threshold=1e-13)
+        d64 = s64.observe(data)
+        d32 = s32.observe(data.astype(np.float32))  # repro: allow[FP005] -- fp32 data selecting at its own roundoff is under test
+        assert (d64.code, d64.u) == ("ST", 2.0**-53)
+        assert d32.u == 2.0**-24
+        assert d32.code == s32.policy.select(d32.profile, 1e-13, u=2.0**-24).code
+        assert d32.code != "ST"
+
     def test_log_records_conditions(self):
         s = StreamingSelector(threshold=1e-13)
         s.observe(benign(0))

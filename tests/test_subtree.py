@@ -41,6 +41,22 @@ class TestPlanning:
         all_pr = sum(cm.cost("PR", n) for n in sizes)
         assert hetero < all_pr  # the point of subtree selection
 
+    def test_low_precision_ranks_select_at_their_own_roundoff(self):
+        """fp32 chunks are planned at u = 2**-24, not upcast to binary64:
+        at a 1e-10 budget over four ranks no algorithm cheaper than PR
+        meets 2.5e-11 per rank in fp32, while ST does for the same values
+        in fp64, where the plan keeps ST."""
+        rng = np.random.default_rng(4)
+        chunks64 = [rng.uniform(0.5, 1.0, 4096) for _ in range(4)]
+        chunks32 = [c.astype(np.float32) for c in chunks64]  # repro: allow[FP005] -- fp32 ranks selecting at their own roundoff is under test
+        red = HierarchicalReducer(threshold=1e-10)
+        plan32 = red.plan(chunks32)
+        assert plan32.local_codes == ("PR",) * 4
+        assert {d.u for d in plan32.rank_decisions} == {2.0**-24}
+        plan64 = red.plan(chunks64)
+        assert plan64.local_codes == ("ST",) * 4
+        assert {d.u for d in plan64.rank_decisions} == {2.0**-53}
+
     def test_empty_chunks_rejected(self):
         with pytest.raises(ValueError):
             HierarchicalReducer().plan([])

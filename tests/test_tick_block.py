@@ -89,7 +89,9 @@ def _reference(items) -> "tuple[list, list, list]":
     values, codes, sketches = [], [], []
     for chunks in items:
         sketch = profile_stream(chunks)
-        decision = reducer._select(sketch, THRESHOLD, item_unit_roundoff(chunks))
+        decision = reducer.policy.select(
+            sketch.as_set_profile(), THRESHOLD, u=item_unit_roundoff(chunks)
+        )
         op = make_reduction_op(get_algorithm(decision.code))
         values.append(_bits(comm.reduce(chunks, op).value))
         codes.append(decision.code)
