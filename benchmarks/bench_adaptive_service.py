@@ -42,17 +42,19 @@ import json
 import platform
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from repro.fp.eft import two_sum_array
+from repro.generators import generate_sum_set, zero_sum_set
 from repro.mpi.comm import SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.obs import get_registry
-from repro.selection import selector
-from repro.selection.profile import StreamProfile, profile_batch
+from repro.selection import AnalyticPolicy, selector
+from repro.selection.profile import StreamProfile, profile_batch, set_profiles
 from repro.selection.selector import AdaptiveReducer
 from repro.summation import get_algorithm
 from repro.trees import _ckernels
@@ -347,6 +349,44 @@ def bench_sketch_stream(repeats: int = 25) -> dict:
     return row
 
 
+def bench_select_stage(repeats: int = 25) -> dict:
+    """The select stage alone — ``set_profiles`` plus one policy query —
+    per item on a 64-item stream of the serving item shape (48 ranks x 128
+    values; condition numbers log-uniform in [1, 1e18], every fourth item
+    an exact-zero sum, so every candidate is chosen) and per 1-item tick,
+    at t = 1e-13.  Recorded, not gated."""
+    rng = np.random.default_rng(9)
+    comm = SimComm(N_RANKS)
+    n = N_RANKS * PR_CHUNK_LEN
+    items = [
+        comm.scatter_array(
+            zero_sum_set(n, 8, rng)
+            if i % 4 == 0
+            else generate_sum_set(n, 10.0 ** rng.uniform(0, 18), 8, rng).values
+        )
+        for i in range(BATCH_ITEMS)
+    ]
+    block = TickBlock.of(items)
+    sketches = profile_batch(block)
+    policy = AnalyticPolicy()
+
+    def select(count: int):
+        return policy.select_many(
+            set_profiles(sketches[:count]), 1e-13, u=block.us[:count]
+        )
+
+    codes = Counter(d.code for d in select(BATCH_ITEMS))
+    return {
+        "case": "select_stage",
+        "items": BATCH_ITEMS,
+        "n_ranks": N_RANKS,
+        "chunk_len": PR_CHUNK_LEN,
+        "codes": dict(sorted(codes.items())),
+        "stream_us_per_item": 1e6 * _best_of(lambda: select(BATCH_ITEMS), repeats) / BATCH_ITEMS,
+        "tick_us": 1e6 * _best_of(lambda: select(1), repeats),
+    }
+
+
 def _seed_pr_reduce(comm: SimComm, chunks, op, tree) -> float:
     """The per-item PR walk: the max-allreduce pre-pass binds the context,
     then the frozen seed body folds and merges one accumulator per rank."""
@@ -426,6 +466,7 @@ def run_all(repeats: int = 5) -> dict:
         bench_selection_stage(max(2, repeats - 2)),
         bench_pr_stream(max(2, repeats - 2)),
         bench_sketch_stream(),
+        bench_select_stage(),
     ]
     return {
         "bench": "adaptive_service",
@@ -497,6 +538,12 @@ def main(argv: "list[str] | None" = None) -> int:
                     f"{code}={c[f'reduce_batch_us_per_item_{code}']:.0f}us/item"
                     for code in ("ST", "K", "CP")
                 )
+            )
+        elif c["case"] == "select_stage":
+            print(
+                f"{c['case']:>18}      B={c['items']}  "
+                f"stream={c['stream_us_per_item']:.1f}us/item  "
+                f"1-item tick={c['tick_us']:.1f}us  codes={c['codes']}"
             )
         else:
             print(

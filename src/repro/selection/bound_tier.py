@@ -1,37 +1,29 @@
 """Analytic certification probe: which items a provable bound settles.
 
-This module is not a selection route: :class:`repro.selection.selector.AdaptiveReducer`
-always profiles and queries its policy.  It answers a separate question
-about a stream of reductions: for which items does a *provable*
-Hallman–Ipsen error bound (:func:`repro.metrics.bounds.summation_error_bound`,
-deterministic or probabilistic at a requested confidence) already certify
-the algorithm the profiling policy picks?  :meth:`BoundTier.decide_stream`
-answers from cheap one-pass statistics read through the same fused sketch
-kernel as profiling (:mod:`repro.selection._statskernel`), so the probe can
-be measured next to the served decisions.
+Not a selection route (:class:`repro.selection.selector.AdaptiveReducer`
+always profiles and queries its policy): for a stream of reductions it
+answers for which items a *provable* Hallman–Ipsen error bound
+(:func:`repro.metrics.bounds.summation_error_bound`, deterministic or
+probabilistic at a requested confidence) already certifies the algorithm
+the profiling policy picks.  :meth:`BoundTier.decide_stream` answers from
+cheap one-pass statistics read through the same fused sketch kernel as
+profiling (:mod:`repro.selection._statskernel`).
 
 Two properties make a resolved item trustworthy:
 
-1. **Certified statistics.**  The cheap pass computes ``Σ|x|`` and ``Σx``
-   with plain binary64 summation (eight lanes within chunks, pairwise
-   across ranks), whose own error is bounded by the same Hallman–Ipsen
-   machinery.  That turns the noisy estimates into a *certified
-   interval* ``[k_lo, k_hi]`` for the true condition number — every bound
-   below is evaluated at the conservative end, so a certification is a
-   theorem about the data, not a guess.
+1. **Certified statistics.**  ``Σ|x|`` and ``Σx`` are plain binary64 sums
+   (eight lanes within chunks, pairwise across ranks) whose own error the
+   same Hallman–Ipsen machinery bounds.  That gives a *certified interval*
+   ``[k_lo, k_hi]`` for the true condition number, and every bound is
+   evaluated at its conservative end.
+2. **Decision agreement.**  A candidate is certified only when its bound
+   at ``k_hi`` meets the threshold AND ``k_hi`` is at or below the
+   policy's cut point for it; it is skipped only when ``k_lo`` is above
+   that cut point.  Anything in between is *inconclusive* (``None``), so
+   a resolved item carries the code the profiling route chooses.
 
-2. **Decision agreement.**  A candidate is certified only when
-   (a) its provable bound at ``k_hi`` meets the threshold AND (b) the
-   profiling policy's own variability estimate at ``k_hi`` would accept it;
-   a candidate is skipped only when the policy's estimate at ``k_lo`` would
-   provably reject it.  Anything in between is *inconclusive* (``None``).
-   Consequently a resolved item always carries the same algorithm code the
-   profiling route chooses (tests pin this).
-
-The statistics pass is precision-aware: each item carries the unit roundoff
-of its input dtype (:func:`item_unit_roundoff`), so fp32/fp16 inputs are
-certified against their own roundoff instead of being silently upcast
-inside the decision.
+Each item carries its input dtype's unit roundoff (:func:`item_unit_roundoff`),
+so fp32/fp16 inputs are certified against their own roundoff.
 """
 
 from __future__ import annotations
@@ -152,8 +144,8 @@ class BoundTier:
     ``0.999999`` allows the ``sqrt(n)``-scaled probabilistic forms, which
     is what certifies large well-conditioned reductions at serving-grade
     thresholds.  ``policy`` must walk ``candidates`` cheapest-first with a
-    vectorised ``model`` and a ``cost_model``, as :class:`AnalyticPolicy`
-    does.
+    ``model`` that gives cut points and a ``cost_model``, as
+    :class:`AnalyticPolicy` does.
     """
 
     confidence: float = 1.0
@@ -172,13 +164,12 @@ class BoundTier:
         profiling decides.
 
         Walks the policy's candidates cheapest-first with three vectorised
-        verdicts per candidate: **certify** (provable bound and the
-        policy's own estimate both meet the threshold at the conservative
-        ``k_hi``), **reject** (the policy's estimate provably misses the
-        threshold even at ``k_lo`` — keep walking), or **inconclusive**
-        (``None`` for this item).  Items whose every
-        candidate is provably rejected resolve to the policy's documented
-        most-robust fall-through.
+        verdicts per candidate, read off its cut point ``k*``
+        (:meth:`~repro.selection.policy.VariabilityModel.cut_points`):
+        **certify** (the provable bound meets the threshold at ``k_hi`` and
+        ``k_hi <= k*``), **reject** (``k_lo > k*`` — keep walking), or
+        **inconclusive** (``None``).  Items whose every candidate is
+        rejected take the policy's most-robust fall-through.
         """
         n_items = len(stats)
         if n_items == 0:
@@ -204,8 +195,10 @@ class BoundTier:
             )
 
         shape = getattr(policy, "shape", "balanced")
-        model = policy.model
-        candidates = list(policy.candidates)
+        candidates = tuple(policy.candidates)
+        cuts = np.array(
+            [policy.model.cut_points(candidates, s.n, s.u, shape, threshold) for s in stats]
+        )
         resolved = np.full(n_items, -1, dtype=np.int64)
         predicted = np.zeros(n_items, dtype=np.float64)
         active = np.ones(n_items, dtype=bool)
@@ -214,47 +207,33 @@ class BoundTier:
             if not np.any(active):
                 break
             try:
-                bound_hi = np.asarray(
-                    summation_error_bound(
-                        code, n, k_hi, 1.0, u, confidence=self.confidence
-                    )
-                )
+                bound_hi = summation_error_bound(code, n, k_hi, 1.0, u, confidence=self.confidence)
             except KeyError:
                 bound_hi = np.full(n_items, math.inf)
             bounds_by_code[code] = bound_hi
-            est_hi = model.predict_std_array(code, n, k_hi, shape=shape, u=u)
-            est_lo = model.predict_std_array(code, n, k_lo, shape=shape, u=u)
-            certify = active & (bound_hi <= threshold) & (est_hi <= threshold)
+            certify = active & (bound_hi <= threshold) & (k_hi <= cuts[:, ci])
             resolved[certify] = ci
             predicted[certify] = bound_hi[certify]
-            reject = active & ~certify & (est_lo > threshold)
+            reject = active & ~certify & (k_lo > cuts[:, ci])
             active &= reject
         # every candidate provably rejected: the policy's documented
         # fall-through picks the most robust candidate regardless
         if np.any(active):
-            last = len(candidates) - 1
-            last_bound = bounds_by_code[candidates[last]]
-            resolved[active] = last
-            predicted[active] = last_bound[active]
+            resolved[active] = len(candidates) - 1
+            predicted[active] = bounds_by_code[candidates[-1]][active]
 
         decisions: "list[SelectionDecision | None]" = [None] * n_items
         relative_costs = policy.cost_model.relative
         for i in np.nonzero(resolved >= 0)[0]:
-            ci = int(resolved[i])
+            ci, s = int(resolved[i]), stats[i]
             code = candidates[ci]
-            s = stats[i]
-            profile = SetProfile(
-                n=s.n,
-                condition=float(k_hi[i]),
-                dynamic_range=s.dynamic_range_estimate(),
-                max_abs=s.max_abs,
-                abs_sum=s.abs_sum,
-            )
             decisions[i] = SelectionDecision(
                 code=code,
                 threshold=threshold,
                 predicted_std=float(predicted[i]),
-                profile=profile,
+                profile=SetProfile(
+                    s.n, float(k_hi[i]), s.dynamic_range_estimate(), s.max_abs, s.abs_sum
+                ),
                 candidate_predictions={
                     c: float(bounds_by_code[c][i]) for c in candidates[: ci + 1]
                 },

@@ -100,12 +100,14 @@ class StreamProfile:
 def set_profiles(sketches: "Sequence[StreamProfile]") -> "list[SetProfile]":
     """A tick's profiles, one per sketch: the one definition of k̂ = Σ|x| /
     |Σx| over the compensated sums (1 for empty and all-zero items, inf
-    where the sum vanishes), with the exact dr."""
+    where the sum vanishes or Σ|x| overflows), with the exact dr."""
     profiles = []
     for s in sketches:
         abs_sum = s.abs_sum_hi + s.abs_sum_lo
         sum_mag = abs(s.sum_hi + s.sum_lo)
-        if s.n == 0 or abs_sum == 0.0:  # repro: allow[FP001] -- empty and all-zero items
+        if math.isinf(s.abs_sum_hi):  # Σ|x| overflowed: its lo term is NaN or inf
+            abs_sum = k = math.inf
+        elif s.n == 0 or abs_sum == 0.0:  # repro: allow[FP001] -- empty and all-zero items
             k = 1.0
         elif sum_mag == 0.0:  # repro: allow[FP001] -- vanished sum => infinite condition
             k = math.inf

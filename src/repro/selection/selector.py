@@ -5,36 +5,26 @@ such as condition number and dynamic range can guide runtime selection of a
 reduction operator with the appropriate performance/reproducibility tradeoff
 for the application at hand."
 
-Every reduction takes one route, whether it arrives as a single
-:meth:`AdaptiveReducer.reduce`, a batched or sharded
-:meth:`AdaptiveReducer.reduce_many`, or a served request:
+Every reduction — a single :meth:`AdaptiveReducer.reduce`, a batched or
+sharded :meth:`AdaptiveReducer.reduce_many`, or a served request — takes
+one route, and makes its decision once, in the calling process:
 
-1. **Profile** — every rank sketches its chunk in one kernel read; the
-   sketches merge in an (exactly associative) allreduce.  A whole stream
-   sketches in one kernel call over its tick block.
-2. **Select** — a policy (analytic model or calibrated grid classifier)
-   picks the cheapest algorithm whose predicted variability meets the
-   application's tolerance; one policy query (``select_many``) answers the
-   whole stream, each item from its own sketch.
-3. **Reduce** — the chosen algorithm's accumulator runs as a custom op
-   through the simulated communicator; PR runs its exact batched path,
-   which takes each item's max as the pre-pass while packing its rows.
+1. **Profile** — one sketch-kernel call over the stream's tick block
+   sketches every rank's chunk and merges each item's ranks (an exactly
+   associative allreduce).
+2. **Select** — one policy query (``select_many``) picks, per item, the
+   cheapest algorithm whose predicted variability meets the tolerance,
+   at the unit roundoff of the item's input dtype (fp16/fp32/fp64), so
+   low-precision inputs are never silently upcast inside the decision.
+3. **Reduce** — same-code items run together through the simulated
+   communicator (on the sharded route, workers reduce under the parent's
+   codes); PR runs its exact batched path.
 
-Selection is precision-aware end to end: each item's unit roundoff is taken
-from its input dtype (fp16/fp32/fp64) and passed to the policy query as its
-``u``, so low-precision scenario inputs are never silently upcast inside the
-decision (execution stays binary64).
-
-Every decision is made once, in the calling process: on the sharded route
-the parent sketches and selects the whole stream over the shared input
-arena, and each worker only reduces its shard under the codes it is handed.
-
-The returned :class:`AdaptiveResult` carries the decision record so
-applications (and our benches) can audit what was chosen and why.  The
-phase histograms ``repro_selector_{profile,select,reduce}_seconds`` hold
-per-item times on every route: a batch observes its amortised per-item time
-once, weighted by its item count, so each histogram's count equals the
-number of selections.
+The returned :class:`AdaptiveResult` carries the decision record, so
+applications can audit what was chosen and why.  The phase histograms
+``repro_selector_{profile,select,reduce}_seconds`` hold per-item times on
+every route: a batch observes its amortised per-item time once, weighted by
+its item count, so each histogram's count equals the number of selections.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ from repro.mpi.comm import ReduceResult, SimComm
 from repro.mpi.ops import make_reduction_op
 from repro.mpi.topology import tree_cost
 from repro.obs import get_registry
-from repro.selection.policy import AnalyticPolicy, SelectionDecision
+from repro.selection.policy import AnalyticPolicy, SelectionDecision, _checked
 from repro.selection.profile import (
     StreamProfile,
     profile_batch,
@@ -168,42 +158,32 @@ class AdaptiveReducer:
         tree: "ReductionTree | str" = "topology",
         workers: "int | None" = None,
     ) -> "list[AdaptiveResult]":
-        """Adaptively reduce a stream of independent reductions in bulk.
+        """Adaptively reduce a stream of independent reductions in bulk: the
+        serving path.
 
-        The serving path.  The stream becomes one tick block
-        (:mod:`repro.util.tickblock`): items scattered from one aligned
-        float64 row (:meth:`SimComm.scatter_array`, the daemon's binary
-        frames) are read in place, every other item is copied once.  The
-        whole block profiles in one sketch-kernel call
-        (:func:`repro.selection.profile.profile_batch`, bitwise-equal to
-        per-item profiling, ragged widths included), one policy query
-        selects every item from its own sketch, and items choosing the same
-        algorithm execute together through :meth:`SimComm.reduce_batch` on the
-        block's :meth:`~repro.util.tickblock.TickBlock.take` of the group,
-        so schedule compilation and kernel dispatch are paid once per
-        algorithm instead of once per item, and no operand is re-packed.
-        PR groups take the same route: its fold deposits are exact
-        integers, so one vectorised pass over the whole group gives every
-        item the value any reduction tree would.
+        The stream becomes one tick block (:mod:`repro.util.tickblock`:
+        items scattered from one aligned float64 row are read in place,
+        others are copied once), sketched in one kernel call
+        (:func:`~repro.selection.profile.profile_batch`) and selected by one
+        policy query.  Same-code items, PR included, run together through
+        one :meth:`SimComm.reduce_batch` on the block's
+        :meth:`~repro.util.tickblock.TickBlock.take` of the group, so
+        dispatch is paid once per algorithm and no operand is re-packed.
 
-        ``workers`` adds the multicore axis to the reduce step only: the
-        stream is copied once into the shared input arena
-        (:func:`repro.util.pool.run_shards`), the parent sketches and
-        selects every item there and writes its decision code beside its
-        operands, and each persistent worker reduces a contiguous shard
-        under those codes, writing one float64 value per item.  Decisions
-        never depend on the worker count and every item's reduction is
-        independent, so the results are *bitwise-identical* to the serial
-        path; a NaN/inf operand raises :class:`NonFiniteOperandError`
-        before any task is dispatched.  ``workers=None`` defers to
-        ``REPRO_WORKERS``/cpu-count behind an adaptive bytes-and-items
-        cutover (small batches never pay IPC); an explicit ``workers >= 2``
-        always parallelises; ``workers<=1`` forces the serial path.
+        ``workers`` parallelises the reduce step only: the parent copies the
+        stream into the shared input arena
+        (:func:`repro.util.pool.run_shards`), sketches and selects there,
+        and each persistent worker reduces a contiguous shard under the
+        parent's codes, so results are bitwise-identical to the serial path
+        and a NaN/inf operand raises :class:`NonFiniteOperandError` before
+        any task is dispatched.  ``workers=None`` defers to
+        ``REPRO_WORKERS``/cpu-count behind a bytes-and-items cutover (small
+        batches never pay IPC); ``workers >= 2`` always parallelises;
+        ``workers <= 1`` forces the serial path.
 
-        Each item's value is bitwise-equal to a standalone :meth:`reduce`
-        with the same decision; ``profile_seconds``/``reduce_seconds`` are
-        the *amortised* per-item costs (phase total / number of items; the
-        sharded route's reduce total sums its shards' times).
+        ``profile_seconds``/``reduce_seconds`` are the amortised per-item
+        costs (phase total / items; the sharded reduce total sums its
+        shards' times).
         """
         t = _checked(self.threshold if threshold is None else threshold)
         if not batches:
@@ -320,13 +300,6 @@ class AdaptiveReducer:
             for value, d in zip(values.tolist(), decisions)
         ]
         return decisions, results, profile_s, select_s, math.fsum(reduce_times)
-
-
-def _checked(threshold: float) -> float:
-    """``threshold`` if it is a valid tolerance (``>= 0``; NaN is not)."""
-    if not threshold >= 0:  # also rejects NaN
-        raise ValueError("threshold must be >= 0")
-    return threshold
 
 
 def _observe(

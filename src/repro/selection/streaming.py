@@ -21,7 +21,7 @@ simulation's reproducibility story is auditable after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from repro.fp.properties import unit_roundoff_of
 from repro.metrics.properties import SetProfile
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
-from repro.selection.profile import StreamProfile, profile_chunk
+from repro.selection.profile import profile_stream
 from repro.selection.selector import Policy
 
 __all__ = ["SwitchEvent", "StreamingSelector"]
@@ -102,13 +102,7 @@ class StreamingSelector:
                 self.alpha * raw_log_k + (1.0 - self.alpha) * self._smoothed_log_k
             )
         k = math.inf if self._smoothed_log_k >= 39.0 else 10.0**self._smoothed_log_k
-        return SetProfile(
-            n=profile.n,
-            condition=k,
-            dynamic_range=profile.dynamic_range,
-            max_abs=profile.max_abs,
-            abs_sum=profile.abs_sum,
-        )
+        return replace(profile, condition=k)
 
     @staticmethod
     def _rank(code: str) -> int:
@@ -120,10 +114,7 @@ class StreamingSelector:
         """Profile this step's data; select the algorithm to use now at its dtype's roundoff."""
         if isinstance(chunks, np.ndarray):
             chunks = [chunks]
-        sketch = StreamProfile()
-        for c in chunks:
-            sketch.merge(profile_chunk(c))
-        raw = sketch.as_set_profile()
+        raw = profile_stream(list(chunks)).as_set_profile()
         smoothed = self._smooth(raw)
         u = [unit_roundoff_of({getattr(c, "dtype", None) for c in chunks})]
         decision = self.policy.select_many([smoothed], self.threshold, u=u)[0]
@@ -153,17 +144,8 @@ class StreamingSelector:
         else:
             self._down_candidate, self._down_streak = None, 0
 
-        return SelectionDecision(
-            code=self._current_code,
-            threshold=self.threshold,
-            predicted_std=decision.candidate_predictions.get(
-                self._current_code, decision.predicted_std
-            ),
-            profile=smoothed,
-            candidate_predictions=decision.candidate_predictions,
-            relative_cost=decision.relative_cost,
-            u=decision.u,
-        )
+        predicted = decision.candidate_predictions.get(self._current_code, decision.predicted_std)
+        return replace(decision, code=self._current_code, predicted_std=predicted)
 
     def _switch(self, to_code: str, smoothed: SetProfile, raw: SetProfile) -> None:
         self.log.append(

@@ -30,14 +30,15 @@ to how hard each rank's data actually is.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.fp.properties import unit_roundoff_of
-from repro.selection.policy import AnalyticPolicy, SelectionDecision
-from repro.selection.profile import StreamProfile, profile_chunk, set_profiles
+from repro.selection.policy import AnalyticPolicy, SelectionDecision, _checked
+from repro.selection.profile import profile_batch, profile_stream, set_profiles
 from repro.selection.selector import Policy
 from repro.summation.base import SumContext
 from repro.summation.prerounded import PreroundedAccumulator, PreroundedSum
@@ -58,17 +59,11 @@ class SubtreePlan:
 
     @property
     def code_counts(self) -> Mapping[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.local_codes:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
+        return dict(Counter(self.local_codes))
 
     def estimated_cost(self, cost_model, chunk_sizes: Sequence[int]) -> float:
         """Total work in ST-units under a cost model (for the ablation)."""
-        return math.fsum(
-            cost_model.cost(code, n)
-            for code, n in zip(self.local_codes, chunk_sizes)
-        )
+        return math.fsum(cost_model.cost(c, n) for c, n in zip(self.local_codes, chunk_sizes))
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,6 @@ class HierarchicalReducer:
         combine: str = "PR",
         threshold: float = 1e-13,
     ) -> None:
-        if not threshold >= 0:  # also rejects NaN
-            raise ValueError("threshold must be >= 0")
         alg = get_algorithm(combine)
         if not alg.deterministic:
             raise ValueError(
@@ -109,18 +102,16 @@ class HierarchicalReducer:
             )
         self.policy = policy if policy is not None else AnalyticPolicy()
         self.combine_code = combine
-        self.threshold = threshold
+        self.threshold = _checked(threshold)
 
     def plan(self, chunks: Sequence[np.ndarray], threshold: "float | None" = None) -> SubtreePlan:
         """Profile every chunk and choose its local algorithm, each at its
         chunk's input-dtype unit roundoff."""
         if not chunks:
             raise ValueError("need at least one chunk")
-        t = self.threshold if threshold is None else threshold
-        sketches = [profile_chunk(c) for c in chunks]
-        total = StreamProfile()
-        for s in sketches:
-            total.merge(s)
+        t = _checked(self.threshold if threshold is None else threshold)
+        sketches = profile_batch([[c] for c in chunks])
+        total = profile_stream(list(chunks))
         # conservative first-order budget split: local errors sum
         per_rank_budget = t / max(len(chunks), 1)
         us = [unit_roundoff_of((getattr(c, "dtype", None),)) for c in chunks]

@@ -204,5 +204,13 @@ class TestAdaptiveReducerNonFinite:
         comm = SimComm(4)
         chunks = comm.scatter_array(_overflowing_sum())
         big = comm.scatter_array(np.full(64, np.finfo(np.float64).max))
-        results = AdaptiveReducer(comm).reduce_many([chunks, big], workers=1)
-        assert all(math.isinf(r.value) and r.value > 0 for r in results)
+        # Σ|x| overflows although Σx = 4 does not
+        cancel = comm.scatter_array(np.array([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0] * 4))
+        results = AdaptiveReducer(comm).reduce_many([chunks, big, cancel], workers=1)
+        assert all(math.isinf(r.value) and r.value > 0 for r in results[:2])
+        # an overflowing Σ|x| profiles as inf with k̂ = inf, never NaN, and
+        # falls through to PR like any other infinite condition
+        for r in results:
+            assert r.decision.profile.abs_sum == math.inf
+            assert r.decision.profile.condition == math.inf
+            assert r.decision.code == "PR"
