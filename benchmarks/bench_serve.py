@@ -78,9 +78,10 @@ CONCURRENCY = 16
 REQUESTS_PER_CLIENT = 4
 
 #: batched-mode knobs (the baseline runs ``max_batch=1``, no linger).  max_batch
-#: equals the client concurrency: a tick fires the moment every
-#: outstanding request is queued instead of lingering for a batch that
-#: cannot arrive (each client keeps exactly one request in flight).
+#: equals the client concurrency: each client keeps exactly one request in
+#: flight, so no tick can hold more.  The daemon fires a tick as soon as no
+#: connection is reading a request that could join it; the linger is the
+#: upper bound.
 MAX_BATCH = 16
 LINGER_US = 2000.0
 

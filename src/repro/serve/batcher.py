@@ -5,9 +5,25 @@ The batched pipeline pays its sketch call and per-algorithm dispatch once
 per tick instead of once per item — *if* items arrive together.  A network
 front end receives them one at a time, so the batcher re-creates the
 batch at the queue: requests land in a bounded queue, and a single drain
-task takes the first waiter, **lingers** up to ``max_linger_s`` for
-companions (or until ``max_batch`` of them), then executes the whole tick
-as one :meth:`AdaptiveReducer.reduce_many` call in a worker thread.
+task takes the first waiter, **lingers** for companions while one can
+still arrive, then executes the whole tick as one
+:meth:`AdaptiveReducer.reduce_many` call in a worker thread.
+
+When a tick fires:
+
+* **Intakes** — a companion can only come from a connection that is
+  reading its next request.  The daemon holds an *intake* open exactly
+  while a connection is inside ``read_request`` (:meth:`MicroBatcher.reading`);
+  a connection whose request is queued, executing or being answered
+  cannot add to the tick.
+* **The rule** — the tick lingers only while it holds fewer than
+  ``max_batch`` items, the batcher is not closing, and some intake has
+  been open at every moment since the tick began to form; ``max_linger_s``
+  bounds the wait.  Otherwise it fires at once, and
+  ``repro_serve_tick_flush_total{reason}`` counts why: ``full``,
+  ``drain``, ``no_sender`` or ``expired``.  A batcher nobody reads for
+  (direct submits) never lingers; submits made before the drain task runs
+  still share its tick.
 
 Semantics:
 
@@ -42,9 +58,10 @@ block that connection's buffer from growing for its next request.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry
 
@@ -110,10 +127,11 @@ class MicroBatcher:
     the event loop's default thread executor so the loop keeps serving
     sockets while NumPy works.  It returns one result per item; an
     exception in an item's slot fails that item alone, and a raised
-    exception fails the whole group.  ``max_linger_s`` bounds how long the
-    first request of a tick waits for companions; ``max_batch`` bounds how
-    many join it.  ``max_linger_s=0`` (with ``max_batch=1``) is the
-    request-at-a-time baseline the serving bench compares against.
+    exception fails the whole group.  ``max_batch`` bounds how many items
+    join a tick, and ``max_linger_s`` how long its first item waits for
+    them; it waits only while an intake (:meth:`reading`) is open.
+    ``max_linger_s=0`` (with ``max_batch=1``) is the request-at-a-time
+    baseline the serving bench compares against.
     """
 
     def __init__(
@@ -137,6 +155,10 @@ class MicroBatcher:
         self._pending: "deque[_Pending]" = deque()
         self._wakeup = asyncio.Event()
         self._closing = False
+        self._intakes = 0  # connections inside read_request
+        # the last intake closed while items were queued: no companion could
+        # arrive at that moment, even if a connection has begun reading since
+        self._senders_gone = False
         self._task: "asyncio.Task | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self.batches_processed = 0
@@ -171,6 +193,30 @@ class MicroBatcher:
     @property
     def depth(self) -> int:
         return len(self._pending)
+
+    @property
+    def intakes(self) -> int:
+        """Open intakes: connections that could still submit."""
+        return self._intakes
+
+    @contextlib.contextmanager
+    def reading(self) -> Iterator[None]:
+        """Hold an intake open while a connection reads its next request.
+
+        Leaving the last open intake, on any path (a request read, EOF, an
+        error, cancellation), fires the forming tick: the drain task wakes
+        to it even if a connection starts reading again first.  The caller
+        must submit a request it read without awaiting in between, or that
+        wake could fire the tick the request was about to join.
+        """
+        self._intakes += 1
+        try:
+            yield
+        finally:
+            self._intakes -= 1
+            if not self._intakes and self._pending:
+                self._senders_gone = True
+                self._wakeup.set()
 
     # -- intake -------------------------------------------------------------
     def submit(
@@ -254,31 +300,47 @@ class MicroBatcher:
                 await self._wakeup.wait()
             first_at = self._loop.time()
             linger_until = first_at + self.max_linger_s
-            while len(self._pending) < self.max_batch and not self._closing:
+            reason = self._fire_reason()
+            while reason is None:
                 remaining = linger_until - self._loop.time()
                 if remaining <= 0:
+                    reason = "expired"
                     break
                 self._wakeup.clear()
                 try:
                     await asyncio.wait_for(self._wakeup.wait(), remaining)
                 except asyncio.TimeoutError:
-                    break
+                    reason = "expired"
+                else:
+                    reason = self._fire_reason()
             lingered = self._loop.time() - first_at
             batch = [
                 self._pending.popleft()
                 for _ in range(min(len(self._pending), self.max_batch))
             ]
+            self._senders_gone = False
             if _OBS.enabled:
                 _OBS.gauge("repro_serve_queue_depth").set(len(self._pending))
                 _OBS.histogram(
                     "repro_serve_linger_seconds", buckets=_LINGER_BUCKETS
                 ).observe(lingered)
+                _OBS.counter("repro_serve_tick_flush_total", reason=reason).inc()
             await self._process(batch)
             # drop the processed batch before parking: items may be
             # zero-copy views of a connection's receive buffer, and a
             # lingering reference here would block that buffer from
             # growing for its next request (bytearray resize BufferError)
             del batch
+
+    def _fire_reason(self) -> "str | None":
+        """Why the forming tick fires now, or None while it may linger."""
+        if len(self._pending) >= self.max_batch:
+            return "full"
+        if self._closing:
+            return "drain"
+        if self._senders_gone or not self._intakes:
+            return "no_sender"
+        return None
 
     async def _process(self, batch: "list[_Pending]") -> None:
         assert self._loop is not None

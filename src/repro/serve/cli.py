@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-linger-us", type=float, default=1000.0,
-        help="max microseconds the first request of a tick waits for "
-        "companions (default: %(default)s)",
+        help="upper bound, in microseconds, on how long the first request "
+        "of a tick waits for companions; a tick fires as soon as no open "
+        "connection can add to it (default: %(default)s)",
     )
     parser.add_argument(
         "--queue-size", type=int, default=1024,

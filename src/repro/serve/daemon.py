@@ -244,9 +244,16 @@ class ReproServeDaemon:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, max_body=self.max_body_bytes, buffer=body_buf
-                    )
+                    # the connection could add to a lingering tick only while
+                    # it reads; once the read returns, nothing may await
+                    # before _reduce's submit_many (_dispatch -> _reduce ->
+                    # the codec's parse are synchronous up to it), or the
+                    # wake from leaving the intake fires the tick the
+                    # request was about to join
+                    with self.batcher.reading():
+                        request = await read_request(
+                            reader, max_body=self.max_body_bytes, buffer=body_buf
+                        )
                 except HttpError as exc:
                     writer.write(
                         json_response(

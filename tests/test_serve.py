@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import contextlib
 import json
 import os
 import signal
@@ -42,6 +43,7 @@ from repro.serve.frames import (
 from repro.serve.protocol import (
     HttpError,
     HttpRequest,
+    HttpResponse,
     KeepAliveClient,
     decode_values,
     encode_values,
@@ -362,6 +364,16 @@ class TestKeepAliveClient:
 # ---------------------------------------------------------------------------
 
 
+def _flush_reasons(reg) -> "dict[str, float]":
+    """``repro_serve_tick_flush_total`` per reason."""
+    return {
+        sample["labels"]["reason"]: sample["value"]
+        for sample in reg.snapshot()["counters"].get(
+            "repro_serve_tick_flush_total", []
+        )
+    }
+
+
 class TestMicroBatcher:
     def test_validates_knobs(self):
         fn = lambda items, t: items  # noqa: E731
@@ -526,10 +538,13 @@ class TestMicroBatcher:
         async def run():
             b = MicroBatcher(reduce_fn, max_batch=4, max_linger_s=0.05)
             b.start()
-            doomed = b.submit("x", deadline_s=0.001)
-            await asyncio.sleep(0.0)
-            with pytest.raises(DeadlineExceeded):
-                await doomed
+            # an open intake could still add to the tick, so it lingers
+            # past the deadline
+            with b.reading():
+                doomed = b.submit("x", deadline_s=0.001)
+                await asyncio.sleep(0.0)
+                with pytest.raises(DeadlineExceeded):
+                    await doomed
             # the batcher stays healthy for the next request
             ok = await b.submit("y")
             await b.drain()
@@ -552,6 +567,40 @@ class TestMicroBatcher:
 
         outcomes = asyncio.run(run())
         assert all(isinstance(o, RuntimeError) for o in outcomes)
+
+    def test_every_tick_counts_one_flush_reason(self, global_obs):
+        def reduce_fn(items, threshold):
+            return items
+
+        async def run():
+            b = MicroBatcher(reduce_fn, max_batch=2, max_linger_s=0.01)
+            b.start()
+            # full, then the leftover fires at once: nobody reads for it
+            await asyncio.gather(*[b.submit(i) for i in range(3)])
+            with b.reading():  # a reader keeps the tick open until expiry
+                await b.submit("lone")
+                held = b.submit("held")
+                await b.drain()  # closing flushes it
+            assert await held == "held"
+            return b
+
+        b = asyncio.run(run())
+        assert _flush_reasons(global_obs) == {
+            "full": 1, "no_sender": 1, "expired": 1, "drain": 1
+        }
+        assert b.batches_processed == 4 == _counter_sum(
+            global_obs, "repro_serve_batches_total"
+        )
+
+    def test_no_intake_never_lingers(self):
+        async def run():
+            b = MicroBatcher(lambda items, t: items, max_linger_s=30.0)
+            b.start()
+            out = await asyncio.wait_for(b.submit("x"), 2.0)
+            await b.drain()
+            return out
+
+        assert asyncio.run(run()) == "x"
 
     def test_metrics_reconcile(self, global_obs):
         def reduce_fn(items, threshold):
@@ -604,6 +653,21 @@ def _run_daemon(coro_fn, **daemon_kw):
             return await coro_fn(daemon)
 
     return asyncio.run(main())
+
+
+async def _until(cond, timeout: float = 5.0) -> None:
+    """Poll ``cond()`` every millisecond; fail after ``timeout`` seconds."""
+
+    async def poll() -> None:
+        while not cond():
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
+def _detached(resp: HttpResponse) -> HttpResponse:
+    """A :class:`KeepAliveClient` response that outlives its client."""
+    return HttpResponse(resp.status, resp.headers, bytes(resp.body))
 
 
 class TestDaemonEndpoints:
@@ -876,16 +940,20 @@ class TestDaemonEndpoints:
         ).encode()
 
         async def go(d):
-            # the first request lingers in the queue and fills it
-            first = asyncio.ensure_future(
-                http_request(d.host, d.port, "POST", "/v1/reduce_many", two)
-            )
-            while d.batcher.depth < 2:
-                await asyncio.sleep(0.001)
-            second = await http_request(
-                d.host, d.port, "POST", "/v1/reduce", _payload(values)
-            )
-            return await first, second
+            # the second client is connected (and so could still add to the
+            # tick) before the first request, which therefore lingers in the
+            # queue and fills it
+            async with KeepAliveClient(d.host, d.port) as other:
+                await _until(lambda: d.batcher.intakes >= 1)
+                first = asyncio.ensure_future(
+                    http_request(d.host, d.port, "POST", "/v1/reduce_many", two)
+                )
+                while d.batcher.depth < 2:
+                    await asyncio.sleep(0.001)
+                second = _detached(
+                    await other.request("POST", "/v1/reduce", _payload(values))
+                )
+                return await first, second
 
         first, second = self._run(
             go, queue_size=2, max_batch=64, max_linger_us=1_000_000.0
@@ -938,9 +1006,13 @@ class TestDaemonEndpoints:
         body = _payload(values, deadline_ms=0.01)
 
         async def go(d):
-            return await http_request(
-                d.host, d.port, "POST", "/v1/reduce", body
-            )
+            # a second connected client could still add to the tick, so the
+            # request lingers
+            async with KeepAliveClient(d.host, d.port):
+                await _until(lambda: d.batcher.intakes >= 1)
+                return await http_request(
+                    d.host, d.port, "POST", "/v1/reduce", body
+                )
 
         resp = self._run(go, max_batch=64, max_linger_us=100_000.0)
         assert resp.status == 504
@@ -1000,6 +1072,134 @@ class TestDaemonEndpoints:
 
         hexes = self._run(go)
         assert len(set(hexes)) == 1 == len(set(hexes) & {_serial_hex(values)})
+
+
+class TestTickFiring:
+    """A tick lingers only while a connection could still add to it: one
+    reading its next request.  The linger bound is 30 s here, so every
+    answer that comes back within the test's 2 s wait fired early."""
+
+    LINGER = dict(max_batch=64, max_linger_us=30_000_000.0)
+
+    def test_lone_keep_alive_request_fires_at_once(self, rng, global_obs):
+        values = rng.normal(size=256)
+
+        async def go(d):
+            async with KeepAliveClient(d.host, d.port) as client:
+                r = await asyncio.wait_for(
+                    client.request("POST", "/v1/reduce", _payload(values)), 2.0
+                )
+                return _detached(r)
+
+        resp = _run_daemon(go, **self.LINGER)
+        assert resp.status == 200
+        assert resp.json()["value_hex"] == _serial_hex(values)
+        assert _flush_reasons(global_obs) == {"no_sender": 1}
+
+    @staticmethod
+    async def _lingering(d, client, body) -> asyncio.Task:
+        """Send ``body`` on ``client``; return once its tick is lingering."""
+        task = asyncio.ensure_future(client.request("POST", "/v1/reduce", body))
+        await _until(lambda: d.batcher.depth >= 1)
+        await asyncio.sleep(0.05)
+        assert not task.done() and d.batcher.batches_processed == 0
+        return task
+
+    def test_idle_connection_holds_the_tick_until_it_sends(self, rng, global_obs):
+        a_values, b_values = rng.normal(size=256), rng.normal(size=320)
+
+        async def go(d):
+            async with KeepAliveClient(d.host, d.port) as a, KeepAliveClient(
+                d.host, d.port
+            ) as b:
+                await _until(lambda: d.batcher.intakes >= 2)
+                first = await self._lingering(d, a, _payload(a_values))
+                second = _detached(
+                    await asyncio.wait_for(
+                        b.request("POST", "/v1/reduce", _payload(b_values)), 2.0
+                    )
+                )
+                return _detached(await asyncio.wait_for(first, 2.0)), second
+
+        first, second = _run_daemon(go, **self.LINGER)
+        assert [first.status, second.status] == [200, 200]
+        assert first.json()["value_hex"] == _serial_hex(a_values)
+        assert second.json()["value_hex"] == _serial_hex(b_values)
+        hist = global_obs.snapshot()["histograms"]["repro_serve_batch_items"][0]
+        assert (hist["count"], hist["sum"]) == (1, 2)  # one tick of 2 items
+        assert _flush_reasons(global_obs) == {"no_sender": 1}
+
+    @pytest.mark.parametrize("idle_sends", ["close", "healthz"])
+    def test_idle_connection_leaving_ends_the_linger(
+        self, rng, global_obs, idle_sends
+    ):
+        values = rng.normal(size=256)
+
+        async def go(d):
+            async with KeepAliveClient(d.host, d.port) as a, KeepAliveClient(
+                d.host, d.port
+            ) as idle:
+                await _until(lambda: d.batcher.intakes >= 2)
+                first = await self._lingering(d, a, _payload(values))
+                if idle_sends == "close":
+                    await idle.close()
+                else:
+                    health = await idle.request("GET", "/healthz")
+                    assert health.status == 200
+                return _detached(await asyncio.wait_for(first, 2.0))
+
+        resp = _run_daemon(go, **self.LINGER)
+        assert resp.status == 200
+        assert resp.json()["value_hex"] == _serial_hex(values)
+        assert _flush_reasons(global_obs) == {"no_sender": 1}
+
+    def test_nothing_awaits_between_read_and_submit(self, rng):
+        """Once a request is read, its connection submits it before the
+        event loop runs anything else, on both codecs and both reduce
+        routes: a callback scheduled as the read returns has not run by
+        the submit."""
+        values = rng.normal(size=96)
+        rows = np.stack([values, values[::-1]])
+        json_many = json.dumps(
+            {"items": [{"values": r.tolist()} for r in rows]}
+        ).encode()
+        requests = [
+            ("/v1/reduce", _payload(values), "application/json"),
+            ("/v1/reduce_many", json_many, "application/json"),
+            ("/v1/reduce", _frame(values), FRAME_CONTENT_TYPE),
+            ("/v1/reduce_many", _frame(rows), FRAME_CONTENT_TYPE),
+        ]
+
+        async def go(d):
+            loop = asyncio.get_running_loop()
+            batcher = d.batcher
+            reading, submit_many = batcher.reading, batcher.submit_many
+            reads: "list[list[bool]]" = []  # per read: has the loop run since?
+            loop_ran: "list[bool]" = []
+
+            @contextlib.contextmanager
+            def traced_reading():
+                with reading():
+                    yield
+                read = [False]
+                reads.append(read)
+                loop.call_soon(read.__setitem__, 0, True)
+
+            def traced_submit_many(items, **kwargs):
+                loop_ran.append(reads[-1][0])
+                return submit_many(items, **kwargs)
+
+            batcher.reading = traced_reading
+            batcher.submit_many = traced_submit_many
+            async with KeepAliveClient(d.host, d.port) as client:
+                for path, body, content_type in requests:
+                    r = await client.request(
+                        "POST", path, body, content_type=content_type
+                    )
+                    assert r.status == 200
+            return loop_ran
+
+        assert _run_daemon(go) == [False] * 4
 
 
 def _frame(arr: np.ndarray, **header) -> bytes:
@@ -1385,6 +1585,8 @@ class TestConcurrentServing:
         assert hist["count"] == _counter_sum(
             global_obs, "repro_serve_batches_total"
         )
+        # every tick fired for exactly one reason
+        assert sum(_flush_reasons(global_obs).values()) == hist["count"]
         assert _counter_sum(global_obs, "repro_serve_rejected_total") == 0
         assert (
             _counter_sum(global_obs, "repro_serve_deadline_misses_total") == 0
