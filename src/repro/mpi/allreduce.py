@@ -46,22 +46,7 @@ def _locals(chunks: Sequence[np.ndarray], op: ReductionOp) -> list[Accumulator]:
 def _contextualize(op: ReductionOp, chunks: Sequence[np.ndarray]) -> ReductionOp:
     if not op.algorithm.needs_context or op.context is not None:
         return op
-    max_abs = 0.0
-    total = 0
-    for c in chunks:
-        c = np.asarray(c, dtype=np.float64)
-        if c.size:
-            max_abs = max(max_abs, float(np.max(np.abs(c))))
-        total += c.size
-    return op.with_context_for(max_abs, total)
-
-
-def _clone(acc: Accumulator) -> Accumulator:
-    if hasattr(acc, "copy"):
-        return acc.copy()  # type: ignore[attr-defined]
-    import copy
-
-    return copy.deepcopy(acc)
+    return ReductionOp(op.algorithm, SumContext.for_chunks(chunks))
 
 
 def allreduce_recursive_doubling(
@@ -85,7 +70,7 @@ def allreduce_recursive_doubling(
             accs[partner].merge(accs[r])
     stride = 1
     while stride < core:
-        snapshot = [_clone(a) for a in accs[:core]]
+        snapshot = [a.copy() for a in accs[:core]]
         for r in range(core):
             partner = r ^ stride
             if partner < core:
@@ -126,7 +111,7 @@ def allreduce_ring(
     seg_totals: list[Accumulator] = []
     for j in range(segments):
         start = (j + 1) % p
-        acc = _clone(seg_accs[start][j])
+        acc = seg_accs[start][j].copy()
         for step in range(1, p):
             r = (start + step) % p
             acc.merge(seg_accs[r][j])

@@ -45,20 +45,6 @@ def _local_values(
     return accs
 
 
-def _context_for(chunks: Sequence[np.ndarray], code: str) -> Optional[SumContext]:
-    alg = get_algorithm(code)
-    if not alg.needs_context:
-        return None
-    max_abs = 0.0
-    total = 0
-    for c in chunks:
-        c = np.asarray(c, dtype=np.float64)
-        if c.size:
-            max_abs = max(max_abs, float(np.max(np.abs(c))))
-        total += c.size
-    return SumContext(max_abs=max_abs, n_hint=total)
-
-
 def scan(
     chunks: Sequence[np.ndarray],
     code: str = "PR",
@@ -72,8 +58,8 @@ def scan(
     """
     if not chunks:
         raise ValueError("need at least one rank")
-    context = _context_for(chunks, code)
     alg = get_algorithm(code)
+    context = SumContext.for_chunks(chunks) if alg.needs_context else None
 
     if schedule == "sequential":
         accs = _local_values(chunks, code, context)
@@ -97,7 +83,7 @@ def scan(
             new_accs = []
             for r in range(p):
                 if r >= stride:
-                    left = _clone_accumulator(accs[r - stride], alg, context)
+                    left = accs[r - stride].copy()
                     left.merge(accs[r])
                     new_accs.append(left)
                 else:
@@ -120,12 +106,3 @@ def exscan(
         raise ValueError("need at least one rank")
     inclusive = scan(chunks[:-1], code, schedule=schedule) if len(chunks) > 1 else np.array([])
     return np.concatenate(([0.0], inclusive))
-
-
-def _clone_accumulator(acc, alg, context):
-    """Deep-copy an accumulator through the cheapest faithful route."""
-    if hasattr(acc, "copy"):
-        return acc.copy()
-    import copy
-
-    return copy.deepcopy(acc)

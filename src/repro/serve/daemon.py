@@ -169,21 +169,20 @@ class ReproServeDaemon:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def stop(self, *, release_pool: bool = True) -> None:
+    async def stop(self) -> None:
         """Stop intake, drain accepted requests, release shared resources.
 
         Idempotent — the SIGTERM path and the async-context exit may both
-        get here.  ``release_pool`` runs :func:`repro.util.pool.shutdown_pool`
-        (itself idempotent), unlinking the dispatch arenas' shared-memory
-        segments so a signalled daemon leaves nothing in ``/dev/shm``.
+        get here.  Ends with :func:`repro.util.pool.shutdown_pool` (itself
+        idempotent), unlinking the dispatch arenas' shared-memory segments
+        so a signalled daemon leaves nothing in ``/dev/shm``.
         """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.batcher.drain()
-        if release_pool:
-            shutdown_pool()
+        shutdown_pool()
 
     async def __aenter__(self) -> "ReproServeDaemon":
         await self.start()

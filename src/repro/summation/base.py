@@ -25,6 +25,7 @@ order, as for prerounded summation).
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -53,6 +54,18 @@ class SumContext:
         max_abs = float(np.max(np.abs(x))) if x.size else 0.0
         return SumContext(max_abs=max_abs, n_hint=int(x.size))
 
+    @staticmethod
+    def for_chunks(chunks: Sequence[np.ndarray]) -> "SumContext":
+        """The context of data spread over ``chunks`` (one per rank): the
+        largest of their :meth:`for_data` maxima, as a max-allreduce
+        yields it, and their total size."""
+        max_abs, n = 0.0, 0
+        for c in chunks:
+            part = SumContext.for_data(c)
+            max_abs = max(max_abs, part.max_abs)
+            n += part.n_hint
+        return SumContext(max_abs=max_abs, n_hint=n)
+
 
 class Accumulator(abc.ABC):
     """Stateful partial-sum object: the per-node state of a reduction tree."""
@@ -74,6 +87,11 @@ class Accumulator(abc.ABC):
     @abc.abstractmethod
     def result(self) -> float:
         """Round the accumulated state down to a single double (tree root)."""
+
+    def copy(self) -> "Accumulator":
+        """An independent copy of this partial reduction; algorithms with
+        flat state override the deep copy."""
+        return copy.deepcopy(self)
 
 
 class VectorOps(abc.ABC):

@@ -40,9 +40,9 @@ sum's operands read in place through a tick block's pointer table, its max
 as its pre-pass.  The compiled ``pr_fold`` kernel of the one
 :mod:`repro.trees._ckernels` build then takes every operand through all
 ``K`` folds in one pass and sums the coefficients exactly; without a
-compiler (or under ``REPRO_NO_CKERNELS``) the NumPy reference
-:func:`_fold_rows` sweeps a whole block of rows once per fold.  Both yield
-the same exact integer fold sums.
+compiler (or under ``REPRO_NO_CKERNELS``) each item's row goes through
+:meth:`PreroundedAccumulator.add_array`, the one NumPy extraction.  Both
+yield the same exact integer fold sums.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ __all__ = [
     "AutoPreroundedAccumulator",
     "PreroundedSum",
 ]
-
-#: Elements per scratch buffer of :func:`_fold_rows`; the fixed budget
-#: keeps the working set cache-sized and peak memory flat in the batch size.
-_SCRATCH = 1 << 16
 
 
 def _int64_span(fold_width: int) -> int:
@@ -123,143 +119,30 @@ def _fold_items(
     The compiled ``pr_fold`` kernel (:func:`repro.trees._ckernels.pr_fold`)
     folds the whole block in one call: per item one max pass, then one pass
     that extracts every fold coefficient of each operand.  Without it
-    (``REPRO_NO_CKERNELS``, no compiler) the NumPy reference
-    :func:`_fold_rows` folds the items' rows.  The fold sums are exact
-    integers, so how a row's operands are split into chunks, lanes, pieces
-    or blocks cannot change them: both routes yield the same sums, every
-    reduction tree over the chunks does, and each equals what
-    :meth:`PreroundedAccumulator.add_array` deposits for the same bin.
+    (``REPRO_NO_CKERNELS``, no compiler) each item, in item order, is
+    checked for a non-finite operand, binned, and fed to a
+    :class:`PreroundedAccumulator` through
+    :meth:`~PreroundedAccumulator.add_array`, so both routes raise the
+    first faulty item's error.  The fold sums are exact integers, so how a
+    row's operands are split into chunks, lanes or pieces cannot change
+    them: both routes yield the same sums, and every reduction tree over
+    the chunks does.
     """
     _check_params(folds, fold_width)
     if _ckernels.has_kernel(None, "pr_fold"):
         return list(zip(*_ckernels.pr_fold(block, folds, fold_width, bin_exponent)))
-    return _fold_rows(block.rows, folds, fold_width, bin_exponent)
-
-
-def _fold_rows(
-    rows: Sequence[np.ndarray],
-    folds: int,
-    fold_width: int,
-    bin_exponent: Optional[int] = None,
-) -> list[tuple[int, list[int]]]:
-    """The NumPy reference of :func:`_fold_items` over 1-D float64 rows.
-
-    Rows of at most one span (``_SCRATCH`` values, fewer at wide fold
-    widths: :func:`_int64_span`) are folded together in zero-padded blocks
-    of at most ``_SCRATCH`` elements, shortest first so rows of a block
-    have similar widths; longer rows stream through one-row blocks of
-    span-value pieces, so no int64 fold sum can overflow.  Each block's
-    folds come out of one vectorised sweep per fold (:func:`_fold_block`).
-    """
-    span = min(_SCRATCH, _int64_span(fold_width))
-    sizes = [row.size for row in rows]
-    exps = [0 if bin_exponent is None else bin_exponent] * len(rows)
-    sums = [[0] * folds for _ in rows]
-    scratch = np.empty((3, min(_SCRATCH, len(rows) * max(sizes, default=0))))
-
-    short = sorted(
-        (i for i, n in enumerate(sizes) if 0 < n <= span), key=sizes.__getitem__
-    )
-    start = 0
-    while start < len(short):
-        stop = start + 1
-        while stop < len(short) and (stop + 1 - start) * sizes[short[stop]] <= _SCRATCH:
-            stop += 1
-        group = short[start:stop]
-        block_exps, block_sums = _fold_block(
-            [rows[i] for i in group], sizes[group[-1]], scratch, folds, fold_width,
-            bin_exponent,
-        )
-        for i, e, row_sums in zip(group, block_exps.tolist(), block_sums.T.tolist()):
-            exps[i] = e
-            sums[i] = row_sums
-        start = stop
-
-    for i in (i for i, n in enumerate(sizes) if n > span):
-        pieces = [rows[i][a : a + span] for a in range(0, sizes[i], span)]
-        if bin_exponent is None:
-            m = max(float(_row_max([p], p.size, scratch)[0]) for p in pieces)
-            exps[i] = exponent(m) if m > 0.0 else 0
-        for piece in pieces:
-            _, block_sums = _fold_block(
-                [piece], piece.size, scratch, folds, fold_width, exps[i]
-            )
-            for j in range(folds):
-                sums[i][j] += int(block_sums[j, 0])
-    return list(zip(exps, sums))
-
-
-def _row_max(srcs: Sequence[np.ndarray], width: int, scratch: np.ndarray) -> np.ndarray:
-    """Largest magnitude of every source row; raises on a non-finite operand."""
-    mags = scratch[1, : len(srcs) * width].reshape(len(srcs), width)
-    for mag, src in zip(mags, srcs):
-        np.abs(src, out=mag[: src.size])
-        mag[src.size :] = 0.0
-    m = mags.max(axis=1)
-    if not np.isfinite(m).all():
-        raise ValueError("cannot accumulate non-finite values")
-    return m
-
-
-def _fold_block(
-    srcs: Sequence[np.ndarray],
-    width: int,
-    scratch: np.ndarray,
-    folds: int,
-    fold_width: int,
-    bin_exponent: Optional[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bin exponent and fold sums of a block of source rows.
-
-    ``srcs`` are 1-D float64 rows of at most ``width`` values, zero-padded
-    to ``width`` in the block.  Returns ``(exps, sums)`` with ``sums[j, r]``
-    the int64 sum of row ``r``'s fold-``j`` coefficients.  Each fold is one
-    sweep over the whole block: ``q = rint(r * 2**-g)`` and ``r -= q * 2**g``
-    with ``g`` the row's fold grid, exactly
-    :meth:`PreroundedAccumulator.add`'s decomposition.  The first fold reads
-    the sources in place and writes its residual into ``scratch[0]``, so
-    the sources are never written and never copied; ``scratch`` is
-    overwritten.
-    """
-    rows = len(srcs)
-    m = _row_max(srcs, width, scratch)
-    if bin_exponent is None:
-        exps = np.where(m > 0.0, np.frexp(m)[1] - 1, 0)
-    else:
-        _check_capacity(float(m.max()), bin_exponent)
-        exps = np.full(rows, bin_exponent)
-    # fold grids g[j, r] = exps[r] - (j+1)*fold_width, shaped to broadcast
-    # over each row's columns; g <= 1023 - fold_width always holds
-    g = exps[:, None] - fold_width * np.arange(1, folds + 1).reshape(folds, 1, 1)
-    if g.min() < -_MAX_POW2:
-        # some row's 2**-g is not a double (a bin near the subnormal floor):
-        # the whole block scales by exponents instead, as exactly
-        scale, down, up = np.ldexp, (-g).astype(np.int32), g.astype(np.int32)
-    else:
-        # a product with a power of two is one correctly rounded operation,
-        # the same rounding ldexp does, and a multiply is cheaper
-        scale, down, up = np.multiply, np.ldexp(1.0, -g), np.ldexp(1.0, g)
-    at_top = exps == _MAX_POW2
-    r = scratch[0, : rows * width].reshape(rows, width)
-    y = scratch[1, : rows * width].reshape(rows, width)
-    q = scratch[2, : rows * width].view(np.int64).reshape(rows, width)
-    sums = np.empty((folds, rows), dtype=np.int64)
-    for j in range(folds):
-        if j == 0:
-            for k, src in enumerate(srcs):
-                scale(src, down[0, k], out=y[k, : src.size])
-                y[k, src.size :] = 0.0
-        else:
-            scale(r, down[j], out=y)
-        np.rint(y, out=y)
-        np.copyto(q, y, casting="unsafe")  # exact: |q| <= 2**(fold_width + 1)
-        np.add.reduce(q, axis=1, out=sums[j])
-        if j + 1 < folds:  # the last residual is the pre-rounding: dropped
-            if j == 0:
-                _subtract_fold(r, y, up[0], scale, at_top, srcs)
-            else:
-                _subtract_fold(r, y, up[j], scale, None)
-    return exps, sums
+    out = []
+    for row in block.rows:
+        if not np.isfinite(row).all():
+            raise ValueError("cannot accumulate non-finite values")
+        e = bin_exponent
+        if e is None:
+            m = float(np.abs(row).max(initial=0.0))
+            e = exponent(m) if m > 0.0 else 0
+        acc = PreroundedAccumulator(e, folds, fold_width)
+        acc.add_array(row)
+        out.append((acc.E, acc._folds))
+    return out
 
 
 def _check_params(folds: int, fold_width: int) -> None:
@@ -278,39 +161,23 @@ def _check_capacity(largest: float, bin_exponent: int) -> None:
 
 
 def _subtract_fold(
-    r: np.ndarray,
-    q: np.ndarray,
-    up,
-    scale,
-    top: Optional[np.ndarray],
-    srcs: Optional[Sequence[np.ndarray]] = None,
+    r: np.ndarray, q: np.ndarray, up, scale, top: Optional[np.ndarray]
 ) -> None:
-    """``r -= q * 2**g`` row by row, exactly; with ``srcs``, ``r = src -
-    q * 2**g`` instead (the first fold's residual of rows read in place,
-    zero past each source's end).
+    """``r -= q * 2**g`` row by row, exactly.
 
     ``q`` holds one fold's coefficients as doubles and is overwritten;
-    ``scale(q, up)`` forms ``q * 2**g`` (``np.ldexp`` with exponents or
-    ``np.multiply`` with powers of two).  ``top`` masks the rows binned at
-    exponent 1023, where fold 0's ``q * 2**g`` may round up to 2**1024,
-    which is not a double: there it is subtracted as two halves, each exact
-    at this grid.
+    ``scale(q, up)`` forms ``q * 2**g`` (``np.ldexp`` with exponents).
+    ``top`` masks the rows binned at exponent 1023, where fold 0's
+    ``q * 2**g`` may round up to 2**1024, which is not a double: there it
+    is subtracted as two halves, each exact at this grid.
     """
     split = top is not None and bool(top.any())
     if split:
         q[top] *= 0.5
     scale(q, up, out=q)
-    if srcs is None:
-        if split:
-            r[top] -= q[top]
-        r -= q
-        return
-    for k, src in enumerate(srcs):
-        n = src.size
-        np.subtract(src, q[k, :n], out=r[k, :n])
-        if split and top[k]:
-            r[k, :n] -= q[k, :n]
-        r[k, n:] = 0.0
+    if split:
+        r[top] -= q[top]
+    r -= q
 
 
 class PreroundedAccumulator(Accumulator):

@@ -18,7 +18,6 @@ from repro.trees.schedule import (
     CompiledSchedule,
     clear_schedule_cache,
     compile_tree,
-    ensemble_via_schedule,
     schedule_cache_info,
     structural_key,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "catalan",
     "clear_schedule_cache",
     "compile_tree",
-    "ensemble_via_schedule",
     "enumerate_shapes",
     "evaluate_balanced_vectorized",
     "evaluate_ensemble",

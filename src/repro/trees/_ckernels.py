@@ -701,7 +701,7 @@ int sketch_rows(const double *const *restrict rows,
  *     y = r * 2**-g_f;  q = rint(y);  sums[f] += q;  r = r - q * 2**g_f
  *
  * with g_f = E - (f+1)*W and r = x at f = 0, the last residual dropped —
- * the op sequence of the NumPy _fold_block, so every q is the same.
+ * the op sequence of the NumPy add_array, so every q is the same.
  *
  * rint(y) is (y + 1.5*2**52) - 1.5*2**52: for |y| < 2**51 the sum lies in
  * [2**52, 2**53), where the spacing is 1, so the add rounds y to the
@@ -1204,13 +1204,13 @@ def pr_fold(block, folds: int, fold_width: int, bin_exponent: Optional[int]):
 
     Returns ``(exps, sums)``: item ``i`` is binned at ``exps[i]`` and
     ``sums[i][j]`` is the exact integer sum of its fold-``j`` coefficients
-    -- bitwise what the NumPy ``_fold_items`` of
-    :mod:`repro.summation.prerounded` yields (see the ``pr_fold_rows`` C
-    comment).  Each item's chunks are read in place through the block's
-    pointer table.  ``bin_exponent=None`` bins every item at its own largest
-    magnitude; otherwise all share it.  Raises ``ValueError`` on a non-finite
-    operand or one beyond the shared bin; requires
-    ``has_kernel(None, "pr_fold")``.
+    -- bitwise what the NumPy ``PreroundedAccumulator.add_array`` of
+    :mod:`repro.summation.prerounded` deposits per item (see the
+    ``pr_fold_rows`` C comment).  Each item's chunks are read in place
+    through the block's pointer table.  ``bin_exponent=None`` bins every
+    item at its own largest magnitude; otherwise all share it.  Raises
+    ``ValueError`` on a non-finite operand or one beyond the shared bin, for
+    the first faulty item; requires ``has_kernel(None, "pr_fold")``.
     """
     lib = _get_lib()
     assert lib is not None, "compiled kernels not available"

@@ -53,7 +53,6 @@ __all__ = [
     "compile_tree",
     "clear_schedule_cache",
     "schedule_cache_info",
-    "ensemble_via_schedule",
 ]
 
 #: maximum number of compiled structures kept in the LRU cache
@@ -110,8 +109,10 @@ class CompiledSchedule:
 
         ``permuted`` has shape ``(n_trees, n_leaves)``: row ``p`` is the data
         in ensemble member ``p``'s leaf order (a 1-D array is treated as a
-        single-tree ensemble).  States live in ``(n_trees, n_nodes)``
-        component buffers; each level is one batched ``merge_at``.  Returns
+        single-tree ensemble).  The leaves are lifted with ``vops.init`` and
+        reduced by :meth:`reduce_states`: states live in ``(n_trees,
+        n_nodes)`` component buffers; each level is one batched
+        ``merge_at``.  Returns
         the ``(n_trees,)`` root values, each bitwise equal to the generic
         node-walk of the same tree on the same row.
         """
@@ -120,25 +121,15 @@ class CompiledSchedule:
             permuted = permuted[np.newaxis, :]
         if permuted.ndim != 2:
             raise ValueError("expected a (n_trees, n_leaves) matrix")
-        n_trees, n = permuted.shape
+        n = permuted.shape[1]
         if n != self.n_leaves:
             raise ValueError(
                 f"{n} operands per row for a {self.n_leaves}-leaf schedule"
             )
-        leaf_state = vops.init(permuted)
-        if n == 1:
-            root = tuple(c[:, 0] for c in leaf_state)
-            return np.asarray(vops.result(root), dtype=np.float64)
-        buffers = tuple(
-            np.zeros((n_trees, self.n_nodes), dtype=np.float64)
-            for _ in range(len(leaf_state))
+        return np.asarray(
+            vops.result(self.reduce_states(vops.init(permuted), vops)),
+            dtype=np.float64,
         )
-        for buf, comp in zip(buffers, leaf_state):
-            buf[:, :n] = comp
-        for left, right, out in self.levels:
-            vops.merge_at(buffers, left, right, out)
-        root = tuple(buf[:, self.root_slot] for buf in buffers)
-        return np.asarray(vops.result(root), dtype=np.float64)
 
     def reduce_states(
         self, states: Tuple[np.ndarray, ...], vops: VectorOps
@@ -276,10 +267,3 @@ def schedule_cache_info() -> dict:
             "hits": _cache_hits,
             "misses": _cache_misses,
         }
-
-
-def ensemble_via_schedule(
-    tree: ReductionTree, permuted: np.ndarray, vops: VectorOps
-) -> np.ndarray:
-    """Evaluate a whole permuted-leaf ensemble of ``tree`` in one level sweep."""
-    return compile_tree(tree).execute(permuted, vops)

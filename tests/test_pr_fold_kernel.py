@@ -1,13 +1,16 @@
 """PR's compiled fold against its NumPy reference.
 
 ``_ckernels.pr_fold`` must return the same bin exponents and the same
-exact integer fold sums as the NumPy ``_fold_rows`` (``_fold_block``
-sweeps) on every input the batched PR path accepts, and raise the same
-``ValueError``s on the inputs it refuses.  Kernel cases skip when the
-compiled kernels are unavailable (no compiler, ``REPRO_NO_CKERNELS``).
+exact integer fold sums as the no-kernel route of ``_fold_items``
+(``PreroundedAccumulator.add_array`` per item) on every input the batched
+PR path accepts, and raise the same ``ValueError``s on the inputs it
+refuses.  Kernel cases skip when the compiled kernels are unavailable (no
+compiler, ``REPRO_NO_CKERNELS``).
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from repro.obs import get_registry
 from repro.summation.prerounded import (
     PreroundedAccumulator,
     PreroundedSum,
-    _fold_rows,
+    _fold_items,
     _int64_span,
 )
 from repro.trees import _ckernels
@@ -29,12 +32,24 @@ needs_kernels = pytest.mark.skipif(
 
 TOP = np.finfo(np.float64).max
 
+_has_kernel = _ckernels.has_kernel
+
+
+def _numpy_fold(block, folds, width, bin_exponent=None):
+    """The no-kernel route of ``_fold_items``: ``has_kernel`` with only
+    PR's compiled fold switched off."""
+    def has_kernel(vops, family="sweep"):
+        return family != "pr_fold" and _has_kernel(vops, family)
+
+    with mock.patch.object(_ckernels, "has_kernel", has_kernel):
+        return _fold_items(block, folds, width, bin_exponent)
+
 
 def _parity(items, folds, width, bin_exponent=None):
     """Assert kernel == NumPy reference on a stream of chunk lists."""
     block = TickBlock.of(items)
     exps, sums = _ckernels.pr_fold(block, folds, width, bin_exponent)
-    ref = _fold_rows(block.rows, folds, width, bin_exponent)
+    ref = _numpy_fold(block, folds, width, bin_exponent)
     assert list(zip(exps, sums)) == ref
     return ref
 
@@ -139,7 +154,7 @@ class TestParity:
 class TestRefusals:
     def test_operand_beyond_the_shared_bin(self):
         items = [[np.ones(9)], [np.array([0.5, 3.0])]]
-        for fold in (_ckernels.pr_fold, lambda b, *a: _fold_rows(b.rows, *a)):
+        for fold in (_ckernels.pr_fold, _numpy_fold):
             with pytest.raises(ValueError, match="bin capacity"):
                 fold(TickBlock.of(items), 3, 40, 0)
 
@@ -151,9 +166,21 @@ class TestRefusals:
         y = np.arange(5.0)
         y[4] = bad  # in a chunk's tail
         for items in ([[x]], [[np.ones(3)], [y]]):
-            for fold in (_ckernels.pr_fold, lambda b, *a: _fold_rows(b.rows, *a)):
+            for fold in (_ckernels.pr_fold, _numpy_fold):
                 with pytest.raises(ValueError, match="non-finite"):
                     fold(TickBlock.of(items), 3, 40, bin_exponent)
+
+
+def test_mixed_faults_raise_the_same_error_on_both_routes():
+    """Both routes check items in item order: an operand beyond the shared
+    bin in the first item wins over a non-finite one in the second."""
+    items = [[np.full(100, 3.0)], [np.array([0.5, np.nan])]]
+    folds = [_numpy_fold]
+    if _ckernels.kernels_available():
+        folds.append(_ckernels.pr_fold)
+    for fold in folds:
+        with pytest.raises(ValueError, match="bin capacity"):
+            fold(TickBlock.of(items), 3, 40, 0)
 
 
 @pytest.mark.parametrize("folds, width", [(0, 40), (3, 1), (3, 51)])

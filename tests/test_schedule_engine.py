@@ -22,7 +22,6 @@ from repro.trees import (
     balanced_ensemble_vops,
     clear_schedule_cache,
     compile_tree,
-    ensemble_via_schedule,
     evaluate_balanced_vectorized,
     evaluate_ensemble,
     evaluate_tree,
@@ -123,7 +122,7 @@ class TestEngineBitwise:
         x = _mixed_magnitudes(n, seed=5)
         tree = random_shape(n, seed=11)
         perms = list(permutation_stream(n, n_trees, 99))
-        batch = ensemble_via_schedule(tree, x[np.array(perms)], alg.vector_ops)
+        batch = compile_tree(tree).execute(x[np.array(perms)], alg.vector_ops)
         for row, p in zip(batch, perms):
             assert row == evaluate_tree_generic(tree, x[p], alg)
 

@@ -1635,6 +1635,7 @@ class TestSigterm:
             port = int(banner.rsplit(":", 1)[1].split()[0].split("(")[0])
         except (IndexError, ValueError):
             proc.kill()
+            proc.communicate()
             raise AssertionError(f"no listen banner, got {banner!r}") from None
         return proc, port
 
@@ -1645,26 +1646,28 @@ class TestSigterm:
         rng = np.random.default_rng(5)
         before = set(os.listdir("/dev/shm"))
         proc, port = self._spawn()
-        try:
-            items = [
-                {"values_b64": encode_values(rng.normal(size=2048))}
-                for _ in range(8)
-            ]
-            status, body = _post(port, "/v1/reduce_many", {"items": items})
-            assert status == 200
-            assert len(body["results"]) == 8
-            during = {
-                n for n in set(os.listdir("/dev/shm")) - before
-                if n.startswith("psm_")
-            }
-            assert during, "worker-pool arenas never materialised"
-            proc.send_signal(signal.SIGTERM)
-            rc = proc.wait(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
-        tail = proc.stdout.read()
+        # leaving the Popen context closes the stdout pipe on every path
+        with proc:
+            try:
+                items = [
+                    {"values_b64": encode_values(rng.normal(size=2048))}
+                    for _ in range(8)
+                ]
+                status, body = _post(port, "/v1/reduce_many", {"items": items})
+                assert status == 200
+                assert len(body["results"]) == 8
+                during = {
+                    n for n in set(os.listdir("/dev/shm")) - before
+                    if n.startswith("psm_")
+                }
+                assert during, "worker-pool arenas never materialised"
+                proc.send_signal(signal.SIGTERM)
+                tail, _ = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
+        rc = proc.returncode
         assert rc == 0, f"exit {rc}: {tail}"
         assert "shutdown complete" in tail
         leaked = set(os.listdir("/dev/shm")) - before
@@ -1672,19 +1675,21 @@ class TestSigterm:
 
     def test_sigint_also_exits_cleanly(self):
         proc, port = self._spawn("--no-metrics")
-        try:
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=30
-            ) as resp:
-                assert resp.status == 200
-        finally:
-            proc.send_signal(signal.SIGINT)
+        with proc:
             try:
-                rc = proc.wait(timeout=60)
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/healthz", timeout=30
+                ) as resp:
+                    assert resp.status == 200
             finally:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=30)
+                proc.send_signal(signal.SIGINT)
+                try:
+                    proc.communicate(timeout=60)
+                finally:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.wait(timeout=30)
+        rc = proc.returncode
         assert rc == 0
 
 
